@@ -14,7 +14,6 @@ arithmetic happens on the compressed K x N group matrix: column n stands for
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -46,19 +45,6 @@ def required_power(gain: float, gamma: float, noise_power: float):
     if np.any(g <= 0.0):
         raise ZeroGain("channel gain must be positive")
     return gamma * noise_power / g
-
-
-@dataclass
-class CostMatrix:
-    """Per-slot cost of putting one user on one subcarrier for one symbol.
-
-    alpha[k, n] is scaled so that summing costs over one group equals the
-    frame's transmit power per bit.
-    """
-
-    alpha: np.ndarray            # (K, N)
-    group: int
-    m_sel: int
 
 
 @dataclass
@@ -270,18 +256,9 @@ class AllocationResult:
     group: int                   # symbols per group
     repeats: int                 # airtime // group
     counts: np.ndarray           # (K, N) slots per group
-    powers: np.ndarray           # (K, N) required transmit power, W
     per_bit_power: float         # W of transmit power per delivered bit
     energy: float                # J over the whole frame at requested power
-
-    def __post_init__(self):
-        slot_power = float(np.sum(self.powers * self.counts))   # W summed over group slots
-        self._mean_power = slot_power / self.group
-
-    @property
-    def mean_power(self) -> float:
-        """Mean transmit power over the frame's airtime, W."""
-        return self._mean_power
+    mean_power: float            # W, mean over the frame's airtime
 
 
 def clamp_gains(gains: np.ndarray) -> np.ndarray:
@@ -297,63 +274,24 @@ def frame_powers(gains: np.ndarray, budget: LinkBudget) -> np.ndarray:
     return required_power(clamp_gains(gains), budget.gamma[:, None], budget.noise_power)
 
 
-def build_cost_matrix(g, gains: np.ndarray, budget: LinkBudget, cfg: SystemConfig) -> CostMatrix:
-    m_sel = int(sum(g))
-    airtime = frame_length(g, cfg)
-    grp = group_size(airtime, g, cfg.N)
-    powers = required_power(clamp_gains(gains), budget.gamma[:, None], budget.noise_power)
-    alpha = powers / (grp * cfg.N * cfg.r)
-    return CostMatrix(alpha=alpha, group=grp, m_sel=m_sel)
+def allocate_frame(g, powers: np.ndarray, cfg: SystemConfig) -> AllocationResult:
+    """Solve one frame end to end: quotas, group assignment, energy.
 
-
-def allocate_frame(g, gains: np.ndarray, budget: LinkBudget, cfg: SystemConfig) -> AllocationResult:
-    """Solve one frame end to end: quotas, group assignment, powers, energy."""
+    ``powers`` is the frame's (K, N) power matrix from ``frame_powers``, the
+    same one the batch selection ranked compositions with.
+    """
     g = tuple(int(x) for x in g)
     m_sel = sum(g)
     airtime = frame_length(g, cfg)
     grp = group_size(airtime, g, cfg.N)
     quotas = np.array([subcarrier_quota(g_k, grp, cfg.N, m_sel) for g_k in g], dtype=np.int64)
-    powers = required_power(clamp_gains(gains), budget.gamma[:, None], budget.noise_power)
     alpha = powers / (grp * cfg.N * cfg.r)
     instance = TransportInstance(alpha=alpha, quotas=quotas, group=grp)
     counts, objective = solve_transport(instance)
     # summing group costs is exactly power per bit; energy follows from it
     energy = objective * cfg.L * m_sel * cfg.T_sym
+    slot_power = float(np.sum(powers * counts))   # W summed over group slots
     return AllocationResult(
         g=g, m_sel=m_sel, airtime=airtime, group=grp, repeats=airtime // grp,
-        counts=counts, powers=powers, per_bit_power=objective, energy=energy)
-
-
-def dump_instance(instance: TransportInstance, path) -> None:
-    """Write an instance as CSV rows (section, k, n, value)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["section", "k", "n", "value"])
-        w.writerow(["group", "", "", instance.group])
-        for k, q in enumerate(instance.quotas):
-            w.writerow(["quota", k, "", int(q)])
-        rows, cols = instance.alpha.shape
-        for k in range(rows):
-            for n in range(cols):
-                w.writerow(["cost", k, n, repr(float(instance.alpha[k, n]))])
-
-
-def load_instance(path) -> TransportInstance:
-    group = 1
-    quotas: dict[int, int] = {}
-    costs: dict[tuple[int, int], float] = {}
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            if row["section"] == "group":
-                group = int(row["value"])
-            elif row["section"] == "quota":
-                quotas[int(row["k"])] = int(row["value"])
-            elif row["section"] == "cost":
-                costs[(int(row["k"]), int(row["n"]))] = float(row["value"])
-    k = max(key[0] for key in costs) + 1
-    n = max(key[1] for key in costs) + 1
-    alpha = np.zeros((k, n))
-    for (i, j), v in costs.items():
-        alpha[i, j] = v
-    q = np.array([quotas.get(i, 0) for i in range(k)], dtype=np.int64)
-    return TransportInstance(alpha=alpha, quotas=q, group=group)
+        counts=counts, per_bit_power=objective, energy=energy,
+        mean_power=slot_power / grp)

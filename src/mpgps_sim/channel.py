@@ -45,11 +45,6 @@ def packet_error_rate(snr, bits: int, r: int):
     return -np.expm1(bits * np.log1p(-b))
 
 
-def packet_outcome(snr: float, bits: int, r: int, rng: np.random.Generator) -> bool:
-    """Bernoulli delivery draw; True means the packet got through clean."""
-    return bool(rng.random() >= packet_error_rate(snr, bits, r))
-
-
 @dataclass(frozen=True)
 class UserGeometry:
     """Large-scale situation of one user, fixed for a whole run."""

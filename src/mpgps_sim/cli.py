@@ -24,28 +24,60 @@ import math
 import os
 import sys
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import jsonschema
 import numpy as np
 
-from . import engine as engine_mod
 from .engine import Engine, TrafficModel
 from .model import SystemConfig
 from .scheduling import AMPGPS, MODES, MPGPS, OMPGPS, PGPS, BoundViolation
 
 log = logging.getLogger("mpgps_sim.cli")
 
-FIGURE_FILES = (
-    "fig2_power_vs_M.csv",
-    "fig3_delay_vs_M.csv",
-    "fig4_fairness_vs_U.csv",
-    "fig5_loss_vs_U.csv",
-    "fig6_power_vs_MU.csv",
-    "fig7_pareto.csv",
-    "fig8_throughput_vs_ebn0.csv",
-    "fig9_loss_vs_power.csv",
-)
+
+@dataclass(frozen=True)
+class FigureSpec:
+    """One figure table drawn from the aggregate rows.
+
+    Each row is (config_hash, mode, *x, *values); rows sort by mode, then x.
+    """
+
+    x: tuple[str, ...]                       # axis columns; "M" is the server count
+    values: tuple[tuple[str, str, float], ...]   # (column, aggregate key, scale)
+    need: str | None = None                  # skip aggregate rows without this column
+    power_gain: bool = False                 # append power_gain_db
+
+
+_MS = 1e3                                    # seconds to milliseconds
+
+FIGURES = {
+    "fig2_power_vs_M.csv": FigureSpec(
+        ("M", "U"), (("per_bit_power_w", "per_bit_power_mean", 1.0),),
+        power_gain=True),
+    "fig3_delay_vs_M.csv": FigureSpec(
+        ("M",), (("avg_delay_ms_mean", "avg_delay_mean", _MS),
+                 ("avg_delay_ms_std", "avg_delay_std", _MS))),
+    "fig4_fairness_vs_U.csv": FigureSpec(
+        ("U",), (("fairness_bits_mean", "fairness_mean", 1.0),
+                 ("fairness_bits_std", "fairness_std", 1.0)), need="U"),
+    "fig5_loss_vs_U.csv": FigureSpec(
+        ("U",), (("loss_rate_mean", "loss_rate_mean", 1.0),
+                 ("loss_rate_std", "loss_rate_std", 1.0)), need="U"),
+    "fig6_power_vs_MU.csv": FigureSpec(
+        ("M", "U"), (("per_bit_power_w", "per_bit_power_mean", 1.0),),
+        power_gain=True),
+    "fig7_pareto.csv": FigureSpec(
+        ("M", "U"), (("per_bit_power_w", "per_bit_power_mean", 1.0),
+                     ("avg_delay_ms", "avg_delay_mean", _MS))),
+    "fig8_throughput_vs_ebn0.csv": FigureSpec(
+        ("power_budget_db",), (("eb_n0_db_mean", "eb_n0_db_mean", 1.0),
+                               ("throughput_mean", "throughput_mean", 1.0)),
+        need="power_budget_db"),
+    "fig9_loss_vs_power.csv": FigureSpec(
+        ("power_budget_db",), (("loss_rate_mean", "loss_rate_mean", 1.0),),
+        need="power_budget_db"),
+}
 
 _NUMBER = {"type": "number"}
 _POS_NUMBER = {"type": "number", "exclusiveMinimum": 0}
@@ -128,7 +160,7 @@ SCHEMA = {
             },
         },
         "figures": {"type": "array",
-                    "items": {"type": "string", "enum": list(FIGURE_FILES)}},
+                    "items": {"type": "string", "enum": list(FIGURES)}},
     },
 }
 
@@ -207,10 +239,19 @@ def _axis_list(raw, integer: bool = True) -> list | None:
     return [int(v) if integer else float(v) for v in raw]
 
 
+def _finite_number(text: str) -> float:
+    # the schema cannot catch NaN, which fails no comparison
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"config holds the non-finite number {text}")
+    return value
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_float=_finite_number,
+                            parse_constant=_finite_number)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -495,76 +536,31 @@ def _servers_axis(row: dict):
     return row["M_max"] if row["mode"] == AMPGPS else row["M"]
 
 
-def _figure_rows(name: str, agg: list[dict]) -> tuple[list[str], list[dict]] | None:
-    def rows_with(*cols):
-        return [r for r in agg if all(r.get(c) not in ("", None) for c in cols)]
-
-    if name == "fig2_power_vs_M.csv" or name == "fig6_power_vs_MU.csv":
-        rows = [{"config_hash": r["config_hash"], "mode": r["mode"],
-                 "M": _servers_axis(r), "U": r["U"],
-                 "per_bit_power_w": r["per_bit_power_mean"]} for r in agg]
-        rows.sort(key=lambda r: (r["mode"], str(r["M"]), str(r["U"])))
+def _figure_rows(spec: FigureSpec, agg: list[dict]) -> tuple[list[str], list[dict]]:
+    rows = []
+    for r in agg:
+        if spec.need is not None and r.get(spec.need) in ("", None):
+            continue
+        row = {"config_hash": r["config_hash"], "mode": r["mode"]}
+        for col in spec.x:
+            row[col] = _servers_axis(r) if col == "M" else r[col]
+        for col, key, scale in spec.values:
+            row[col] = r[key] * scale
+        rows.append(row)
+    # budgets sort numerically; server and window counts sort as text
+    rows.sort(key=lambda row: (row["mode"], *(
+        float(row[c]) if c == "power_budget_db" else str(row[c]) for c in spec.x)))
+    header = ["config_hash", "mode", *spec.x, *(col for col, _, _ in spec.values)]
+    if spec.power_gain:
         _power_gain_column(rows)
-        header = ["config_hash", "mode", "M", "U", "per_bit_power_w", "power_gain_db"]
-        return header, rows
-    if name == "fig3_delay_vs_M.csv":
-        rows = [{"config_hash": r["config_hash"], "mode": r["mode"],
-                 "M": _servers_axis(r),
-                 "avg_delay_ms_mean": r["avg_delay_mean"] * 1e3,
-                 "avg_delay_ms_std": r["avg_delay_std"] * 1e3} for r in agg]
-        rows.sort(key=lambda r: (r["mode"], str(r["M"])))
-        return (["config_hash", "mode", "M", "avg_delay_ms_mean",
-                 "avg_delay_ms_std"], rows)
-    if name == "fig4_fairness_vs_U.csv":
-        rows = [{"config_hash": r["config_hash"], "mode": r["mode"], "U": r["U"],
-                 "fairness_bits_mean": r["fairness_mean"],
-                 "fairness_bits_std": r["fairness_std"]}
-                for r in rows_with("U")]
-        rows.sort(key=lambda r: (r["mode"], str(r["U"])))
-        return (["config_hash", "mode", "U", "fairness_bits_mean",
-                 "fairness_bits_std"], rows)
-    if name == "fig5_loss_vs_U.csv":
-        rows = [{"config_hash": r["config_hash"], "mode": r["mode"], "U": r["U"],
-                 "loss_rate_mean": r["loss_rate_mean"],
-                 "loss_rate_std": r["loss_rate_std"]}
-                for r in rows_with("U")]
-        rows.sort(key=lambda r: (r["mode"], str(r["U"])))
-        return (["config_hash", "mode", "U", "loss_rate_mean",
-                 "loss_rate_std"], rows)
-    if name == "fig7_pareto.csv":
-        rows = [{"config_hash": r["config_hash"], "mode": r["mode"],
-                 "M": _servers_axis(r), "U": r["U"],
-                 "per_bit_power_w": r["per_bit_power_mean"],
-                 "avg_delay_ms": r["avg_delay_mean"] * 1e3} for r in agg]
-        rows.sort(key=lambda r: (r["mode"], str(r["M"]), str(r["U"])))
-        return (["config_hash", "mode", "M", "U", "per_bit_power_w",
-                 "avg_delay_ms"], rows)
-    if name == "fig8_throughput_vs_ebn0.csv":
-        rows = [{"config_hash": r["config_hash"], "mode": r["mode"],
-                 "power_budget_db": r["power_budget_db"],
-                 "eb_n0_db_mean": r["eb_n0_db_mean"],
-                 "throughput_mean": r["throughput_mean"]}
-                for r in rows_with("power_budget_db")]
-        rows.sort(key=lambda r: (r["mode"], float(r["power_budget_db"])))
-        return (["config_hash", "mode", "power_budget_db", "eb_n0_db_mean",
-                 "throughput_mean"], rows)
-    if name == "fig9_loss_vs_power.csv":
-        rows = [{"config_hash": r["config_hash"], "mode": r["mode"],
-                 "power_budget_db": r["power_budget_db"],
-                 "loss_rate_mean": r["loss_rate_mean"]}
-                for r in rows_with("power_budget_db")]
-        rows.sort(key=lambda r: (r["mode"], float(r["power_budget_db"])))
-        return (["config_hash", "mode", "power_budget_db", "loss_rate_mean"], rows)
-    return None
+        header.append("power_gain_db")
+    return header, rows
 
 
 def write_figures(scenario: Scenario, agg: list[dict]) -> list[str]:
     written = []
     for name in scenario.figures:
-        made = _figure_rows(name, agg)
-        if made is None:
-            continue
-        header, rows = made
+        header, rows = _figure_rows(FIGURES[name], agg)
         if not rows:
             log.warning("figure %s skipped: the grid has no data for it", name)
             continue

@@ -23,8 +23,7 @@ import numpy as np
 
 from . import allocation, metrics as metrics_mod, scheduling
 from .channel import ChannelProcess, LinkBudget, link_budget, packet_error_rate
-from .model import (DELIVERED, DROPPED, IN_SERVICE, QUEUED, FlowQueue, Packet,
-                    SystemConfig, frame_length)
+from .model import FlowQueue, Packet, SystemConfig, frame_length
 from .scheduling import (AMPGPS, MPGPS, OMPGPS, PGPS, BoundViolation,
                          LagLedger, ScheduleDecision, select_mpgps,
                          total_backlog)
@@ -43,6 +42,11 @@ class TrafficModel:
     rate_bps: float | tuple[float, ...] = 63000.0
     bucket: tuple[float, float] | None = None    # (burst bits, rate bits/s)
     infinite_backlog: bool = False
+
+    def __post_init__(self):
+        r = np.asarray(self.rate_bps, dtype=float)
+        if not (np.all(np.isfinite(r)) and np.all(r >= 0)):
+            raise ValueError("rate_bps must be finite and nonnegative")
 
     def rates(self, k: int) -> np.ndarray:
         r = np.asarray(self.rate_bps, dtype=float)
@@ -124,7 +128,6 @@ class RunResult:
     frames: list[FrameRecord]
     bounds: BoundReport | None = None
     events: list[SimEvent] | None = None
-    decisions: list[dict] | None = None
 
 
 class _InFlight:
@@ -162,6 +165,13 @@ class Engine:
         self.fairness_window_s = fairness_window_s
 
         self.m_eff = 1 if mode == PGPS else cfg.M
+        # every batch size the discipline can form must fill whole symbols
+        if self.traffic.infinite_backlog and mode != AMPGPS:
+            sizes = [self.m_eff]
+        else:
+            sizes = range(1, (cfg.M_max if mode == AMPGPS else self.m_eff) + 1)
+        for size in sizes:
+            frame_length((size,), cfg)
         self.collect_power = (not verify) if collect_power is None else collect_power
         self.need_channel = mode in (AMPGPS, OMPGPS) or self.collect_power
         if self.collect_power and verify:
@@ -175,7 +185,6 @@ class Engine:
         self.frames_started = 0
         self.frames: list[FrameRecord] = []
         self.events: list[SimEvent] = []
-        self.decisions: list[dict] = []
         self.fair_events: list[list[tuple[float, int]]] = [[] for _ in range(cfg.K)]
         self.seq_next = [0] * cfg.K
 
@@ -283,7 +292,6 @@ class Engine:
         for q in self.queues:
             while q.fifo and q.fifo[0].deadline_at <= t:
                 pkt = q.pop_front()
-                pkt.state = DROPPED
                 self.n_dropped += 1
                 if pkt.arrival >= self.warmup_t:
                     self.n_dropped_m += 1
@@ -294,7 +302,7 @@ class Engine:
 
     def _decide(self, t: float) -> tuple[ScheduleDecision, allocation.AllocationResult | None, float]:
         cfg = self.cfg
-        gains = powers = None
+        powers = None
         if self.need_channel:
             gains = self.channel.state(self.frames_started).gains
             powers = allocation.frame_powers(gains, self.budget)
@@ -306,8 +314,8 @@ class Engine:
             decision = scheduling.ompgps_schedule(self.queues, cfg.M, cfg.U, powers, cfg)
         alloc = None
         scale = 1.0
-        if self.collect_power and gains is not None:
-            alloc = allocation.allocate_frame(decision.g, gains, self.budget, cfg)
+        if self.collect_power and powers is not None:
+            alloc = allocation.allocate_frame(decision.g, powers, cfg)
             if cfg.power_budget is not None and alloc.mean_power > cfg.power_budget:
                 scale = cfg.power_budget / alloc.mean_power
         return decision, alloc, scale
@@ -350,21 +358,12 @@ class Engine:
         for flow, cnt in enumerate(decision.g):
             for _ in range(cnt):
                 self.queues[flow].pop_front()
-        for pkt in members:
-            pkt.state = IN_SERVICE
-            pkt.attempts += 1
         if self.verify:
             self.batch_keys.append([p.key for p in members])
         self.inflight = _InFlight(rec, members)
         self.frames_started += 1
         if self.collect_events:
             self.events.append(SimEvent(t, "frame_start", -1, -1, rec.index))
-        self.decisions.append({
-            "frame": rec.index, "time": t, "mode": decision.mode,
-            "m_sel": decision.m_sel, "g": decision.g,
-            "window": decision.window,
-            "lag": len(self.ledger.lag) if self.ledger else None,
-            "per_bit_power": per_bit})
 
     def _finish_frame(self, t: float) -> None:
         frame = self.inflight
@@ -381,7 +380,6 @@ class Engine:
                 snr = float(self.budget.gamma[pkt.flow]) * rec.scale
                 ok = bool(rng.random() >= packet_error_rate(snr, pkt.bits, self.cfg.r))
             if ok:
-                pkt.state = DELIVERED
                 self.n_delivered += 1
                 self.dhat[pkt.key] = t
                 if pkt.arrival >= self.warmup_t:
@@ -394,7 +392,6 @@ class Engine:
                 if self.collect_events:
                     self.events.append(SimEvent(t, "deliver", pkt.flow, pkt.seq, rec.index))
             else:
-                pkt.state = QUEUED
                 failures.setdefault(pkt.flow, []).append(pkt)
                 if self.collect_events:
                     self.events.append(SimEvent(t, "fail", pkt.flow, pkt.seq, rec.index))
@@ -585,8 +582,7 @@ class Engine:
 
         return RunResult(cfg=cfg, mode=self.mode, metrics=m, frames=self.frames,
                          bounds=bounds,
-                         events=self.events if self.collect_events else None,
-                         decisions=self.decisions or None)
+                         events=self.events if self.collect_events else None)
 
 
 def run(cfg: SystemConfig, traffic: TrafficModel | None = None, mode: str = MPGPS,

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class NonIntegralFrame(ValueError):
@@ -17,13 +17,6 @@ class NonIntegralFrame(ValueError):
 
 class NonIntegralQuota(ValueError):
     """A per-user slot quota that does not divide evenly."""
-
-
-# Packet lifecycle states.
-QUEUED = "queued"
-IN_SERVICE = "in_service"
-DELIVERED = "delivered"
-DROPPED = "dropped"
 
 
 @dataclass
@@ -77,8 +70,8 @@ class SystemConfig:
             self.weights = tuple(float(w) for w in self.weights)
         if len(self.weights) != self.K:
             raise ValueError("need one weight per flow")
-        if any(w <= 0 for w in self.weights):
-            raise ValueError("weights must be positive")
+        if not all(math.isfinite(w) and w > 0 for w in self.weights):
+            raise ValueError("weights must be positive and finite")
         if not 0.0 < self.target_ber < 1.0:
             raise ValueError("target_ber must lie in (0, 1)")
         if self.B is None:
@@ -116,8 +109,6 @@ class Packet:
     vstart: float = 0.0
     vfinish: float = 0.0
     deadline_at: float = math.inf   # symbols
-    state: str = QUEUED
-    attempts: int = 0
 
     @property
     def key(self) -> tuple[int, int]:
@@ -147,23 +138,6 @@ class FlowQueue:
 
     def pop_front(self) -> Packet:
         return self.fifo.popleft()
-
-
-@dataclass
-class Batch:
-    """One scheduled transmission frame."""
-
-    index: int
-    members: list[Packet]
-    g: tuple[int, ...]           # packets per flow
-    start: float                 # symbols
-    depart: float                # symbols
-    airtime: int                 # symbols, equals depart - start
-    group: int                   # symbols per allocation group
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
 
 
 def frame_length(g, cfg: SystemConfig) -> int:

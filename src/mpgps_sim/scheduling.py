@@ -198,10 +198,6 @@ class LagStep:
     m_lead: int
     drift: int                   # change of the aggregate lag at this instant
 
-    @property
-    def window_total(self) -> int:
-        return self.g_lag + self.g_sync + self.g_lead
-
 
 @dataclass
 class LagLedger:

@@ -160,11 +160,6 @@ class GpsReference:
 
     # -- public interface ----------------------------------------------------
 
-    def observe(self, now: float) -> None:
-        """Advance the reference to ``now``, handling any fluid departures."""
-        self._pop_departures_until(now)
-        self.clock.advance(now)
-
     def on_arrival(self, packet: Packet) -> None:
         """Stamp an arriving packet and add it to the fluid system."""
         t = packet.arrival

@@ -1,5 +1,4 @@
 """Exact assignment solver vs brute force, plus frame-level plan checks."""
-import math
 
 import numpy as np
 import pytest
@@ -7,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mpgps_sim as m
-from mpgps_sim.allocation import (CostMatrix, build_cost_matrix, clamp_gains,
-                                  dump_instance, load_instance, required_power)
+from mpgps_sim.allocation import clamp_gains, required_power
 
 
 def check_feasible(counts, instance):
@@ -107,15 +105,16 @@ class TestFrameAllocation:
         cfg = small_cfg()
         budget = m.link_budget(cfg)
         gains = rand_gains(np.random.default_rng(hash(g) % 2**32), 3, 8)
-        plan = m.allocate_frame(g, gains, budget, cfg)
-        ranked = m.composition_value(m.frame_powers(gains, budget), g, cfg.N, cfg.r)
+        powers = m.frame_powers(gains, budget)
+        plan = m.allocate_frame(g, powers, cfg)
+        ranked = m.composition_value(powers, g, cfg.N, cfg.r)
         assert ranked == pytest.approx(plan.per_bit_power, rel=1e-9)
 
     def test_plan_accounting(self):
         cfg = small_cfg()
         budget = m.link_budget(cfg)
-        gains = rand_gains(np.random.default_rng(17), 3, 8)
-        plan = m.allocate_frame((2, 1, 0), gains, budget, cfg)
+        powers = m.frame_powers(rand_gains(np.random.default_rng(17), 3, 8), budget)
+        plan = m.allocate_frame((2, 1, 0), powers, cfg)
         assert plan.m_sel == 3
         assert plan.airtime == m.frame_length((2, 1, 0), cfg)
         assert plan.airtime == plan.group * plan.repeats
@@ -123,14 +122,14 @@ class TestFrameAllocation:
             plan.per_bit_power * cfg.L * plan.m_sel * cfg.T_sym)
         assert plan.energy == pytest.approx(
             plan.mean_power * plan.airtime * cfg.T_sym)
-        check = np.sum(plan.powers * plan.counts) / plan.group
+        check = np.sum(powers * plan.counts) / plan.group
         assert plan.mean_power == pytest.approx(check)
 
     def test_quota_rows_match_composition(self):
         cfg = small_cfg()
         budget = m.link_budget(cfg)
-        gains = rand_gains(np.random.default_rng(4), 3, 8)
-        plan = m.allocate_frame((1, 2, 0), gains, budget, cfg)
+        powers = m.frame_powers(rand_gains(np.random.default_rng(4), 3, 8), budget)
+        plan = m.allocate_frame((1, 2, 0), powers, cfg)
         per_flow_slots = plan.counts.sum(axis=1) * plan.repeats
         # slots over the whole frame carry exactly g_k * L bits at r bits each
         np.testing.assert_array_equal(per_flow_slots * cfg.r,
@@ -142,7 +141,7 @@ class TestFrameAllocation:
         gains = np.ones((2, 8))
         gains[0, :4] = 100.0         # user 0 is strong on the first half
         gains[1, 4:] = 100.0
-        plan = m.allocate_frame((1, 1), gains, budget, cfg)
+        plan = m.allocate_frame((1, 1), m.frame_powers(gains, budget), cfg)
         assert plan.counts[0, :4].sum() == plan.counts[0].sum()
         assert plan.counts[1, 4:].sum() == plan.counts[1].sum()
 
@@ -161,25 +160,3 @@ class TestPowerInversion:
     def test_deep_fade_is_floored(self):
         g = clamp_gains(np.array([[1.0, 1e-300]]))
         assert g[0, 1] >= 1e-12 * 1.0 / 2  # relative to the median
-
-    def test_cost_matrix_scale(self):
-        cfg = small_cfg()
-        budget = m.link_budget(cfg)
-        gains = rand_gains(np.random.default_rng(1), 3, 8)
-        cm = build_cost_matrix((1, 1, 1), gains, budget, cfg)
-        assert isinstance(cm, CostMatrix)
-        powers = m.frame_powers(gains, budget)
-        np.testing.assert_allclose(cm.alpha * (cm.group * cfg.N * cfg.r), powers)
-
-
-def test_dump_load_round_trip(tmp_path):
-    rng = np.random.default_rng(23)
-    inst = m.TransportInstance(alpha=rng.uniform(0.1, 5.0, (3, 4)),
-                               quotas=np.array([3, 4, 1]), group=2)
-    path = tmp_path / "instance.csv"
-    dump_instance(inst, path)
-    back = load_instance(path)
-    np.testing.assert_array_equal(back.alpha, inst.alpha)   # repr round-trip
-    np.testing.assert_array_equal(back.quotas, inst.quotas)
-    assert back.group == inst.group
-    assert m.solve_transport(back)[1] == m.solve_transport(inst)[1]

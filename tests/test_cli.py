@@ -78,6 +78,16 @@ class TestConfigLoading:
         with pytest.raises(cli.ConfigError):
             cli.load_config(str(path))
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_numbers_rejected(self, tmp_path, token, capsys):
+        # NaN fails no schema comparison, so it is caught while parsing
+        path = tmp_path / "nonfinite.json"
+        path.write_text('{"traffic": {"rate_bps": %s}}' % token)
+        with pytest.raises(cli.ConfigError):
+            cli.load_config(str(path))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "x")]) == 1
+        assert "non-finite" in capsys.readouterr().err
+
     def test_good_config_loads(self, tmp_path):
         path = write_cfg(tmp_path, **tiny_sections())
         cfg = cli.load_config(path)

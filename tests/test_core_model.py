@@ -110,6 +110,8 @@ class TestSystemConfig:
         {"M": 3, "U": 2},
         {"weights": (1.0, 2.0)},        # wrong length for K=10
         {"weights": (0.0,) * 10},
+        {"weights": (1.0,) * 9 + (math.nan,)},
+        {"weights": (1.0,) * 9 + (math.inf,)},
         {"target_ber": 0.0},
         {"target_ber": 1.0},
         {"deadline": 0.0},

@@ -301,6 +301,35 @@ class TestTokenBucket:
                   "mpgps", 5_000.0, collect_power=False)
 
 
+class TestInputValidation:
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -5000.0, (2000.0, math.nan)])
+    def test_rate_must_be_finite_and_nonnegative(self, rate):
+        with pytest.raises(ValueError):
+            m.TrafficModel(rate_bps=rate)
+
+    def test_non_integral_frame_fails_at_construction(self):
+        # one 100-bit packet is 100/128 of a symbol
+        cfg = m.SystemConfig(K=3, N=64, L=100, r=2, M=2)
+        with pytest.raises(m.NonIntegralFrame):
+            m.Engine(cfg, m.TrafficModel(), "mpgps", 1000.0)
+
+    @pytest.mark.parametrize("mode, traffic, ok", [
+        ("mpgps", {"infinite_backlog": True}, True),    # always a batch of 2
+        ("ompgps", {"infinite_backlog": True}, True),
+        ("ampgps", {"infinite_backlog": True}, False),  # can stop at 1
+        ("mpgps", {}, False),                           # a lone packet goes alone
+    ])
+    def test_only_formable_batch_sizes_are_checked(self, mode, traffic, ok):
+        # 64-bit packets: a batch of 2 fills one 128-bit symbol, one alone does not
+        cfg = m.SystemConfig(K=3, N=64, L=64, r=2, M=2, M_max=2)
+        args = (cfg, m.TrafficModel(**traffic), mode, 1000.0)
+        if ok:
+            assert m.Engine(*args, max_frames=5).run().metrics.frames == 5
+        else:
+            with pytest.raises(m.NonIntegralFrame):
+                m.Engine(*args, max_frames=5)
+
+
 def test_metric_ranges_on_a_routine_run():
     res = m.run(compact(K=3, M=2, seed=42), m.TrafficModel(rate_bps=6000.0),
                 "mpgps", 30_000.0)
