@@ -41,12 +41,18 @@ class FigureSpec:
     """One figure table drawn from the aggregate rows.
 
     Each row is (config_hash, mode, *x, *values); rows sort by mode, then x.
+    The gnuplot script draws the ``plot`` column pair, by default the first x
+    column against the first value column.
     """
 
     x: tuple[str, ...]                       # axis columns; "M" is the server count
     values: tuple[tuple[str, str, float], ...]   # (column, aggregate key, scale)
     need: str | None = None                  # skip aggregate rows without this column
     power_gain: bool = False                 # append power_gain_db
+    plot: tuple[str, str] | None = None      # (x column, y column) for gnuplot
+
+    def header(self) -> list[str]:
+        return ["config_hash", "mode", *self.x, *(col for col, _, _ in self.values)]
 
 
 _MS = 1e3                                    # seconds to milliseconds
@@ -69,11 +75,12 @@ FIGURES = {
         power_gain=True),
     "fig7_pareto.csv": FigureSpec(
         ("M", "U"), (("per_bit_power_w", "per_bit_power_mean", 1.0),
-                     ("avg_delay_ms", "avg_delay_mean", _MS))),
+                     ("avg_delay_ms", "avg_delay_mean", _MS)),
+        plot=("per_bit_power_w", "avg_delay_ms")),
     "fig8_throughput_vs_ebn0.csv": FigureSpec(
         ("power_budget_db",), (("eb_n0_db_mean", "eb_n0_db_mean", 1.0),
                                ("throughput_mean", "throughput_mean", 1.0)),
-        need="power_budget_db"),
+        need="power_budget_db", plot=("eb_n0_db_mean", "throughput_mean")),
     "fig9_loss_vs_power.csv": FigureSpec(
         ("power_budget_db",), (("loss_rate_mean", "loss_rate_mean", 1.0),),
         need="power_budget_db"),
@@ -547,10 +554,8 @@ def _figure_rows(spec: FigureSpec, agg: list[dict]) -> tuple[list[str], list[dic
         for col, key, scale in spec.values:
             row[col] = r[key] * scale
         rows.append(row)
-    # budgets sort numerically; server and window counts sort as text
-    rows.sort(key=lambda row: (row["mode"], *(
-        float(row[c]) if c == "power_budget_db" else str(row[c]) for c in spec.x)))
-    header = ["config_hash", "mode", *spec.x, *(col for col, _, _ in spec.values)]
+    rows.sort(key=lambda row: (row["mode"], *(float(row[c]) for c in spec.x)))
+    header = spec.header()
     if spec.power_gain:
         _power_gain_column(rows)
         header.append("power_gain_db")
@@ -575,9 +580,13 @@ def write_figures(scenario: Scenario, agg: list[dict]) -> list[str]:
 def _write_gnuplot(scenario: Scenario, names: list[str]) -> None:
     lines = ["set datafile separator ','", "set key autotitle columnhead", ""]
     for name in names:
+        spec = FIGURES[name]
+        header = spec.header()
+        x, y = spec.plot or (spec.x[0], spec.values[0][0])
+        using = f"{header.index(x) + 1}:{header.index(y) + 1}"
         png = name.replace(".csv", ".png")
         lines += [f"set output '{png}'", "set terminal png size 800,600",
-                  f"plot '{name}' using 3:5 with linespoints", ""]
+                  f"plot '{name}' using {using} with linespoints", ""]
     with open(os.path.join(scenario.out, "plots.gp"), "w") as fh:
         fh.write("\n".join(lines))
 

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mpgps_sim as m
-from mpgps_sim.allocation import clamp_gains, required_power
+from mpgps_sim.allocation import (_price_start, _solve_exchange, clamp_gains,
+                                  required_power)
 
 
 def check_feasible(counts, instance):
@@ -14,6 +15,18 @@ def check_feasible(counts, instance):
     assert np.all(counts >= 0)
     np.testing.assert_array_equal(counts.sum(axis=1), instance.quotas)
     assert np.all(counts.sum(axis=0) == instance.group)
+
+
+def highs_optimum(instance):
+    """LP optimum of the transportation instance; its vertices are integral."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    k, n = instance.alpha.shape
+    a_eq = np.vstack([np.kron(np.eye(k), np.ones(n)), np.kron(np.ones(k), np.eye(n))])
+    b_eq = np.concatenate([instance.quotas, np.full(n, instance.group)])
+    res = linprog(instance.alpha.ravel(), A_eq=a_eq, b_eq=b_eq,
+                  bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    return res.fun
 
 
 class TestSolver:
@@ -60,6 +73,48 @@ class TestSolver:
             m.TransportInstance(alpha=np.ones((2, 2)), quotas=np.array([1, 2]),
                                 group=1)
 
+    def test_row_with_every_column_clamps_its_price(self):
+        # quota // demand == n: the last row's price must clear its largest
+        # threshold and the zero-quota rows' prices must sit below their
+        # smallest, strictly, or argmin ties hand columns to the lower rows
+        alpha = np.array([[1.0, 2.0, 3.0, 4.0],
+                          [2.0, 3.0, 1.0, 1.0],
+                          [5.0, 1.0, 4.0, 3.0]])
+        quotas = np.array([0, 0, 8])
+        np.testing.assert_array_equal(_price_start(alpha, quotas, 2), [2, 2, 2, 2])
+        counts = _solve_exchange(alpha, quotas, 2)
+        np.testing.assert_array_equal(counts, [[0] * 4, [0] * 4, [2, 2, 2, 2]])
+
+    def test_captured_demand_three_instance(self):
+        # a k=3 frame of the power_mpgps benchmark (g=(1,1,1), so m_sel=3 and
+        # group=3), costs scaled by their minimum and kept to 3 digits; from
+        # the plain cheapest-row start it took 65 exchange paths
+        alpha = np.array([
+            [237, 261, 273, 271, 255, 233, 210, 190, 175, 165, 159, 158, 160,
+             166, 176, 190, 208, 230, 256, 285, 316, 347, 374, 394, 405, 406,
+             399, 390, 381, 376, 377, 385, 399, 416, 426, 418, 385, 330, 269,
+             214, 170, 138, 114, 97.4, 85.8, 77.9, 72.8, 69.8, 68.7, 69, 70.5,
+             73.2, 76.8, 81.1, 86.2, 92, 98.6, 106, 116, 127, 142, 160, 183,
+             209],
+            [1.02, 1.06, 1.11, 1.17, 1.24, 1.31, 1.39, 1.49, 1.6, 1.74, 1.93,
+             2.16, 2.45, 2.81, 3.18, 3.52, 3.74, 3.78, 3.67, 3.49, 3.31, 3.2,
+             3.18, 3.27, 3.51, 3.94, 4.6, 5.58, 6.95, 8.73, 10.7, 12.6, 13.8,
+             14.5, 15, 15.6, 16.8, 18.3, 19.9, 20.4, 18.9, 15.8, 12.4, 9.65,
+             7.73, 6.44, 5.61, 5.08, 4.74, 4.48, 4.22, 3.88, 3.45, 2.97, 2.49,
+             2.07, 1.74, 1.48, 1.3, 1.16, 1.08, 1.02, 1, 1],
+            [2310, 1850, 1480, 1240, 1090, 1010, 984, 1010, 1100, 1250, 1490,
+             1840, 2310, 2870, 3380, 3660, 3640, 3410, 3140, 2910, 2740, 2630,
+             2550, 2460, 2350, 2200, 2040, 1870, 1720, 1610, 1530, 1490, 1490,
+             1520, 1560, 1590, 1590, 1530, 1410, 1250, 1080, 918, 784, 678,
+             596, 534, 487, 453, 430, 416, 410, 413, 425, 449, 489, 549, 638,
+             773, 977, 1280, 1730, 2270, 2700, 2700]])
+        inst = m.TransportInstance(alpha=alpha, quotas=np.array([64, 64, 64]),
+                                   group=3)
+        counts, obj = m.solve_transport(inst)
+        check_feasible(counts, inst)
+        ref = highs_optimum(inst)
+        assert abs(obj - ref) <= 1e-9 * abs(ref)
+
     def test_brute_force_size_guard(self):
         with pytest.raises(m.InstanceTooLarge):
             m.brute_force_ilp(m.TransportInstance(
@@ -68,7 +123,8 @@ class TestSolver:
 
 @st.composite
 def instances(draw):
-    k = draw(st.integers(1, 3))
+    # K*G*N <= 4*2*4 = 32 stays inside the enumeration bound
+    k = draw(st.integers(1, 4))
     n = draw(st.integers(1, 4))
     grp = draw(st.integers(1, 2))
     costs = draw(st.lists(st.floats(0.01, 10.0), min_size=k * n, max_size=k * n))
@@ -87,6 +143,28 @@ def test_solver_matches_brute_force(inst):
     _, oracle = m.brute_force_ilp(inst)
     check_feasible(counts, inst)
     assert abs(obj - oracle) <= 1e-9 * max(1.0, abs(oracle))
+
+
+def random_instance(rng, rounded):
+    k = int(rng.integers(3, 11))
+    grp = int(rng.integers(1, 9))
+    n = 64
+    costs = rng.uniform(1.0, 10.0, size=(k, n))
+    if rounded:
+        costs = np.round(costs)          # integer costs, so ties are common
+    total = n * grp
+    cuts = np.sort(rng.choice(np.arange(1, total), size=k - 1, replace=False))
+    quotas = np.diff(np.concatenate(([0], cuts, [total])))
+    return m.TransportInstance(alpha=costs, quotas=quotas, group=grp)
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_solver_matches_highs_beyond_enumeration(seed):
+    inst = random_instance(np.random.default_rng(seed), rounded=seed % 3 == 0)
+    counts, obj = m.solve_transport(inst)
+    check_feasible(counts, inst)
+    ref = highs_optimum(inst)
+    assert abs(obj - ref) <= 1e-9 * abs(ref)
 
 
 def small_cfg(k=3):

@@ -4,6 +4,7 @@ import json
 import logging
 import math
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -264,6 +265,16 @@ class TestSweepCommand:
         delays = read_rows(out / "fig3_delay_vs_M.csv")
         assert all(float(r["avg_delay_ms_mean"]) > 0 for r in delays)
 
+    def test_figure_rows_sort_counts_as_numbers(self, tmp_path):
+        sections = tiny_sections(system={"K": 10})
+        sections["run"]["horizon_symbols"] = 2000
+        sections["figures"] = ["fig3_delay_vs_M.csv"]
+        path = write_cfg(tmp_path, **sections)
+        out = tmp_path / "figs"
+        assert cli.main(["sweep", path, "--out", str(out), "--axis", "M=1,2,10"]) == 0
+        rows = read_rows(out / "fig3_delay_vs_M.csv")
+        assert [r["M"] for r in rows] == ["1", "2", "10"]
+
     def test_unknown_axis_rejected(self, tmp_path):
         path = write_cfg(tmp_path, **tiny_sections())
         assert cli.main(["sweep", path, "--axis", "Q=1:3"]) == 1
@@ -276,7 +287,17 @@ class TestSweepCommand:
         out = tmp_path / "gp"
         assert cli.main(["sweep", path, "--out", str(out), "--axis", "M=1,2"]) == 0
         script = (out / "plots.gp").read_text()
-        assert "fig3_delay_vs_M.csv" in script
+        # M (column 3) against the mean delay (column 4), not its std
+        assert "plot 'fig3_delay_vs_M.csv' using 3:4 with linespoints" in script
+
+    def test_gnuplot_named_column_pairs(self, tmp_path):
+        cli._write_gnuplot(SimpleNamespace(out=str(tmp_path)), list(cli.FIGURES))
+        script = (tmp_path / "plots.gp").read_text()
+        # throughput (column 5) against Eb/N0 (column 4), not the budget
+        assert "plot 'fig8_throughput_vs_ebn0.csv' using 4:5 with linespoints" in script
+        # the Pareto front: delay (column 6) against power per bit (column 5)
+        assert "plot 'fig7_pareto.csv' using 5:6 with linespoints" in script
+        assert "plot 'fig9_loss_vs_power.csv' using 3:4 with linespoints" in script
 
 
 class TestCheckBounds:
