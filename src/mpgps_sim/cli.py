@@ -18,12 +18,13 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import logging
 import math
 import os
 import sys
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 
 import jsonschema
@@ -40,7 +41,8 @@ log = logging.getLogger("mpgps_sim.cli")
 class FigureSpec:
     """One figure table drawn from the aggregate rows.
 
-    Each row is (config_hash, mode, *x, *values); rows sort by mode, then x.
+    Each row is (config_hash, mode, *x, *values[, power_gain_db], point);
+    rows sort by mode, then x.
     The gnuplot script draws the ``plot`` column pair, by default the first x
     column against the first value column.
     """
@@ -52,7 +54,8 @@ class FigureSpec:
     plot: tuple[str, str] | None = None      # (x column, y column) for gnuplot
 
     def header(self) -> list[str]:
-        return ["config_hash", "mode", *self.x, *(col for col, _, _ in self.values)]
+        return ["config_hash", "mode", *self.x, *(col for col, _, _ in self.values),
+                *(["power_gain_db"] if self.power_gain else []), "point"]
 
 
 _MS = 1e3                                    # seconds to milliseconds
@@ -66,10 +69,10 @@ FIGURES = {
                  ("avg_delay_ms_std", "avg_delay_std", _MS))),
     "fig4_fairness_vs_U.csv": FigureSpec(
         ("U",), (("fairness_bits_mean", "fairness_mean", 1.0),
-                 ("fairness_bits_std", "fairness_std", 1.0)), need="U"),
+                 ("fairness_bits_std", "fairness_std", 1.0))),
     "fig5_loss_vs_U.csv": FigureSpec(
         ("U",), (("loss_rate_mean", "loss_rate_mean", 1.0),
-                 ("loss_rate_std", "loss_rate_std", 1.0)), need="U"),
+                 ("loss_rate_std", "loss_rate_std", 1.0))),
     "fig6_power_vs_MU.csv": FigureSpec(
         ("M", "U"), (("per_bit_power_w", "per_bit_power_mean", 1.0),),
         power_gain=True),
@@ -89,8 +92,69 @@ FIGURES = {
 _NUMBER = {"type": "number"}
 _POS_NUMBER = {"type": "number", "exclusiveMinimum": 0}
 _POS_INT = {"type": "integer", "minimum": 1}
+_BOOL = {"type": "boolean"}
 _AXIS = {"oneOf": [{"type": "array", "items": _NUMBER, "minItems": 1},
                    {"type": "string"}]}
+
+
+@dataclass(frozen=True)
+class RunOption:
+    """One key of the ``run`` config section."""
+
+    key: str
+    schema: dict
+    default: object
+    engine: str | None = None    # the Engine keyword it sets; None: a CLI setting
+
+
+RUN_OPTIONS = (
+    RunOption("mode", {"type": "string", "enum": list(MODES)}, MPGPS),
+    RunOption("horizon_symbols", _POS_NUMBER, 1_000_000, "horizon_symbols"),
+    RunOption("replications", _POS_INT, 1),
+    RunOption("warmup_frac", {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
+              0.05, "warmup_frac"),
+    RunOption("error_free", _BOOL, False, "error_free"),
+    RunOption("max_frames", {"oneOf": [_POS_INT, {"type": "null"}]}, None,
+              "max_frames"),
+    RunOption("collect_events", _BOOL, False, "collect_events"),
+    RunOption("fairness", _BOOL, False, "collect_fairness"),
+    RunOption("fairness_window_s", _POS_NUMBER, 0.100, "fairness_window_s"),
+    RunOption("out", {"type": "string"}, "results"),
+    RunOption("workers", _POS_INT, 1),
+    RunOption("gnuplot", _BOOL, False),
+)
+
+# JSON schema type -> the Python type a resolved option is stored as
+_CAST = {"number": float, "integer": int, "boolean": bool}
+
+
+@dataclass(frozen=True)
+class Axis:
+    """One sweep axis: its ``sweep`` config key and ``--axis`` name.
+
+    ``field`` maps each discipline the axis varies to the ``SystemConfig``
+    field it sets. Any other discipline runs at the axis's first value only.
+    """
+
+    name: str
+    schema: dict
+    field: dict[str, str]
+    integer: bool = True
+    alias: str | None = None
+
+
+# sets no SystemConfig field: each point gets the budget, in dB against its
+# own unconstrained mean power (see _calibrate_budgets)
+BUDGET_AXIS = Axis("power_budget_db",
+                   {"type": "array", "items": _NUMBER, "minItems": 1}, {},
+                   integer=False, alias="P")
+AXES = (
+    # the adaptive discipline takes M as its ceiling M_max
+    Axis("M", _AXIS, {PGPS: "M", MPGPS: "M", AMPGPS: "M_max", OMPGPS: "M"}),
+    Axis("M_max", _AXIS, {AMPGPS: "M_max"}),
+    Axis("U", _AXIS, {OMPGPS: "U"}),
+    BUDGET_AXIS,
+)
 
 SCHEMA = {
     "type": "object",
@@ -136,36 +200,13 @@ SCHEMA = {
                 "infinite_backlog": {"type": "boolean"},
             },
         },
-        "run": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "mode": {"type": "string", "enum": list(MODES)},
-                "horizon_symbols": _POS_NUMBER,
-                "replications": _POS_INT,
-                "warmup_frac": {"type": "number", "minimum": 0,
-                                "exclusiveMaximum": 1},
-                "error_free": {"type": "boolean"},
-                "max_frames": {"oneOf": [_POS_INT, {"type": "null"}]},
-                "collect_events": {"type": "boolean"},
-                "fairness": {"type": "boolean"},
-                "fairness_window_s": _POS_NUMBER,
-                "out": {"type": "string"},
-                "workers": _POS_INT,
-                "gnuplot": {"type": "boolean"},
-            },
-        },
-        "sweep": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "modes": {"type": "array", "minItems": 1,
-                          "items": {"type": "string", "enum": list(MODES)}},
-                "M": _AXIS, "U": _AXIS, "M_max": _AXIS,
-                "power_budget_db": {"type": "array", "items": _NUMBER,
-                                    "minItems": 1},
-            },
-        },
+        "run": {"type": "object", "additionalProperties": False,
+                "properties": {o.key: o.schema for o in RUN_OPTIONS}},
+        "sweep": {"type": "object", "additionalProperties": False,
+                  "properties": {"modes": {"type": "array", "minItems": 1,
+                                           "items": {"type": "string",
+                                                     "enum": list(MODES)}},
+                                 **{a.name: a.schema for a in AXES}}},
         "figures": {"type": "array",
                     "items": {"type": "string", "enum": list(FIGURES)}},
     },
@@ -179,25 +220,20 @@ class ConfigError(Exception):
 @dataclass
 class Scenario:
     system: dict
-    traffic: dict
+    traffic: dict                # the raw ``traffic`` config section
     mode_list: list[str]
-    m_axis: list[int] | None
-    u_axis: list[int] | None
-    mmax_axis: list[int] | None
-    budget_db_axis: list[float] | None
+    axes: dict[str, list | None]     # axis name -> values; None: not swept
+    engine: dict                 # Engine keywords from the ``run`` section
     replications: int
-    horizon: float
-    warmup_frac: float
-    error_free: bool
-    max_frames: int | None
-    collect_events: bool
-    fairness: bool
-    fairness_window_s: float
     out: str
     workers: int
     gnuplot: bool
     figures: list[str]
     config_hash: str = ""
+
+    @property
+    def horizon(self) -> float:
+        return self.engine["horizon_symbols"]
 
 
 @dataclass
@@ -209,11 +245,6 @@ class Point:
     overrides: dict
     budget_db: float | None = None
     baseline_power: float | None = None
-
-    def label(self) -> dict:
-        return {"mode": self.mode, **{k: self.overrides.get(k, "")
-                                      for k in ("M", "M_max", "U")},
-                "power_budget_db": "" if self.budget_db is None else self.budget_db}
 
 
 def parse_axis_values(text: str, integer: bool = True) -> list:
@@ -273,8 +304,8 @@ def load_config(path: str) -> dict:
 def build_scenario(config: dict, args: argparse.Namespace) -> Scenario:
     system = dict(config.get("system", {}))
     traffic = dict(config.get("traffic", {}))
-    run = dict(config.get("run", {}))
-    sweep = dict(config.get("sweep", {}))
+    run_cfg = config.get("run", {})
+    sweep = config.get("sweep", {})
 
     if system.get("deadline") in ("inf", None) and "deadline" in system:
         system["deadline"] = math.inf
@@ -288,69 +319,46 @@ def build_scenario(config: dict, args: argparse.Namespace) -> Scenario:
     if getattr(args, "seed", None) is not None:
         system["seed"] = args.seed
 
-    out = run.get("out", "results")
-    out = os.environ.get("MPGPS_SIM_OUT", out)
-    if getattr(args, "out", None) is not None:
-        out = args.out
+    run = {o.key: run_cfg.get(o.key, o.default) for o in RUN_OPTIONS}
+    run["out"] = os.environ.get("MPGPS_SIM_OUT", run["out"])
+    for o in RUN_OPTIONS:
+        # a command-line flag named like the key beats the config
+        flag = getattr(args, o.key, None)
+        value = run[o.key] if flag is None else flag
+        run[o.key] = _CAST.get(o.schema.get("type"), lambda v: v)(value)
+    mode_list = ([run["mode"]] if getattr(args, "mode", None) is not None
+                 else sweep.get("modes") or [run["mode"]])
 
-    mode_list = sweep.get("modes") or [run.get("mode", MPGPS)]
-    if getattr(args, "mode", None) is not None:
-        mode_list = [args.mode]
-
-    replications = run.get("replications", 1)
-    if getattr(args, "replications", None) is not None:
-        replications = args.replications
-    workers = run.get("workers", 1)
-    if getattr(args, "workers", None) is not None:
-        workers = args.workers
-
-    m_axis = _axis_list(sweep.get("M"))
-    u_axis = _axis_list(sweep.get("U"))
-    mmax_axis = _axis_list(sweep.get("M_max"))
-    budget_axis = _axis_list(sweep.get("power_budget_db"), integer=False)
+    axes = {a.name: _axis_list(sweep.get(a.name), a.integer) for a in AXES}
+    by_flag = {n: a for a in AXES for n in (a.name, a.alias) if n}
     for axis_txt in getattr(args, "axis", None) or []:
         name, _, values = axis_txt.partition("=")
         if not values:
             raise ConfigError(f"--axis needs NAME=VALUES, got {axis_txt!r}")
-        if name == "M":
-            m_axis = parse_axis_values(values)
-        elif name == "U":
-            u_axis = parse_axis_values(values)
-        elif name == "M_max":
-            mmax_axis = parse_axis_values(values)
-        elif name in ("P", "power_budget_db"):
-            budget_axis = parse_axis_values(values, integer=False)
-        else:
+        if name not in by_flag:
             raise ConfigError(f"unknown sweep axis {name!r}")
+        axes[by_flag[name].name] = parse_axis_values(values, by_flag[name].integer)
 
-    if traffic.get("infinite_backlog") and not run.get("max_frames"):
+    if traffic.get("infinite_backlog") and not run["max_frames"]:
         raise ConfigError("infinite_backlog traffic needs run.max_frames")
 
+    engine = {o.engine: run[o.key] for o in RUN_OPTIONS if o.engine}
     scenario = Scenario(
-        system=system, traffic=traffic, mode_list=list(mode_list),
-        m_axis=m_axis, u_axis=u_axis, mmax_axis=mmax_axis,
-        budget_db_axis=budget_axis,
-        replications=int(replications),
-        horizon=float(run.get("horizon_symbols", 1_000_000)),
-        warmup_frac=float(run.get("warmup_frac", 0.05)),
-        error_free=bool(run.get("error_free", False)),
-        max_frames=run.get("max_frames"),
-        collect_events=bool(run.get("collect_events", False)),
-        fairness=bool(run.get("fairness", False)),
-        fairness_window_s=float(run.get("fairness_window_s", 0.100)),
-        out=out, workers=int(workers),
-        gnuplot=bool(run.get("gnuplot", False)),
+        system=system, traffic=traffic, mode_list=list(mode_list), axes=axes,
+        engine=engine, replications=run["replications"], out=run["out"],
+        workers=run["workers"], gnuplot=run["gnuplot"],
         figures=list(config.get("figures", [])))
+    # the hashed document keeps its original names, so hashes stay comparable
     resolved = {
         "system": {k: (repr(v) if isinstance(v, float) else v)
                    for k, v in sorted(system.items())},
         "traffic": traffic, "modes": scenario.mode_list,
-        "axes": {"M": m_axis, "U": u_axis, "M_max": mmax_axis,
-                 "P": budget_axis},
+        "axes": {"M": axes["M"], "U": axes["U"], "M_max": axes["M_max"],
+                 "P": axes["power_budget_db"]},
         "replications": scenario.replications, "horizon": scenario.horizon,
-        "warmup": scenario.warmup_frac, "error_free": scenario.error_free,
-        "max_frames": scenario.max_frames,
-        "fairness_window_s": scenario.fairness_window_s,
+        "warmup": engine["warmup_frac"], "error_free": engine["error_free"],
+        "max_frames": engine["max_frames"],
+        "fairness_window_s": engine["fairness_window_s"],
         "figures": scenario.figures,
     }
     scenario.config_hash = hashlib.sha256(
@@ -358,117 +366,100 @@ def build_scenario(config: dict, args: argparse.Namespace) -> Scenario:
     return scenario
 
 
+def _axis_overrides(axis: Axis, mode: str, values: list | None) -> list[dict]:
+    """The overrides one axis gives a discipline, one per grid step."""
+    if values is None:
+        return [{}]
+    field = axis.field.get(mode)
+    if field is None:
+        keep, why = values[0], "the axis does not vary this discipline"
+    elif mode == PGPS:
+        keep, why = min(values), "single-server discipline"
+    else:
+        return [{field: v} for v in values]
+    for v in values:
+        if v != keep:
+            log.info("skip %s %s=%s: %s", mode, axis.name, v, why)
+    return [{field: v} if field else {} for v in values if v == keep]
+
+
 def grid_points(scenario: Scenario) -> list[Point]:
     """Cartesian product of mode and axes, invalid combinations skipped."""
     points: list[Point] = []
-    m_values = scenario.m_axis or [None]
-    u_values = scenario.u_axis or [None]
-    mmax_values = scenario.mmax_axis or [None]
-    budgets = scenario.budget_db_axis or [None]
-    idx = 0
     for mode in scenario.mode_list:
-        for m in m_values:
-            if mode == PGPS and m is not None and m != min(m_values):
-                log.info("skip %s M=%s: single-server discipline", mode, m)
+        steps = [_axis_overrides(a, mode, scenario.axes[a.name])
+                 for a in AXES if a is not BUDGET_AXIS]
+        for parts in itertools.product(*steps):
+            overrides = {k: v for part in parts for k, v in part.items()}
+            try:
+                SystemConfig(**{**scenario.system, **overrides})
+            except (TypeError, ValueError) as exc:
+                log.info("skip %s %s: %s", mode, overrides, exc)
                 continue
-            for mm in mmax_values:
-                for u in u_values:
-                    if mode != OMPGPS and u is not None and u != u_values[0]:
-                        log.info("skip %s U=%s: window only affects the "
-                                 "opportunistic discipline", mode, u)
-                        continue
-                    overrides = {}
-                    if m is not None:
-                        if mode == AMPGPS:
-                            overrides["M_max"] = m
-                        else:
-                            overrides["M"] = m
-                    if mm is not None and mode == AMPGPS:
-                        overrides["M_max"] = mm
-                    if u is not None and mode == OMPGPS:
-                        overrides["U"] = u
-                    trial = {**scenario.system, **overrides}
-                    try:
-                        SystemConfig(**trial)
-                    except (TypeError, ValueError) as exc:
-                        log.info("skip %s %s: %s", mode, overrides, exc)
-                        continue
-                    for b in budgets:
-                        points.append(Point(index=idx, mode=mode,
-                                            overrides=overrides, budget_db=b))
-                        idx += 1
+            for b in scenario.axes[BUDGET_AXIS.name] or [None]:
+                points.append(Point(index=len(points), mode=mode,
+                                    overrides=overrides, budget_db=b))
     if not points:
         raise ConfigError("every grid point was invalid; nothing to run")
     return points
 
 
 def _make_task(scenario: Scenario, point: Point, rep: int, *,
-               check_bounds: bool, budget_w: float | None) -> dict:
+               verify: bool = False, budget_w: float | None = None) -> dict:
     system = {**scenario.system, **point.overrides}
     system["seed"] = int(system.get("seed", 1)) + rep
     if budget_w is not None:
         system["power_budget"] = budget_w
-    return {
-        "system": system, "traffic": scenario.traffic, "mode": point.mode,
-        "horizon": scenario.horizon, "warmup_frac": scenario.warmup_frac,
-        "error_free": scenario.error_free, "max_frames": scenario.max_frames,
-        "collect_events": scenario.collect_events and not check_bounds,
-        "fairness": scenario.fairness and not check_bounds,
-        "fairness_window_s": scenario.fairness_window_s,
-        "verify": check_bounds,
-        "point": point.index, "rep": rep, "budget_db": point.budget_db,
-        "label": point.label(), "hash": scenario.config_hash,
-    }
+    engine = {**scenario.engine, "verify": verify}
+    if verify:
+        engine.update(collect_events=False, collect_fairness=False)
+    return {"system": system, "traffic": scenario.traffic, "mode": point.mode,
+            "engine": engine, "point": point.index, "rep": rep,
+            "label": {"config_hash": scenario.config_hash, "point": point.index,
+                      "mode": point.mode, "power_budget_db": point.budget_db}}
+
+
+def _traffic_model(traffic: dict) -> TrafficModel:
+    """The ``traffic`` config section as the engine's source model."""
+    tr = dict(traffic)
+    if isinstance(tr.get("rate_bps"), list):
+        tr["rate_bps"] = tuple(tr["rate_bps"])
+    if tr.get("bucket"):
+        tr["bucket"] = (tr["bucket"]["burst_bits"], tr["bucket"]["rate_bps"])
+    return TrafficModel(**tr)
 
 
 def _run_task(task: dict) -> dict:
     """Worker body: one engine, one run. Must stay importable for pickling."""
     cfg = SystemConfig(**task["system"])
-    tr = task["traffic"]
-    bucket = tr.get("bucket")
-    traffic = TrafficModel(
-        rate_bps=(tuple(tr["rate_bps"]) if isinstance(tr.get("rate_bps"), list)
-                  else tr.get("rate_bps", 63000.0)),
-        bucket=(bucket["burst_bits"], bucket["rate_bps"]) if bucket else None,
-        infinite_backlog=bool(tr.get("infinite_backlog", False)))
-    eng = Engine(cfg, traffic, task["mode"], task["horizon"],
-                 warmup_frac=task["warmup_frac"], error_free=task["error_free"],
-                 verify=task["verify"], max_frames=task["max_frames"],
-                 collect_events=task["collect_events"],
-                 collect_fairness=task["fairness"],
-                 fairness_window_s=task["fairness_window_s"])
-    bound_rows: list[dict] = []
-    violation = False
+    eng = Engine(cfg, _traffic_model(task["traffic"]), task["mode"], **task["engine"])
+    # labelled before the run, so a hard_assert row carries the same label
+    ident = {**task["label"], "M": cfg.M, "M_max": cfg.M_max, "U": cfg.U,
+             "seed": cfg.seed, "replication": task["rep"]}
     try:
         result = eng.run()
     except BoundViolation as exc:
-        bound_rows.append({"check": "hard_assert", "bound": 0.0,
-                           "observed": 1.0, "violations": 1,
-                           "applicable": True, "note": str(exc)})
-        return {"task": task, "row": None, "bounds": bound_rows,
-                "events": None, "violation": True}
-    if result.bounds is not None:
-        for e in result.bounds.entries:
-            bound_rows.append({"check": e.name, "bound": e.bound,
-                               "observed": e.observed,
-                               "violations": e.violations,
-                               "applicable": e.applicable, "note": e.note})
-            if e.applicable and e.violations:
-                violation = True
-    row = {"config_hash": task["hash"], "point": task["point"],
-           **task["label"], "M": cfg.M, "M_max": cfg.M_max, "U": cfg.U,
-           "seed": task["system"]["seed"], "replication": task["rep"],
-           "horizon_symbols": task["horizon"], **result.metrics.as_dict()}
+        return {"row": None, "events": None, "violation": True,
+                "bounds": [{**ident, "check": "hard_assert", "bound": 0.0,
+                            "observed": 1.0, "violations": 1,
+                            "applicable": True, "note": str(exc)}]}
+    entries = result.bounds.entries if result.bounds is not None else []
+    bound_rows = [{**ident, "check": e.name, "bound": e.bound,
+                   "observed": e.observed, "violations": e.violations,
+                   "applicable": e.applicable, "note": e.note} for e in entries]
+    violation = any(e.applicable and e.violations for e in entries)
+    row = {**ident, "horizon_symbols": task["engine"]["horizon_symbols"],
+           **result.metrics.as_dict()}
     events = None
-    if task["collect_events"] and result.events is not None:
+    if task["engine"]["collect_events"] and result.events is not None:
         t_sym = cfg.T_sym
         outcome = {"deliver": 1, "fail": 0}
         events = [{"time_s": ev.time * t_sym, "event": ev.kind,
                    "flow": ev.flow, "seq": ev.seq, "frame": ev.frame,
                    "outcome": outcome.get(ev.kind, "")}
                   for ev in result.events]
-    return {"task": task, "row": row, "bounds": bound_rows,
-            "events": events, "violation": violation}
+    return {"row": row, "bounds": bound_rows, "events": events,
+            "violation": violation}
 
 
 def _fmt(value) -> str:
@@ -485,32 +476,28 @@ def write_csv(path: str, header: list[str], rows: list[dict]) -> None:
             w.writerow([_fmt(row.get(col)) for col in header])
 
 
-RUN_HEADER = ["config_hash", "point", "mode", "M", "M_max", "U",
-              "power_budget_db", "seed", "replication", "horizon_symbols",
-              "arrivals", "delivered", "dropped", "residual", "frames",
-              "sim_time", "avg_delay", "loss_rate", "throughput", "avg_power",
-              "per_bit_power", "eb_n0_db", "fairness", "bound_violations"]
+LABEL = ["config_hash", "point", "mode", "M", "M_max", "U", "power_budget_db"]
 
-BOUND_HEADER = ["config_hash", "point", "mode", "M", "M_max", "U",
-                "power_budget_db", "seed", "replication", "check", "bound",
-                "observed", "violations", "applicable", "note"]
+RUN_HEADER = LABEL + [
+    "seed", "replication", "horizon_symbols", "arrivals", "delivered", "dropped",
+    "residual", "frames", "sim_time", "avg_delay", "loss_rate", "throughput",
+    "avg_power", "per_bit_power", "eb_n0_db", "fairness", "bound_violations"]
+
+BOUND_HEADER = LABEL + ["seed", "replication", "check", "bound", "observed",
+                        "violations", "applicable", "note"]
 
 _AGG_METRICS = ["avg_delay", "loss_rate", "throughput", "avg_power",
                 "per_bit_power", "eb_n0_db", "fairness"]
 
 
 def aggregate_rows(run_rows: list[dict]) -> list[dict]:
-    groups: dict[tuple, list[dict]] = {}
+    groups: dict[int, list[dict]] = {}
     for row in run_rows:
-        key = (row["point"], row["mode"], row["M"], row["M_max"], row["U"],
-               row["power_budget_db"])
-        groups.setdefault(key, []).append(row)
+        groups.setdefault(row["point"], []).append(row)
     out = []
-    for key in sorted(groups, key=lambda k: k[0]):
-        rows = groups[key]
-        agg = {"config_hash": rows[0]["config_hash"], "point": key[0],
-               "mode": key[1], "M": key[2], "M_max": key[3], "U": key[4],
-               "power_budget_db": key[5], "n": len(rows)}
+    for point in sorted(groups):
+        rows = groups[point]
+        agg = {**{col: rows[0][col] for col in LABEL}, "n": len(rows)}
         for metric in _AGG_METRICS:
             vals = np.array([row[metric] for row in rows], dtype=float)
             finite = vals[np.isfinite(vals)]
@@ -520,9 +507,7 @@ def aggregate_rows(run_rows: list[dict]) -> list[dict]:
     return out
 
 
-AGG_HEADER = (["config_hash", "point", "mode", "M", "M_max", "U",
-               "power_budget_db", "n"]
-              + [f"{m}_{s}" for m in _AGG_METRICS for s in ("mean", "std")])
+AGG_HEADER = LABEL + ["n"] + [f"{m}_{s}" for m in _AGG_METRICS for s in ("mean", "std")]
 
 
 # -- figure emitters ----------------------------------------------------------
@@ -548,18 +533,16 @@ def _figure_rows(spec: FigureSpec, agg: list[dict]) -> tuple[list[str], list[dic
     for r in agg:
         if spec.need is not None and r.get(spec.need) in ("", None):
             continue
-        row = {"config_hash": r["config_hash"], "mode": r["mode"]}
+        row = {"config_hash": r["config_hash"], "mode": r["mode"], "point": r["point"]}
         for col in spec.x:
             row[col] = _servers_axis(r) if col == "M" else r[col]
         for col, key, scale in spec.values:
             row[col] = r[key] * scale
         rows.append(row)
     rows.sort(key=lambda row: (row["mode"], *(float(row[c]) for c in spec.x)))
-    header = spec.header()
     if spec.power_gain:
         _power_gain_column(rows)
-        header.append("power_gain_db")
-    return header, rows
+    return spec.header(), rows
 
 
 def write_figures(scenario: Scenario, agg: list[dict]) -> list[str]:
@@ -595,17 +578,16 @@ def _write_gnuplot(scenario: Scenario, names: list[str]) -> None:
 
 def _calibrate_budgets(scenario: Scenario, points: list[Point]) -> None:
     """Resolve dB budgets into watts against each point's unconstrained power."""
-    if scenario.budget_db_axis is None:
-        return
     baselines: dict[tuple, float] = {}
     for point in points:
+        if point.budget_db is None:
+            continue
         key = (point.mode, tuple(sorted(point.overrides.items())))
         if key in baselines:
             point.baseline_power = baselines[key]
             continue
-        task = _make_task(scenario, point, 0, check_bounds=False, budget_w=None)
-        task["collect_events"] = False
-        task["fairness"] = False
+        task = _make_task(scenario, point, 0)
+        task["engine"].update(collect_events=False, collect_fairness=False)
         out = _run_task(task)
         power = out["row"]["avg_power"] if out["row"] else float("nan")
         baselines[key] = power
@@ -625,8 +607,9 @@ def _budget_watts(point: Point) -> float | None:
 
 def execute(scenario: Scenario, check_bounds: bool = False) -> int:
     points = grid_points(scenario)
-    _calibrate_budgets(scenario, points)
-    tasks = [_make_task(scenario, p, rep, check_bounds=check_bounds,
+    if not check_bounds:        # verification never allocates power
+        _calibrate_budgets(scenario, points)
+    tasks = [_make_task(scenario, p, rep, verify=check_bounds,
                         budget_w=_budget_watts(p))
              for p in points for rep in range(scenario.replications)]
     os.makedirs(scenario.out, exist_ok=True)
@@ -635,36 +618,27 @@ def execute(scenario: Scenario, check_bounds: bool = False) -> int:
     try:
         if scenario.workers > 1:
             with ProcessPoolExecutor(max_workers=scenario.workers) as pool:
-                futures = {pool.submit(_run_task, t): t for t in tasks}
-                pending = set(futures)
-                while pending:
-                    done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                    for fut in done:
-                        out = fut.result()
-                        t = out["task"]
-                        results[(t["point"], t["rep"])] = out
+                futures = {pool.submit(_run_task, t): (t["point"], t["rep"])
+                           for t in tasks}
+                for fut in as_completed(futures):
+                    results[futures[fut]] = fut.result()
         else:
             for t in tasks:
-                out = _run_task(t)
-                results[(t["point"], t["rep"])] = out
+                results[(t["point"], t["rep"])] = _run_task(t)
     except KeyboardInterrupt:
         interrupted = True
         log.warning("interrupted: flushing %d completed runs", len(results))
 
     run_rows, bound_rows, violation = [], [], False
-    for key in sorted(results):
-        out = results[key]
-        t = out["task"]
+    for point, rep in sorted(results):
+        out = results[(point, rep)]
         if out["row"] is not None:
             run_rows.append(out["row"])
-        for b in out["bounds"]:
-            bound_rows.append({"config_hash": t["hash"], "point": t["point"],
-                               **t["label"], "seed": t["system"]["seed"],
-                               "replication": t["rep"], **b})
+        bound_rows += out["bounds"]
         violation = violation or out["violation"]
         if out["events"] is not None:
             suffix = ("" if len(points) == 1 and scenario.replications == 1
-                      else f"_p{t['point']}_r{t['rep']}")
+                      else f"_p{point}_r{rep}")
             write_csv(os.path.join(scenario.out, f"events{suffix}.csv"),
                       ["time_s", "event", "flow", "seq", "frame", "outcome"],
                       out["events"])

@@ -12,7 +12,8 @@ import pytest
 import mpgps_sim.cli as cli
 import mpgps_sim.engine as engine_mod
 from mpgps_sim import scheduling
-from mpgps_sim.scheduling import ScheduleDecision
+from mpgps_sim.model import SystemConfig
+from mpgps_sim.scheduling import BoundViolation, ScheduleDecision
 
 
 def write_cfg(tmp_path, name="scenario.json", **sections):
@@ -88,6 +89,15 @@ class TestConfigLoading:
             cli.load_config(str(path))
         assert cli.main(["run", str(path), "--out", str(tmp_path / "x")]) == 1
         assert "non-finite" in capsys.readouterr().err
+
+    def test_schema_sections_keep_their_keys(self):
+        # the run-option and axis tables must neither add nor drop a key
+        assert set(cli.SCHEMA["properties"]["run"]["properties"]) == {
+            "mode", "horizon_symbols", "replications", "warmup_frac",
+            "error_free", "max_frames", "collect_events", "fairness",
+            "fairness_window_s", "out", "workers", "gnuplot"}
+        assert set(cli.SCHEMA["properties"]["sweep"]["properties"]) == {
+            "modes", "M", "U", "M_max", "power_budget_db"}
 
     def test_good_config_loads(self, tmp_path):
         path = write_cfg(tmp_path, **tiny_sections())
@@ -168,6 +178,15 @@ class TestGridExpansion:
         points = cli.grid_points(scn)
         assert [p.overrides for p in points] == [{"M_max": 1}, {"M_max": 2}]
 
+    def test_ceiling_axis_only_applies_to_adaptive(self, tmp_path, caplog):
+        scn = self.scenario(tmp_path, **tiny_sections(
+            sweep={"modes": ["mpgps", "ampgps"], "M_max": [1, 2]}))
+        with caplog.at_level(logging.INFO, logger="mpgps_sim.cli"):
+            points = cli.grid_points(scn)
+        assert [(p.mode, p.overrides) for p in points] == [
+            ("mpgps", {}), ("ampgps", {"M_max": 1}), ("ampgps", {"M_max": 2})]
+        assert "skip mpgps M_max=2" in caplog.text
+
     def test_all_points_invalid_is_an_error(self, tmp_path):
         scn = self.scenario(tmp_path, **tiny_sections(
             sweep={"modes": ["ompgps"], "M": [4], "U": [1, 2]}))
@@ -214,6 +233,44 @@ class TestRunCommand:
         assert rows
         assert {"arrive", "deliver"} <= {r["event"] for r in rows}
 
+    def test_every_run_option_reaches_engine(self, tmp_path, monkeypatch):
+        # every run key off its default, so a dropped option shows up here
+        out = tmp_path / "cfg-out"
+        sections = tiny_sections(run={
+            "mode": "ampgps", "horizon_symbols": 4000, "replications": 2,
+            "warmup_frac": 0.1, "error_free": True, "max_frames": 30,
+            "collect_events": True, "fairness": True, "fairness_window_s": 0.05,
+            "out": str(out), "workers": 2, "gnuplot": True})
+        sections["traffic"] = {"rate_bps": [3000.0, 5000.0],
+                               "bucket": {"burst_bits": 2048.0, "rate_bps": 6000.0},
+                               "infinite_backlog": True}
+        sections["figures"] = ["fig3_delay_vs_M.csv"]
+        path = write_cfg(tmp_path, **sections)
+        scn = cli.build_scenario(cli.load_config(path), parse_args(["run", path]))
+        assert (scn.mode_list, scn.replications, scn.workers, scn.out,
+                scn.gnuplot) == (["ampgps"], 2, 2, str(out), True)
+
+        calls = []
+
+        class Recorder(engine_mod.Engine):
+            def __init__(self, *args, **kwargs):
+                calls.append((args, kwargs))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "Engine", Recorder)
+        scn.workers = 1      # the recorder only sees engines built in this process
+        assert cli.execute(scn) == 0
+        traffic = engine_mod.TrafficModel(rate_bps=(3000.0, 5000.0),
+                                          bucket=(2048.0, 6000.0),
+                                          infinite_backlog=True)
+        assert [(args[1:], kwargs) for args, kwargs in calls] == [(
+            (traffic, "ampgps"),
+            {"horizon_symbols": 4000.0, "warmup_frac": 0.1, "error_free": True,
+             "max_frames": 30, "collect_events": True, "collect_fairness": True,
+             "fairness_window_s": 0.05, "verify": False})] * 2
+        assert {"events_p0_r0.csv", "events_p0_r1.csv", "plots.gp"} <= set(
+            os.listdir(out))
+
     def test_saturated_traffic_needs_max_frames(self, tmp_path):
         sections = tiny_sections()
         sections["traffic"]["infinite_backlog"] = True
@@ -257,7 +314,7 @@ class TestSweepCommand:
         code = cli.main(["sweep", path, "--out", str(out), "--axis", "M=1,2"])
         assert code == 0
         power = read_rows(out / "fig2_power_vs_M.csv")
-        assert [r["M"] for r in power] == ["1", "2"]
+        assert [(r["M"], r["point"]) for r in power] == [("1", "0"), ("2", "1")]
         # gains are relative to the worst grid point, so the minimum is zero
         gains = [float(r["power_gain_db"]) for r in power]
         assert min(gains) == pytest.approx(0.0)
@@ -338,6 +395,39 @@ class TestCheckBounds:
         rows = read_rows(out / "bounds.csv")
         broken = [r for r in rows if r["check"] == "delay_gap"]
         assert int(broken[0]["violations"]) > 0
+
+
+    def test_hard_assert_row_carries_the_run_label(self, tmp_path, monkeypatch):
+        class Tripped(engine_mod.Engine):
+            def run(self):
+                raise BoundViolation("induced")
+
+        monkeypatch.setattr(cli, "Engine", Tripped)
+        sections = tiny_sections()
+        path = write_cfg(tmp_path, **sections)
+        out = tmp_path / "trip"
+        assert cli.main(["check-bounds", path, "--out", str(out)]) == 2
+        cfg = SystemConfig(**sections["system"])
+        rows = read_rows(out / "bounds.csv")
+        assert [(r["check"], r["M"], r["M_max"], r["U"]) for r in rows] == [
+            ("hard_assert", str(cfg.M), str(cfg.M_max), str(cfg.U))]
+
+    @pytest.mark.parametrize("command, unverified", [("run", 6), ("check-bounds", 0)])
+    def test_budgets_calibrated_only_when_power_is_allocated(
+            self, tmp_path, monkeypatch, command, unverified):
+        # run: 2 calibrations (one per M) + 4 runs; verification allocates
+        # no power, so check-bounds needs no calibration run
+        path = write_cfg(tmp_path, **tiny_sections(
+            sweep={"M": [1, 2], "power_budget_db": [-3.0, 0.0]}))
+        real, verify_flags = cli._run_task, []
+
+        def counting(task):
+            verify_flags.append(task["engine"]["verify"])
+            return real(task)
+
+        monkeypatch.setattr(cli, "_run_task", counting)
+        assert cli.main([command, path, "--out", str(tmp_path / "o")]) == 0
+        assert verify_flags.count(False) == unverified
 
 
 class TestAggregation:
