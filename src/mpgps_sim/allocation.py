@@ -34,6 +34,10 @@ GAIN_FLOOR_REL = 1e-12
 # benchmark instances two rounds cut the mean exchange count from ~39 to ~1.2.
 PRICE_ROUNDS = 2
 
+# Compositions ranked per block by composition_value. Caps its (block, K, N)
+# count stack at ~1.3 MB for K=10, N=64, however many compositions a window has.
+RANK_BLOCK = 256
+
 
 class ZeroGain(ValueError):
     """A scheduled user has a non-positive channel gain."""
@@ -82,22 +86,19 @@ class TransportInstance:
                 f"quotas sum to {int(self.quotas.sum())}, need {self.group * n}")
 
 
-def _split_rows(costs: np.ndarray, quotas: np.ndarray, demand: int) -> np.ndarray:
-    """Exact solver for one or two active rows (closed forms)."""
-    k, n = costs.shape
-    counts = np.zeros((k, n), dtype=np.int64)
-    if k == 1:
-        counts[0] = demand
-        return counts
-    # two rows: give row 0 the columns where its cost advantage is largest
-    diff = costs[0] - costs[1]
-    order = np.argsort(diff, kind="stable")
-    full, part = divmod(int(quotas[0]), demand)
-    counts[0, order[:full]] = demand
-    if part:
-        counts[0, order[full]] = part
-    counts[1] = demand - counts[0]
-    return counts
+def _split_rows(first: np.ndarray, last: np.ndarray, quota: np.ndarray,
+                demand: np.ndarray) -> np.ndarray:
+    """Exact first-row counts of stacked instances with one or two active rows.
+
+    ``first`` and ``last`` are the (C, N) cost rows of each instance's first
+    and last active row; ``quota`` (the first row's) and ``demand`` broadcast
+    as (C, 1). Down the columns in stable order of the first row's cost
+    advantage, the first row takes ``demand`` slots a column until its quota
+    runs out; the last row takes the rest of each column. A single active row
+    is passed as both rows: its difference is zero and it takes every column.
+    """
+    rank = np.argsort(np.argsort(first - last, axis=1, kind="stable"), axis=1)
+    return np.minimum(np.maximum(quota - demand * rank, 0), demand)
 
 
 def _price_start(costs: np.ndarray, quotas: np.ndarray, demand: int) -> np.ndarray:
@@ -205,13 +206,16 @@ def _solve_exchange(costs: np.ndarray, quotas: np.ndarray, demand: int) -> np.nd
 
 def _min_cost_counts(costs: np.ndarray, quotas: np.ndarray, demand: int) -> np.ndarray:
     active = np.nonzero(quotas > 0)[0]
-    k, n = costs.shape
-    counts = np.zeros((k, n), dtype=np.int64)
-    if active.size <= 2:
-        sub = _split_rows(costs[active], quotas[active], demand)
+    counts = np.zeros(costs.shape, dtype=np.int64)
+    if active.size == 1:
+        counts[active[0]] = demand
+    elif active.size == 2:
+        a, b = active
+        top = _split_rows(costs[a, None], costs[b, None], quotas[a], demand)[0]
+        counts[a] = top
+        counts[b] = demand - top
     else:
-        sub = _solve_exchange(costs[active], quotas[active], demand)
-    counts[active] = sub
+        counts[active] = _solve_exchange(costs[active], quotas[active], demand)
     return counts
 
 
@@ -266,19 +270,47 @@ def brute_force_ilp(instance: TransportInstance) -> tuple[np.ndarray, float]:
     return best, float(best_val)
 
 
-def composition_value(powers: np.ndarray, g, n_subcarriers: int, r: int) -> float:
-    """Transmit power per bit of the best assignment for composition ``g``.
+def _ranking_counts(powers: np.ndarray, gs: np.ndarray, n_subcarriers: int) -> np.ndarray:
+    """Optimal (C, K, N) slot counts of the scaled instances of a composition stack.
 
-    Works on a scaled instance (supplies g_k * N, column demand sum(g)) whose
-    optimum value is invariant to the group size, so compositions can be
-    ranked without constructing each frame's group structure.
+    All compositions are first split between their first and last active
+    rows in one ``_split_rows`` call; the exchange solver then overwrites the
+    compositions with three or more active rows, one at a time.
     """
-    g = np.asarray(g, dtype=np.int64)
-    m_sel = int(g.sum())
-    if m_sel < 1:
+    c, k = gs.shape
+    counts = np.zeros((c, k, powers.shape[1]), dtype=np.int64)
+    each = np.arange(c)
+    active = gs > 0
+    first = np.argmax(active, axis=1)
+    last = k - 1 - np.argmax(active[:, ::-1], axis=1)
+    m = gs.sum(axis=1)[:, None]
+    top = _split_rows(powers[first], powers[last],
+                      gs[each, first][:, None] * n_subcarriers, m)
+    counts[each, last] = m - top             # overwritten when last == first
+    counts[each, first] = top
+    for i in np.flatnonzero(active.sum(axis=1) > 2):
+        counts[i] = _min_cost_counts(powers, gs[i] * n_subcarriers, int(m[i, 0]))
+    return counts
+
+
+def composition_value(powers: np.ndarray, gs, n_subcarriers: int, r: int) -> np.ndarray:
+    """Transmit power per bit of the best assignment for each composition.
+
+    ``gs`` is a (C, K) stack of compositions; returns their C values. Each
+    value comes from a scaled instance (supplies g_k * N, column demand
+    sum(g)) whose optimum value is invariant to the group size, so
+    compositions can be ranked without constructing each frame's group
+    structure. The stack is solved ``RANK_BLOCK`` compositions at a time.
+    """
+    gs = np.asarray(gs, dtype=np.int64)
+    m_sel = gs.sum(axis=1)
+    if m_sel.min() < 1:
         raise ValueError("empty composition")
-    counts = _min_cost_counts(powers, g * n_subcarriers, m_sel)
-    return float(np.sum(powers * counts)) / (n_subcarriers * r * m_sel)
+    slot_power = np.empty(len(gs))
+    for lo in range(0, len(gs), RANK_BLOCK):
+        counts = _ranking_counts(powers, gs[lo:lo + RANK_BLOCK], n_subcarriers)
+        slot_power[lo:lo + RANK_BLOCK] = (powers * counts).sum(axis=(1, 2))
+    return slot_power / (n_subcarriers * r * m_sel)
 
 
 @dataclass
@@ -300,6 +332,8 @@ def clamp_gains(gains: np.ndarray) -> np.ndarray:
     """Floor pathological fades relative to the instance median."""
     if np.any(gains <= 0.0):
         raise ZeroGain("channel gain must be positive")
+    if gains.min() >= GAIN_FLOOR_REL * gains.max():
+        return gains                 # the floor sits below every gain
     floor = GAIN_FLOOR_REL * float(np.median(gains))
     return np.maximum(gains, floor)
 

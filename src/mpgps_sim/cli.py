@@ -213,6 +213,10 @@ SCHEMA = {
 }
 
 
+# checked against its metaschema by the tests, not on every load
+_VALIDATOR = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
+
+
 class ConfigError(Exception):
     pass
 
@@ -294,10 +298,9 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    try:
-        jsonschema.validate(cfg, SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config rejected by schema: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(cfg))
+    if error is not None:
+        raise ConfigError(f"config rejected by schema: {error.message}") from error
     return cfg
 
 
@@ -366,11 +369,22 @@ def build_scenario(config: dict, args: argparse.Namespace) -> Scenario:
     return scenario
 
 
-def _axis_overrides(axis: Axis, mode: str, values: list | None) -> list[dict]:
-    """The overrides one axis gives a discipline, one per grid step."""
+def _axis_overrides(axis: Axis, mode: str, values: list | None,
+                    swept: set[str]) -> list[dict]:
+    """The overrides one axis gives a discipline, one per grid step.
+
+    ``swept`` names the axes with values. When the axis named after this
+    axis's field is among them, that axis sets the field and this one adds
+    no step.
+    """
     if values is None:
         return [{}]
     field = axis.field.get(mode)
+    if field != axis.name and field in swept:
+        for v in values:
+            log.info("skip %s %s=%s: the %s axis sets %s", mode, axis.name, v,
+                     field, field)
+        return [{}]
     if field is None:
         keep, why = values[0], "the axis does not vary this discipline"
     elif mode == PGPS:
@@ -386,8 +400,9 @@ def _axis_overrides(axis: Axis, mode: str, values: list | None) -> list[dict]:
 def grid_points(scenario: Scenario) -> list[Point]:
     """Cartesian product of mode and axes, invalid combinations skipped."""
     points: list[Point] = []
+    swept = {name for name, values in scenario.axes.items() if values is not None}
     for mode in scenario.mode_list:
-        steps = [_axis_overrides(a, mode, scenario.axes[a.name])
+        steps = [_axis_overrides(a, mode, scenario.axes[a.name], swept)
                  for a in AXES if a is not BUDGET_AXIS]
         for parts in itertools.product(*steps):
             overrides = {k: v for part in parts for k, v in part.items()}

@@ -9,7 +9,6 @@ linear service curves.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,24 +112,33 @@ def _intersect(iv_a, iv_b):
 
 
 def _window_extreme(times: np.ndarray, values: np.ndarray, window: float) -> float:
-    """Max |values[b] - values[a]| over index pairs with times[b]-times[a] <= window."""
-    best = 0.0
-    lo = 0
-    maxq: deque[int] = deque()
-    minq: deque[int] = deque()
-    for b in range(len(times)):
-        while maxq and values[maxq[-1]] <= values[b]:
-            maxq.pop()
-        maxq.append(b)
-        while minq and values[minq[-1]] >= values[b]:
-            minq.pop()
-        minq.append(b)
-        while times[maxq[0]] < times[b] - window:
-            maxq.popleft()
-        while times[minq[0]] < times[b] - window:
-            minq.popleft()
-        best = max(best, values[maxq[0]] - values[b], values[b] - values[minq[0]])
-    return best
+    """Max |values[b] - values[a]| over index pairs with times[b]-times[a] <= window.
+
+    ``times`` is nondecreasing, so point b's window is the index range from
+    the first a with times[a] >= times[b] - window up to b. The range's max
+    and min come from a sparse table: row j holds the extremes of every run
+    of 2**j points, and two such runs cover a range of length in [2**j,
+    2**(j+1)). Rows stop at the longest range, so the table has
+    O(len(times) * log(longest range)) entries.
+    """
+    n = len(times)
+    if n == 0:
+        return 0.0
+    end = np.arange(n)
+    start = np.searchsorted(times, times - window, side="left")
+    level = np.frexp(end - start + 1)[1] - 1     # floor(log2(range length))
+    hi = np.empty((int(level.max()) + 1, n))
+    lo = np.empty_like(hi)
+    hi[0] = lo[0] = values
+    for j in range(1, len(hi)):
+        half = 1 << (j - 1)
+        runs = n - 2 * half + 1                  # runs of 2**j points
+        np.maximum(hi[j - 1, :runs], hi[j - 1, half:half + runs], out=hi[j, :runs])
+        np.minimum(lo[j - 1, :runs], lo[j - 1, half:half + runs], out=lo[j, :runs])
+    last_run = end - (1 << level) + 1
+    top = np.maximum(hi[level, start], hi[level, last_run])
+    bottom = np.minimum(lo[level, start], lo[level, last_run])
+    return max(0.0, float(np.max(top - values)), float(np.max(values - bottom)))
 
 
 def fairness_metric(curves, weights, window: float, flow_busy) -> float:

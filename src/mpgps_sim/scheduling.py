@@ -98,28 +98,19 @@ def select_window(queues: list[FlowQueue], u: int) -> tuple[int, ...]:
     return tuple(occ)
 
 
-def compositions(total: int, bounds):
-    """All integer vectors 0 <= g <= bounds with sum(g) == total, lexicographic."""
-    bounds = tuple(bounds)
-    n = len(bounds)
-    tail = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        tail[i] = tail[i + 1] + bounds[i]
-    g = [0] * n
+def compositions(total: int, bounds) -> list[tuple[int, ...]]:
+    """All integer vectors 0 <= g <= bounds with sum(g) == total, lexicographic.
 
-    def rec(i: int, left: int):
-        if i == n:
-            yield tuple(g)
-            return
-        lo = max(0, left - tail[i + 1])
-        hi = min(bounds[i], left)
-        for v in range(lo, hi + 1):
-            g[i] = v
-            yield from rec(i + 1, left - v)
-        g[i] = 0
-
-    if 0 <= total <= tail[0]:
-        yield from rec(0, total)
+    Built one coordinate at a time; a prefix is kept only if the bounds after
+    it can still absorb what is left of the total.
+    """
+    level = [((), total)]
+    tail = sum(bounds)
+    for b in bounds:
+        tail -= b
+        level = [(g + (v,), left - v) for g, left in level
+                 for v in range(max(0, left - tail), min(b, left) + 1)]
+    return [g for g, left in level if left == 0]
 
 
 def _take_prefixes(queues: list[FlowQueue], g) -> list[Packet]:
@@ -135,26 +126,26 @@ def ompgps_schedule(queues: list[FlowQueue], m: int, u: int,
     """Cheapest batch composition within the window of U earliest stamps.
 
     ``powers`` is the (K, N) matrix of per-slot transmit powers meeting each
-    user's SNR target this frame. Every feasible composition is evaluated
-    with the exact assignment solver; ties keep the first (lexicographically
+    user's SNR target this frame. Compositions range over the flows holding
+    window slots only, in lexicographic order, and are all ranked in one call
+    of the exact ``composition_value``; ties keep the first (lexicographically
     smallest) composition.
     """
     if u < m:
         raise ValueError("window must be at least the batch size")
     occupancy = select_window(queues, u)
-    m_sel = min(m, total_backlog(queues))
+    m_sel = min(m, sum(occupancy))       # the window holds min(u, backlog), u >= m
     if m_sel < 1:
         raise ValueError("nothing queued")
-    best_g: tuple[int, ...] | None = None
-    best_val = float("inf")
-    for g in compositions(m_sel, occupancy):
-        val = allocation.composition_value(powers, g, cfg.N, cfg.r)
-        if val < best_val:
-            best_val = val
-            best_g = g
-    assert best_g is not None
+    held = [k for k, occ in enumerate(occupancy) if occ]
+    sub = compositions(m_sel, [occupancy[k] for k in held])
+    gs = np.zeros((len(sub), len(queues)), dtype=np.int64)
+    gs[:, held] = sub
+    values = allocation.composition_value(powers, gs, cfg.N, cfg.r)
+    best = int(np.argmin(values))
+    best_g = tuple(int(v) for v in gs[best])
     return ScheduleDecision(mode=OMPGPS, g=best_g, chosen=_take_prefixes(queues, best_g),
-                            window=occupancy, per_bit_power=best_val)
+                            window=occupancy, per_bit_power=float(values[best]))
 
 
 def ampgps_schedule(queues: list[FlowQueue], m_max: int,
@@ -166,7 +157,7 @@ def ampgps_schedule(queues: list[FlowQueue], m_max: int,
     stops the search and the cheapest batch seen wins.
     """
     best = select_mpgps(queues, 1)
-    best_val = allocation.composition_value(powers, best.g, cfg.N, cfg.r)
+    best_val = float(allocation.composition_value(powers, [best.g], cfg.N, cfg.r)[0])
     init_val = best_val
     m = 1
     while m < m_max:
@@ -174,7 +165,7 @@ def ampgps_schedule(queues: list[FlowQueue], m_max: int,
         cand = select_mpgps(queues, m)
         if cand.m_sel == best.m_sel:
             break                      # backlog exhausted, nothing new to add
-        val = allocation.composition_value(powers, cand.g, cfg.N, cfg.r)
+        val = float(allocation.composition_value(powers, [cand.g], cfg.N, cfg.r)[0])
         if val < best_val:
             best_val = val
             best = cand

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mpgps_sim as m
-from mpgps_sim.allocation import (_price_start, _solve_exchange, clamp_gains,
-                                  required_power)
+from mpgps_sim import allocation
+from mpgps_sim.allocation import (_min_cost_counts, _price_start, _solve_exchange,
+                                  clamp_gains, required_power)
 
 
 def check_feasible(counts, instance):
@@ -185,7 +186,7 @@ class TestFrameAllocation:
         gains = rand_gains(np.random.default_rng(hash(g) % 2**32), 3, 8)
         powers = m.frame_powers(gains, budget)
         plan = m.allocate_frame(g, powers, cfg)
-        ranked = m.composition_value(powers, g, cfg.N, cfg.r)
+        ranked = m.composition_value(powers, [g], cfg.N, cfg.r)[0]
         assert ranked == pytest.approx(plan.per_bit_power, rel=1e-9)
 
     def test_plan_accounting(self):
@@ -224,6 +225,55 @@ class TestFrameAllocation:
         assert plan.counts[1, 4:].sum() == plan.counts[1].sum()
 
 
+def reference_value(powers, g, r):
+    """Power per bit of one composition, solved on its own scaled instance."""
+    n = powers.shape[1]
+    g = np.asarray(g, dtype=np.int64)
+    m_sel = int(g.sum())
+    return float(np.sum(powers * _min_cost_counts(powers, g * n, m_sel))) / (n * r * m_sel)
+
+
+def window_stack(seed):
+    """The compositions of one random ompgps window: K <= 10, N = 64, M <= 4, U <= 8.
+
+    Even seeds draw integer-valued powers, so ties occur; odd seeds draw
+    continuous ones, so every sum rounds.
+    """
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 11))
+    u = int(rng.integers(1, 9))
+    occupancy = np.bincount(rng.integers(0, k, size=u), minlength=k)
+    gs = np.array(m.compositions(int(rng.integers(1, min(4, u) + 1)), occupancy))
+    if seed % 2:
+        powers = rng.uniform(1e-9, 1e-6, size=(k, 64))
+    else:
+        powers = rng.integers(1, 5, size=(k, 64)).astype(float)
+    return powers, gs
+
+
+class TestCompositionRanking:
+    def test_stack_equals_per_composition_solves(self):
+        multi_row = 0
+        for seed in range(120):
+            powers, gs = window_stack(seed)
+            got = m.composition_value(powers, gs, 64, 2)
+            want = np.array([reference_value(powers, g, 2) for g in gs])
+            assert got.tolist() == want.tolist(), seed
+            multi_row += int(np.sum(np.count_nonzero(gs, axis=1) >= 3))
+        assert multi_row > 0             # the exchange solver path ran too
+
+    def test_blocks_do_not_change_values(self, monkeypatch):
+        powers, gs = window_stack(7)
+        whole = m.composition_value(powers, gs, 64, 2)
+        monkeypatch.setattr(allocation, "RANK_BLOCK", 3)
+        assert len(gs) > 3
+        assert m.composition_value(powers, gs, 64, 2).tolist() == whole.tolist()
+
+    def test_empty_composition_rejected(self):
+        with pytest.raises(ValueError):
+            m.composition_value(np.ones((2, 4)), [(1, 0), (0, 0)], 4, 2)
+
+
 class TestPowerInversion:
     def test_required_power_hits_target(self):
         p = required_power(np.array([0.5]), 20.0, 2e-17)
@@ -238,3 +288,17 @@ class TestPowerInversion:
     def test_deep_fade_is_floored(self):
         g = clamp_gains(np.array([[1.0, 1e-300]]))
         assert g[0, 1] >= 1e-12 * 1.0 / 2  # relative to the median
+
+    def test_one_gain_below_the_floor(self):
+        gains = np.full((2, 4), 2.0)
+        gains[1, 2] = 1e-13                  # below 1e-12 * median (= 2e-12)
+        got = clamp_gains(gains)
+        want = gains.copy()
+        want[1, 2] = 1e-12 * 2.0
+        assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("low", [6e-12, 2e-12])
+    def test_gains_above_the_floor_pass_unchanged(self, low):
+        # 6e-12 >= 1e-12 * max skips the median; 2e-12 needs it (floor 1.5e-12)
+        gains = np.array([[1.0, low], [2.0, 5.0]])
+        assert clamp_gains(gains).tolist() == gains.tolist()

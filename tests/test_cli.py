@@ -6,6 +6,7 @@ import math
 import os
 from types import SimpleNamespace
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -99,6 +100,19 @@ class TestConfigLoading:
         assert set(cli.SCHEMA["properties"]["sweep"]["properties"]) == {
             "modes", "M", "U", "M_max", "power_budget_db"}
 
+    def test_schema_passes_its_metaschema(self):
+        jsonschema.validators.validator_for(cli.SCHEMA).check_schema(cli.SCHEMA)
+
+    def test_schema_message_matches_a_full_validate(self, tmp_path):
+        sections = tiny_sections()
+        sections["system"]["K"] = 0
+        sections["run"]["replications"] = "two"
+        with pytest.raises(jsonschema.ValidationError) as full:
+            jsonschema.validate(json.loads(json.dumps(sections)), cli.SCHEMA)
+        with pytest.raises(cli.ConfigError) as got:
+            cli.load_config(write_cfg(tmp_path, **sections))
+        assert str(got.value) == f"config rejected by schema: {full.value.message}"
+
     def test_good_config_loads(self, tmp_path):
         path = write_cfg(tmp_path, **tiny_sections())
         cfg = cli.load_config(path)
@@ -186,6 +200,16 @@ class TestGridExpansion:
         assert [(p.mode, p.overrides) for p in points] == [
             ("mpgps", {}), ("ampgps", {"M_max": 1}), ("ampgps", {"M_max": 2})]
         assert "skip mpgps M_max=2" in caplog.text
+
+    def test_ceiling_axis_beats_the_server_axis_for_adaptive(self, tmp_path, caplog):
+        # both axes set M_max for ampgps; only the M_max axis may make points
+        scn = self.scenario(tmp_path, **tiny_sections(
+            sweep={"modes": ["ampgps"], "M": [1, 2], "M_max": [2, 4]}))
+        with caplog.at_level(logging.INFO, logger="mpgps_sim.cli"):
+            points = cli.grid_points(scn)
+        assert [p.overrides for p in points] == [{"M_max": 2}, {"M_max": 4}]
+        assert "skip ampgps M=1: the M_max axis sets M_max" in caplog.text
+        assert "skip ampgps M=2: the M_max axis sets M_max" in caplog.text
 
     def test_all_points_invalid_is_an_error(self, tmp_path):
         scn = self.scenario(tmp_path, **tiny_sections(

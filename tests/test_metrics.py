@@ -1,9 +1,13 @@
 """Service curves, busy intervals, and the pairwise fairness gauge."""
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mpgps_sim as m
-from mpgps_sim.metrics import busy_intervals
+from mpgps_sim.metrics import _window_extreme, busy_intervals
 
 
 class TestServiceCurves:
@@ -86,6 +90,58 @@ class TestFairnessGauge:
         curves = [(t, lead), (t, np.zeros_like(t))]
         busy = [[(6.0, 10.0)], [(6.0, 10.0)]]
         assert m.fairness_metric(curves, (1.0, 1.0), 5.0, busy) == pytest.approx(0.0)
+
+
+def deque_window_extreme(times, values, window):
+    """Reference: monotone max/min deques swept over the points in order."""
+    best = 0.0
+    maxq, minq = deque(), deque()
+    for b in range(len(times)):
+        while maxq and values[maxq[-1]] <= values[b]:
+            maxq.pop()
+        maxq.append(b)
+        while minq and values[minq[-1]] >= values[b]:
+            minq.pop()
+        minq.append(b)
+        while times[maxq[0]] < times[b] - window:
+            maxq.popleft()
+        while times[minq[0]] < times[b] - window:
+            minq.popleft()
+        best = max(best, values[maxq[0]] - values[b], values[b] - values[minq[0]])
+    return best
+
+
+@st.composite
+def gauge_inputs(draw):
+    n = draw(st.integers(0, 80))
+    # small integer steps make repeated times common; scale keeps them exact
+    steps = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    scale = draw(st.sampled_from([1.0, 0.1, 1e-4]))
+    times = np.cumsum(steps) * scale
+    values = np.array(draw(st.lists(
+        st.floats(-1e6, 1e6, allow_nan=False), min_size=n, max_size=n)))
+    span = float(times[-1] - times[0]) if n else 0.0
+    window = draw(st.sampled_from([0.0, scale, 2.5 * scale, span, 2.0 * span + 1.0]))
+    return times, values, window
+
+
+class TestWindowExtreme:
+    @settings(max_examples=400, deadline=None)
+    @given(gauge_inputs())
+    def test_matches_deque_sweep(self, case):
+        times, values, window = case
+        assert _window_extreme(times, values, window) == deque_window_extreme(
+            times, values, window)
+
+    def test_window_zero_pairs_only_equal_times(self):
+        times = np.array([0.0, 1.0, 1.0, 2.0])
+        values = np.array([0.0, 5.0, 2.0, 100.0])
+        assert _window_extreme(times, values, 0.0) == 3.0
+
+    def test_window_beyond_the_grid_spans_everything(self):
+        times = np.array([0.0, 1.0, 2.0])
+        values = np.array([4.0, -1.0, 2.0])
+        assert _window_extreme(times, values, 1e9) == 5.0
 
 
 def test_metrics_as_dict_totals_violations():

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 import mpgps_sim as m
+from mpgps_sim.allocation import _min_cost_counts
 from mpgps_sim.scheduling import total_backlog
 
 
@@ -83,7 +84,7 @@ class TestOpportunisticSelection:
         d = m.ompgps_schedule(queues, 2, 4, powers, sched_cfg())
         assert d.g == (0, 2)
         assert d.per_bit_power == pytest.approx(
-            m.composition_value(powers, (0, 2), 4, 2))
+            m.composition_value(powers, [(0, 2)], 4, 2)[0])
 
     def test_tie_keeps_first_composition(self):
         # uniform power makes every composition equally cheap per bit
@@ -91,6 +92,41 @@ class TestOpportunisticSelection:
         powers = np.full((2, 4), 3.0)
         d = m.ompgps_schedule(queues, 2, 4, powers, sched_cfg())
         assert d.g == (0, 2)        # lexicographically smallest of sum 2
+
+    def test_tie_keeps_lexicographically_first_not_lowest_flow(self):
+        # flows 0 and 2 cost the same; (0, 0, 1, 0) precedes (1, 0, 0, 0)
+        queues = make_queues([[1.0], [9.0], [2.0], [3.0]])
+        powers = np.array([[2.0] * 4, [1.0] * 4, [2.0] * 4, [7.0] * 4])
+        d = m.ompgps_schedule(queues, 1, 3, powers, sched_cfg(k=4))
+        assert d.window == (1, 0, 1, 1)
+        assert d.g == (0, 0, 1, 0)
+
+    def test_matches_first_cheapest_of_a_per_composition_loop(self):
+        # integer powers make exact ties common
+        ties = 0
+        for seed in range(80):
+            rng = np.random.default_rng(seed)
+            k, u = int(rng.integers(2, 11)), int(rng.integers(1, 9))
+            mm = int(rng.integers(1, min(4, u) + 1))
+            queues = make_queues([np.sort(rng.uniform(0, 10, rng.integers(0, 4)))
+                                  for _ in range(k)])
+            if total_backlog(queues) == 0:
+                continue
+            powers = rng.integers(1, 4, size=(k, 64)).astype(float)
+            cfg = m.SystemConfig(K=k, N=64, L=1024, r=2, M=mm, U=u)
+            best_g, best_val, vals = None, float("inf"), []
+            window = m.select_window(queues, u)
+            for g in m.compositions(min(mm, total_backlog(queues)), window):
+                g_arr = np.array(g)
+                val = float(np.sum(powers * _min_cost_counts(
+                    powers, g_arr * 64, int(g_arr.sum())))) / (64 * 2 * g_arr.sum())
+                vals.append(val)
+                if val < best_val:
+                    best_g, best_val = g, val
+            ties += vals.count(best_val) > 1
+            d = m.ompgps_schedule(queues, mm, u, powers, cfg)
+            assert (d.g, d.per_bit_power) == (best_g, best_val), seed
+        assert ties > 0
 
     def test_window_cannot_reach_past_occupancy(self):
         queues = make_queues([[1.0], [2.0, 3.0, 4.0]])
@@ -140,7 +176,7 @@ class TestAdaptiveGrowth:
                            [9.0, 9.0, 1.0, 1.0]])
         d = m.ampgps_schedule(queues, 2, powers, sched_cfg())
         assert d.per_bit_power == pytest.approx(
-            m.composition_value(powers, d.g, 4, 2))
+            m.composition_value(powers, [d.g], 4, 2)[0])
 
 
 class TestLagLedger:
