@@ -344,6 +344,8 @@ def build_scenario(config: dict, args: argparse.Namespace) -> Scenario:
 
     if traffic.get("infinite_backlog") and not run["max_frames"]:
         raise ConfigError("infinite_backlog traffic needs run.max_frames")
+    if not traffic.get("infinite_backlog") and run["max_frames"] is not None:
+        raise ConfigError("run.max_frames applies only to infinite_backlog traffic")
 
     engine = {o.engine: run[o.key] for o in RUN_OPTIONS if o.engine}
     scenario = Scenario(

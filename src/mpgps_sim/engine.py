@@ -25,8 +25,7 @@ from . import allocation, metrics as metrics_mod, scheduling
 from .channel import ChannelProcess, LinkBudget, link_budget, packet_error_rate
 from .model import FlowQueue, Packet, SystemConfig, frame_length
 from .scheduling import (AMPGPS, MPGPS, OMPGPS, PGPS, BoundViolation,
-                         LagLedger, ScheduleDecision, select_mpgps,
-                         total_backlog)
+                         LagLedger, ScheduleDecision, select_mpgps)
 from .virtual_time import GpsReference
 
 log = logging.getLogger(__name__)
@@ -172,12 +171,21 @@ class Engine:
             sizes = range(1, (cfg.M_max if mode == AMPGPS else self.m_eff) + 1)
         for size in sizes:
             frame_length((size,), cfg)
+        if self.traffic.infinite_backlog != (max_frames is not None):
+            raise ValueError("max_frames is required by infinite_backlog traffic "
+                             "and applies to nothing else")
+        if self.traffic.bucket is not None:
+            sigma, rho_bps = self.traffic.bucket
+            if sigma < cfg.L:
+                raise ValueError("bucket burst must hold at least one packet")
+            if not rho_bps > 0:
+                raise ValueError("bucket rate must be positive")
         self.collect_power = (not verify) if collect_power is None else collect_power
         self.need_channel = mode in (AMPGPS, OMPGPS) or self.collect_power
         if self.collect_power and verify:
             raise ValueError("verification mode never allocates transmit power")
         self.queues = [FlowQueue(k, cfg.weights[k]) for k in range(cfg.K)]
-        self.gps = GpsReference(cfg.weights, cfg.bits_per_symbol, record_segments=verify)
+        self.gps = GpsReference(cfg.weights, cfg.bits_per_symbol, record=verify)
         self.budget: LinkBudget = link_budget(cfg)
         self.channel = ChannelProcess(cfg) if self.need_channel else None
 
@@ -195,9 +203,10 @@ class Engine:
                        if (verify and mode == OMPGPS) else None)
         self.shadow_trace_equal = True
 
-        # bound bookkeeping
-        self.dhat: dict[tuple[int, int], float] = {}
-        self.batch_keys: list[list[tuple[int, int]]] = []
+        # per packet, by arrival index, in verification mode only: the real
+        # departure time (nan until delivered) and the frame that sent it
+        self.delivered_at: list[float] = []
+        self.sent_in: list[int] = []
 
         # counters
         self.n_arrivals = 0
@@ -231,8 +240,6 @@ class Engine:
         if self.traffic.bucket is None or times.size == 0:
             return times
         sigma, rho_bps = self.traffic.bucket
-        if sigma < self.cfg.L:
-            raise ValueError("bucket burst must hold at least one packet")
         rho = rho_bps * self.cfg.T_sym          # bits per symbol
         tokens = sigma
         t_prev = 0.0
@@ -241,8 +248,6 @@ class Engine:
             release = a if i == 0 else max(a, out[i - 1])
             tokens = min(sigma, tokens + rho * (release - t_prev))
             if tokens < self.cfg.L:
-                if rho <= 0:
-                    raise ValueError("bucket rate must be positive")
                 release += (self.cfg.L - tokens) / rho
                 tokens = float(self.cfg.L)
             tokens -= self.cfg.L
@@ -257,9 +262,8 @@ class Engine:
             if np.any(rho_bps < self.traffic.rates(self.cfg.K)):
                 log.warning("bucket rate below mean offered rate; shaping is unstable")
         per_flow = [self._shape(self._poisson_times(k, rates[k])) for k in range(self.cfg.K)]
-        times = np.concatenate(per_flow) if per_flow else np.empty(0)
-        flows = np.concatenate([np.full(len(p), k, dtype=np.int64)
-                                for k, p in enumerate(per_flow)]) if per_flow else np.empty(0, np.int64)
+        times = np.concatenate(per_flow)
+        flows = np.repeat(np.arange(self.cfg.K, dtype=np.int64), [len(p) for p in per_flow])
         order = np.lexsort((flows, times))
         return times[order], flows[order]
 
@@ -267,8 +271,11 @@ class Engine:
 
     def _admit(self, t: float, flow: int) -> Packet:
         pkt = Packet(flow=flow, seq=self.seq_next[flow], arrival=t, bits=self.cfg.L,
-                     deadline_at=t + self.cfg.deadline_symbols)
+                     deadline_at=t + self.cfg.deadline_symbols, index=self.n_arrivals)
         self.seq_next[flow] += 1
+        if self.verify:
+            self.delivered_at.append(math.nan)
+            self.sent_in.append(-1)
         self.gps.on_arrival(pkt)
         self.queues[flow].push(pkt)
         if self.shadow_queues is not None:
@@ -324,8 +331,7 @@ class Engine:
         shadow = select_mpgps(self.shadow_queues, self.m_eff)
         if shadow.m_sel != decision.m_sel:
             raise BoundViolation("shadow and opportunistic batch sizes diverged")
-        window = scheduling._smallest_stamps(self.queues, self.cfg.U)
-        window_ids = {p.key for p in window}
+        window_ids = {p.key for p in decision.window}
         decision_ids = {p.key for p in decision.chosen}
         shadow_ids = {p.key for p in shadow.chosen}
         if decision_ids != shadow_ids:
@@ -340,7 +346,7 @@ class Engine:
             self._refill(t)
         if math.isfinite(self.cfg.deadline_symbols):
             self._drop_expired(t)
-        if total_backlog(self.queues) == 0:
+        if not any(self.queues):
             return
         decision, alloc, scale = self._decide(t)
         if self.shadow_queues is not None:
@@ -359,7 +365,8 @@ class Engine:
             for _ in range(cnt):
                 self.queues[flow].pop_front()
         if self.verify:
-            self.batch_keys.append([p.key for p in members])
+            for pkt in members:
+                self.sent_in[pkt.index] = rec.index
         self.inflight = _InFlight(rec, members)
         self.frames_started += 1
         if self.collect_events:
@@ -381,7 +388,8 @@ class Engine:
                 ok = bool(rng.random() >= packet_error_rate(snr, pkt.bits, self.cfg.r))
             if ok:
                 self.n_delivered += 1
-                self.dhat[pkt.key] = t
+                if self.verify:
+                    self.delivered_at[pkt.index] = t
                 if pkt.arrival >= self.warmup_t:
                     self.n_delivered_m += 1
                     self.delay_sum_m += t - pkt.arrival
@@ -412,8 +420,6 @@ class Engine:
         return self._finalise()
 
     def _run_saturated(self) -> None:
-        if self.max_frames is None:
-            raise ValueError("saturated mode needs max_frames")
         self._instant(0.0)
         while self.inflight is not None:
             t = self.inflight.record.depart
@@ -442,24 +448,20 @@ class Engine:
 
     # -- reporting ------------------------------------------------------------
 
-    def _t_stop(self) -> float:
-        if self.traffic.infinite_backlog:
-            return self.t_end
-        return self.horizon
-
-    def _bound_report(self) -> BoundReport:
+    def _bound_report(self, curves) -> BoundReport:
         self.gps.drain()
         trace = self.gps.trace()
         cfg = self.cfg
-        t_stop = self._t_stop()
+        t_stop = self.horizon
         per_packet = cfg.L / cfg.bits_per_symbol          # symbols per packet
         m = self.m_eff
         rep = BoundReport()
         ordered_modes = self.mode in (PGPS, MPGPS)
 
-        # delay gap vs the fluid reference
-        gaps = np.array([t - trace.departures[key]
-                         for key, t in self.dhat.items()], dtype=float)
+        # delay gap vs the fluid reference, over the delivered packets
+        depart = np.asarray(self.delivered_at, dtype=float)
+        delivered = ~np.isnan(depart)
+        gaps = depart[delivered] - trace.departures[delivered]
         dbound = (2 * m - 1) * per_packet
         obs = float(gaps.max()) if gaps.size else 0.0
         rep.entries.append(BoundCheck(
@@ -467,15 +469,16 @@ class Engine:
             int((gaps > dbound + BOUND_EPS).sum()), applicable=ordered_modes,
             note=f"{gaps.size} packets"))
 
-        # tighter delay gap when the whole run selected in fluid-departure order
-        in_order = True
-        prev_max = -math.inf
-        for keys in self.batch_keys:
-            ds = [trace.departures[k] for k in keys]
-            if min(ds) < prev_max - BOUND_EPS:
-                in_order = False
-                break
-            prev_max = max(prev_max, max(ds))
+        # tighter delay gap when no frame (the one in flight at the horizon
+        # included) holds a fluid departure before the latest of an earlier frame
+        sent_in = np.asarray(self.sent_in, dtype=np.int64)
+        sent = sent_in >= 0
+        first = np.full(self.frames_started, math.inf)
+        last = np.full(self.frames_started, -math.inf)
+        np.minimum.at(first, sent_in[sent], trace.departures[sent])
+        np.maximum.at(last, sent_in[sent], trace.departures[sent])
+        prev_max = np.maximum.accumulate(np.concatenate(([-math.inf], last)))[:-1]
+        in_order = not np.any(first < prev_max - BOUND_EPS)
         obound = (m - 1) * per_packet
         rep.entries.append(BoundCheck(
             "delay_gap_in_order", obound, obs if in_order else float("nan"),
@@ -484,12 +487,11 @@ class Engine:
             note="selection followed fluid departure order" if in_order else
                  "selection order differed from fluid departures"))
 
-        # service gap, fluid minus transmitted, at every breakpoint
-        curves = metrics_mod.service_curves(
-            ((f.start, f.depart, f.g) for f in self.frames), cfg.K, cfg.L)
-        sbound = (2 * m - 1) * cfg.L
-        worst_s = 0.0
-        viol_s = 0
+        # per flow: service gap in bits, fluid minus transmitted at every
+        # breakpoint; backlog gap in packets, fluid minus transmitted departures
+        sbound, qbound = (2 * m - 1) * cfg.L, 2 * m - 1
+        worst_s, viol_s, worst_q, viol_q = 0.0, 0, 0, 0
+        fluid_done = trace.departures <= t_stop
         for k in range(cfg.K):
             tk, bk = curves[k]
             grid = np.unique(np.concatenate((
@@ -497,23 +499,16 @@ class Engine:
             gap = trace.service_at(k, grid) - np.interp(grid, tk, bk)
             worst_s = max(worst_s, float(gap.max()))
             viol_s += int((gap > sbound + BOUND_EPS).sum())
+            own = trace.flows == k
+            gps_d = np.sort(trace.departures[own & fluid_done])
+            if gps_d.size:
+                mp_d = np.sort(depart[own & delivered])
+                counts_mp = np.searchsorted(mp_d, gps_d + BOUND_EPS, side="right")
+                diff = np.arange(1, gps_d.size + 1) - counts_mp
+                worst_q = max(worst_q, int(diff.max()))
+                viol_q += int((diff > qbound).sum())
         rep.entries.append(BoundCheck(
             "service_gap", sbound, worst_s, viol_s, applicable=ordered_modes))
-
-        # backlog gap in packets: fluid departures minus transmitted departures
-        qbound = 2 * m - 1
-        worst_q = 0
-        viol_q = 0
-        for k in range(cfg.K):
-            gps_d = np.sort(np.array([d for (fl, _), d in trace.departures.items()
-                                      if fl == k and d <= t_stop]))
-            mp_d = np.sort(np.array([t for (fl, _), t in self.dhat.items() if fl == k]))
-            if gps_d.size == 0:
-                continue
-            counts_mp = np.searchsorted(mp_d, gps_d + BOUND_EPS, side="right")
-            diff = np.arange(1, gps_d.size + 1) - counts_mp
-            worst_q = max(worst_q, int(diff.max()))
-            viol_q += int((diff > qbound).sum())
         rep.entries.append(BoundCheck(
             "backlog_gap", qbound, worst_q, viol_q, applicable=ordered_modes))
 
@@ -537,7 +532,7 @@ class Engine:
         m.dropped = self.n_dropped_m
         m.residual = self.n_arrivals_m - self.n_delivered_m - self.n_dropped_m
         m.frames = len(self.frames)
-        span = max(self._t_stop() - self.warmup_t, 0.0)
+        span = max(self.horizon - self.warmup_t, 0.0)
         m.sim_time = span * cfg.T_sym
         if self.n_delivered_m:
             m.avg_delay = self.delay_sum_m / self.n_delivered_m * cfg.T_sym
@@ -563,16 +558,17 @@ class Engine:
             if delivered_bits and energy > 0 and not self.traffic.infinite_backlog:
                 m.eb_n0_db = 10.0 * math.log10(energy / (delivered_bits * cfg.N0))
 
+        if self.verify or self.collect_fairness:
+            curves = metrics_mod.service_curves(
+                ((f.start, f.depart, f.g) for f in self.frames), cfg.K, cfg.L)
         bounds = None
         if self.verify:
-            bounds = self._bound_report()
+            bounds = self._bound_report(curves)
             m.bound_violations = {e.name: e.violations for e in bounds.entries
                                   if e.applicable}
 
         if self.collect_fairness:
-            curves = metrics_mod.service_curves(
-                ((f.start, f.depart, f.g) for f in self.frames), cfg.K, cfg.L)
-            lo, hi = self.warmup_t, self._t_stop()
+            lo, hi = self.warmup_t, self.horizon
             busy = []
             for k in range(cfg.K):
                 iv = metrics_mod.busy_intervals(self.fair_events[k], hi)

@@ -109,6 +109,7 @@ class Packet:
     vstart: float = 0.0
     vfinish: float = 0.0
     deadline_at: float = math.inf   # symbols
+    index: int = -1              # arrival order within a run
 
     @property
     def key(self) -> tuple[int, int]:
@@ -132,9 +133,6 @@ class FlowQueue:
     def requeue_front(self, packet: Packet) -> None:
         # Failed transmissions go back as head-of-line, keeping their stamps.
         self.fifo.appendleft(packet)
-
-    def head(self) -> Packet | None:
-        return self.fifo[0] if self.fifo else None
 
     def pop_front(self) -> Packet:
         return self.fifo.popleft()

@@ -39,10 +39,9 @@ class BoundViolation(RuntimeError):
 class ScheduleDecision:
     """Outcome of one scheduling instant."""
 
-    mode: str
     g: tuple[int, ...]           # packets per flow
     chosen: list[Packet]
-    window: tuple[int, ...] | None = None    # window occupancy per flow, opportunistic only
+    window: list[Packet] | None = None       # the U earliest stamps, opportunistic only
     per_bit_power: float | None = None       # bookkeeping value used to pick the batch
 
     @property
@@ -71,8 +70,11 @@ def _smallest_stamps(queues: list[FlowQueue], count: int) -> list[Packet]:
     return out
 
 
-def total_backlog(queues: list[FlowQueue]) -> int:
-    return sum(len(q) for q in queues)
+def _per_flow(packets: list[Packet], k: int) -> tuple[int, ...]:
+    counts = [0] * k
+    for pkt in packets:
+        counts[pkt.flow] += 1
+    return tuple(counts)
 
 
 def select_mpgps(queues: list[FlowQueue], m: int) -> ScheduleDecision:
@@ -82,20 +84,14 @@ def select_mpgps(queues: list[FlowQueue], m: int) -> ScheduleDecision:
     chosen = _smallest_stamps(queues, m)
     if not chosen:
         raise ValueError("nothing queued")
-    g = [0] * len(queues)
-    for pkt in chosen:
-        g[pkt.flow] += 1
-    return ScheduleDecision(mode=MPGPS, g=tuple(g), chosen=chosen)
+    return ScheduleDecision(g=_per_flow(chosen, len(queues)), chosen=chosen)
 
 
 def select_window(queues: list[FlowQueue], u: int) -> tuple[int, ...]:
     """Window occupancy: how many of the U earliest stamps each flow holds."""
     if u < 1:
         raise ValueError("u must be positive")
-    occ = [0] * len(queues)
-    for pkt in _smallest_stamps(queues, u):
-        occ[pkt.flow] += 1
-    return tuple(occ)
+    return _per_flow(_smallest_stamps(queues, u), len(queues))
 
 
 def compositions(total: int, bounds) -> list[tuple[int, ...]]:
@@ -133,8 +129,9 @@ def ompgps_schedule(queues: list[FlowQueue], m: int, u: int,
     """
     if u < m:
         raise ValueError("window must be at least the batch size")
-    occupancy = select_window(queues, u)
-    m_sel = min(m, sum(occupancy))       # the window holds min(u, backlog), u >= m
+    window = _smallest_stamps(queues, u)
+    occupancy = _per_flow(window, len(queues))
+    m_sel = min(m, len(window))          # the window holds min(u, backlog), u >= m
     if m_sel < 1:
         raise ValueError("nothing queued")
     held = [k for k, occ in enumerate(occupancy) if occ]
@@ -144,8 +141,8 @@ def ompgps_schedule(queues: list[FlowQueue], m: int, u: int,
     values = allocation.composition_value(powers, gs, cfg.N, cfg.r)
     best = int(np.argmin(values))
     best_g = tuple(int(v) for v in gs[best])
-    return ScheduleDecision(mode=OMPGPS, g=best_g, chosen=_take_prefixes(queues, best_g),
-                            window=occupancy, per_bit_power=float(values[best]))
+    return ScheduleDecision(g=best_g, chosen=_take_prefixes(queues, best_g),
+                            window=window, per_bit_power=float(values[best]))
 
 
 def ampgps_schedule(queues: list[FlowQueue], m_max: int,
@@ -173,8 +170,7 @@ def ampgps_schedule(queues: list[FlowQueue], m_max: int,
             break
     if best_val > init_val:
         raise BoundViolation("adaptive batch became costlier than its own seed")
-    return ScheduleDecision(mode=AMPGPS, g=best.g, chosen=best.chosen,
-                            per_bit_power=best_val)
+    return ScheduleDecision(g=best.g, chosen=best.chosen, per_bit_power=best_val)
 
 
 @dataclass

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,15 +64,17 @@ def stamp(packet: Packet, clock: VirtualClock, prev_finish: float, weight: float
 class GpsTrace:
     """Recorded behaviour of the fluid reference over one run.
 
-    ``departures`` maps (flow, seq) to the fluid departure time in symbols.
-    Segment arrays describe the piecewise-constant service rates: segment i
-    spans [seg_t[i], seg_t[i+1]) and serves the flows set in the seg_mask[i]
-    bitmask, splitting the full rate over backlogged weight seg_phi[i].
+    ``departures`` holds each packet's fluid departure time in symbols and
+    ``flows`` its flow, both in arrival order. Segment arrays describe the
+    piecewise-constant service rates: segment i spans [seg_t[i], seg_t[i+1])
+    and serves the flows set in the seg_mask[i] bitmask, splitting the full
+    rate over backlogged weight seg_phi[i].
     """
 
     weights: tuple[float, ...]
     rate: float
-    departures: dict[tuple[int, int], float] = field(default_factory=dict)
+    departures: np.ndarray
+    flows: np.ndarray
     seg_t: np.ndarray | None = None
     seg_mask: np.ndarray | None = None
     seg_phi: np.ndarray | None = None
@@ -90,11 +92,6 @@ class GpsTrace:
         t, bits = self.service_curve(flow)
         return np.interp(times, t, bits)
 
-    def busy_time(self) -> float:
-        """Total time with positive backlog, in symbols."""
-        span = np.diff(self.seg_t)
-        return float(span[self.seg_phi > 0].sum())
-
 
 class GpsReference:
     """Online fluid reference driven by the arrival stream.
@@ -102,21 +99,24 @@ class GpsReference:
     Feeding arrivals in time order stamps each packet against the shared
     clock and tracks the fluid system exactly: flows join the backlogged set
     on arrival and leave when the clock passes their last finishing stamp.
-    Fluid departure times are recorded for every packet on the way. The
-    whole reference restarts (stamps included) whenever its backlog drains,
-    so stamps are only ever compared within one busy period.
+    With ``record`` on, it keeps every packet's fluid departure time, indexed
+    by arrival order, and the piecewise service rates. The whole reference
+    restarts (stamps included) whenever its backlog drains, so stamps are
+    only ever compared within one busy period.
     """
 
-    def __init__(self, weights, rate: float, record_segments: bool = False):
+    def __init__(self, weights, rate: float, record: bool = False):
         self.weights = tuple(float(w) for w in weights)
         self.rate = float(rate)
         self.clock = VirtualClock(rate=self.rate)
         self.prev_finish = [0.0] * len(self.weights)
         self.pending = [0] * len(self.weights)      # unfinished fluid packets per flow
-        self._heap: list[tuple[float, int, int]] = []   # (vfinish, flow, seq)
-        self.departures: dict[tuple[int, int], float] = {}
+        self._heap: list[tuple[float, int, int]] = []   # (vfinish, flow, index)
+        self.arrived = 0
+        self.departures: list[float] = []           # by arrival index, when recording
+        self.flows: list[int] = []
         self.idle_since: float | None = 0.0
-        self._record = record_segments
+        self._record = record
         self._seg_t: list[float] = []
         self._seg_mask: list[int] = []
         self._seg_phi: list[float] = []
@@ -147,8 +147,9 @@ class GpsReference:
             # the clock provably reaches f_min here; clamp out roundoff
             self.clock.V = max(self.clock.V, f_min)
             while self._heap and self._heap[0][0] <= self.clock.V:
-                _, flow, seq = heapq.heappop(self._heap)
-                self.departures[(flow, seq)] = t_dep
+                _, flow, index = heapq.heappop(self._heap)
+                if self._record:
+                    self.departures[index] = t_dep
                 self.pending[flow] -= 1
                 if self.pending[flow] == 0:
                     self.clock.weight_sum -= self.weights[flow]
@@ -178,7 +179,11 @@ class GpsReference:
             self._mask |= 1 << flow
         self.pending[flow] += 1
         self.idle_since = None
-        heapq.heappush(self._heap, (packet.vfinish, flow, packet.seq))
+        if self._record:
+            self.departures.append(math.nan)
+            self.flows.append(flow)
+        heapq.heappush(self._heap, (packet.vfinish, flow, self.arrived))
+        self.arrived += 1
         self._snapshot(t)
 
     def drain(self) -> None:
@@ -186,7 +191,9 @@ class GpsReference:
         self._pop_departures_until(math.inf)
 
     def trace(self) -> GpsTrace:
-        tr = GpsTrace(weights=self.weights, rate=self.rate, departures=self.departures)
+        tr = GpsTrace(weights=self.weights, rate=self.rate,
+                      departures=np.asarray(self.departures, dtype=float),
+                      flows=np.asarray(self.flows, dtype=np.int64))
         if self._record:
             end = self._seg_t[-1] if self._seg_t else 0.0
             tr.seg_t = np.asarray(self._seg_t + [end], dtype=float)
@@ -195,14 +202,15 @@ class GpsReference:
         return tr
 
 
-def gps_simulate(arrivals, weights, rate: float, record_segments: bool = True) -> GpsTrace:
+def gps_simulate(arrivals, weights, rate: float) -> GpsTrace:
     """Run the fluid reference over a full arrival trace.
 
-    ``arrivals`` is an iterable of packets (anything with flow, seq, arrival,
-    bits) already sorted by arrival time. Stamps are written onto the packets
-    as a side effect, exactly as the online reference would.
+    ``arrivals`` is an iterable of packets (anything with flow, arrival, bits,
+    and writable stamps) already sorted by arrival time. Stamps are written onto the packets
+    as a side effect, exactly as the online reference would. The trace's
+    departures follow the order of ``arrivals``.
     """
-    ref = GpsReference(weights, rate, record_segments=record_segments)
+    ref = GpsReference(weights, rate, record=True)
     for pkt in arrivals:
         ref.on_arrival(pkt)
     ref.drain()

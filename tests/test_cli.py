@@ -301,6 +301,13 @@ class TestRunCommand:
         path = write_cfg(tmp_path, **sections)
         assert cli.main(["run", path, "--out", str(tmp_path / "x")]) == 1
 
+    def test_frame_cap_needs_saturated_traffic(self, tmp_path):
+        sections = tiny_sections(run={"max_frames": 30})
+        path = write_cfg(tmp_path, **sections)
+        with pytest.raises(cli.ConfigError, match="max_frames"):
+            cli.build_scenario(cli.load_config(path), parse_args(["run", path]))
+        assert cli.main(["run", path, "--out", str(tmp_path / "x")]) == 1
+
     def test_schema_error_exit_code(self, tmp_path, capsys):
         sections = tiny_sections()
         sections["system"]["K"] = -3
@@ -404,7 +411,7 @@ class TestCheckBounds:
             g = [0] * len(queues)
             g[worst.flow] = take
             chosen = [worst.fifo[i] for i in range(take)]
-            return ScheduleDecision(mode="mpgps", g=tuple(g), chosen=chosen)
+            return ScheduleDecision(g=tuple(g), chosen=chosen)
 
         monkeypatch.setattr(engine_mod, "select_mpgps", worst_flow_select)
         sections = {

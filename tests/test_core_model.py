@@ -138,10 +138,10 @@ class TestFlowQueue:
         b = m.Packet(flow=0, seq=1, arrival=1.0, bits=64)
         q.push(a)
         q.push(b)
-        assert q.head() is a
+        assert q.fifo[0] is a
         assert q.pop_front() is a
         assert q.pop_front() is b
-        assert q.head() is None
+        assert not q.fifo
         assert len(q) == 0
 
     def test_requeue_front_restores_head(self):
@@ -152,7 +152,7 @@ class TestFlowQueue:
         q.push(b)
         got = q.pop_front()
         q.requeue_front(got)
-        assert q.head() is a
+        assert q.fifo[0] is a
 
     def test_packet_key(self):
         assert m.Packet(flow=3, seq=7, arrival=0.0, bits=64).key == (3, 7)

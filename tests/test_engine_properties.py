@@ -4,9 +4,11 @@ Each example builds a system of at most four flows with 64-bit packets over
 8 subcarriers (4 symbols a packet), runs a short horizon under Poisson or
 saturated traffic, and checks the invariants the event loop must keep:
 packet conservation, per-flow FIFO service, monotone stamps within a fluid
-busy period, the analytic bounds in verification mode, and that ``pgps`` is
-``mpgps`` at one server.
+busy period, the analytic bounds in verification mode (and the bound report
+against a per-packet loop), and that ``pgps`` is ``mpgps`` at one server.
 """
+import math
+
 from hypothesis import given, settings, strategies as st
 
 import mpgps_sim as m
@@ -129,6 +131,38 @@ def test_verification_passes_every_applicable_bound(system):
     cfg, traffic, mode, run_kw = system
     res = m.Engine(cfg, traffic, mode, 1500.0, verify=True, **run_kw).run()
     assert res.bounds.passed, res.bounds.summary()
+
+
+@settings(max_examples=60, deadline=None)
+@given(systems())
+def test_bound_report_matches_a_per_packet_loop(system):
+    cfg, traffic, mode, run_kw = system
+    eng = m.Engine(cfg, traffic, mode, 1500.0, verify=True, **run_kw)
+    rep = eng.run().bounds
+    eps = m.engine.BOUND_EPS
+    fluid, real = eng.gps.departures, eng.delivered_at
+    gaps = [r - d for r, d in zip(real, fluid) if not math.isnan(r)]
+    assert rep.entry("delay_gap").observed == max(gaps, default=0.0)
+    assert rep.entry("delay_gap").note == f"{len(gaps)} packets"
+
+    by_frame = {}
+    for i, frame in enumerate(eng.sent_in):
+        if frame >= 0:
+            by_frame.setdefault(frame, []).append(fluid[i])
+    assert sorted(by_frame) == list(range(eng.frames_started))
+    in_order, latest = True, -math.inf
+    for frame in range(eng.frames_started):
+        in_order &= min(by_frame[frame]) >= latest - eps
+        latest = max(latest, max(by_frame[frame]))
+    assert rep.entry("delay_gap_in_order").note.startswith("selection followed") == in_order
+
+    worst = 0
+    for k in range(cfg.K):
+        gps_d = sorted(d for d, f in zip(fluid, eng.gps.flows) if f == k and d <= eng.horizon)
+        sent = [r for r, f in zip(real, eng.gps.flows) if f == k and not math.isnan(r)]
+        for i, d in enumerate(gps_d, start=1):
+            worst = max(worst, i - sum(r <= d + eps for r in sent))
+    assert rep.entry("backlog_gap").observed == worst
 
 
 @settings(max_examples=40, deadline=None)

@@ -330,6 +330,48 @@ class TestInputValidation:
                 m.Engine(*args, max_frames=5)
 
 
+class TestFailsAtConstruction:
+    """Inputs the run would trip over are refused before ``run()``."""
+
+    @pytest.mark.parametrize("traffic, kw", [
+        ({"infinite_backlog": True}, {}),                       # no frame cap
+        ({"rate_bps": 6000.0}, {"max_frames": 10}),             # cap ignored by Poisson
+        ({"rate_bps": 6000.0, "bucket": (32.0, 9000.0)}, {}),   # burst below L=64
+        ({"rate_bps": 6000.0, "bucket": (128.0, 0.0)}, {}),     # no token rate
+        ({"rate_bps": 6000.0, "bucket": (128.0, -1.0)}, {}),
+        ({"rate_bps": 100.0, "bucket": (1e9, 0.0)}, {}),        # tokens never run short
+        ({"infinite_backlog": True, "bucket": (32.0, 9000.0)}, {"max_frames": 10}),
+    ])
+    def test_rejected_by_the_constructor(self, traffic, kw):
+        with pytest.raises(ValueError):
+            m.Engine(compact(), m.TrafficModel(**traffic), "mpgps", 1000.0,
+                     collect_power=False, **kw)
+
+
+class TestPerPacketRecords:
+    def engine(self, verify):
+        return m.Engine(compact(M=2, seed=6), m.TrafficModel(rate_bps=6000.0),
+                        "mpgps", 5_000.0, verify=verify, collect_power=False)
+
+    def test_ordinary_runs_keep_no_per_packet_departures(self):
+        eng = self.engine(verify=False)
+        eng.run()
+        assert eng.n_arrivals > 0
+        assert eng.gps.departures == [] and eng.gps.flows == []
+        assert eng.delivered_at == [] and eng.sent_in == []
+
+    def test_verify_runs_keep_one_entry_per_arrival(self):
+        eng = self.engine(verify=True)
+        eng.run()
+        n = eng.n_arrivals
+        assert n > 0
+        assert len(eng.gps.departures) == len(eng.gps.flows) == n
+        assert len(eng.delivered_at) == len(eng.sent_in) == n
+        assert sum(not math.isnan(d) for d in eng.delivered_at) == eng.n_delivered
+        in_flight = len(eng.inflight.members) if eng.inflight else 0
+        assert sum(f >= 0 for f in eng.sent_in) == eng.n_delivered + in_flight
+
+
 def test_metric_ranges_on_a_routine_run():
     res = m.run(compact(K=3, M=2, seed=42), m.TrafficModel(rate_bps=6000.0),
                 "mpgps", 30_000.0)

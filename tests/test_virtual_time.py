@@ -35,7 +35,8 @@ class TestHandTrace:
 
     def test_departure_times(self):
         _, trace = self.make()
-        assert trace.departures == {(0, 0): 6.0, (1, 0): 10.0, (0, 1): 12.0}
+        assert trace.departures.tolist() == [6.0, 10.0, 12.0]
+        assert trace.flows.tolist() == [0, 1, 0]
 
     def test_service_curves(self):
         _, trace = self.make()
@@ -45,10 +46,6 @@ class TestHandTrace:
         np.testing.assert_allclose(
             trace.service_at(1, np.array([2.0, 6.0, 10.0])), [0.0, 4.0, 8.0])
 
-    def test_busy_time_is_work_over_rate(self):
-        _, trace = self.make()
-        assert trace.busy_time() == pytest.approx(24 / 2.0)
-
     def test_curve_stays_flat_after_drain(self):
         _, trace = self.make()
         assert trace.service_at(0, np.array([50.0]))[0] == pytest.approx(16.0)
@@ -57,7 +54,7 @@ class TestHandTrace:
 def test_busy_period_reset_restarts_stamps():
     pkts = [pkt(0, 0, 0.0, 8), pkt(0, 1, 10.0, 8)]
     trace = m.gps_simulate(pkts, (1.0, 1.0), 2.0)
-    assert trace.departures == {(0, 0): 4.0, (0, 1): 14.0}
+    assert trace.departures.tolist() == [4.0, 14.0]
     # the second busy period stamps from scratch
     assert (pkts[1].vstart, pkts[1].vfinish) == (0.0, 8.0)
 
@@ -77,8 +74,8 @@ def test_weighted_share():
     trace = m.gps_simulate(pkts, (2.0, 1.0), 3.0)
     # flow0 served at 2 b/sym, flow1 at 1 b/sym while both busy; flow0 done
     # at t=4, then flow1 alone at 3 b/sym finishes its last 4 bits at t=16/3
-    assert trace.departures[(0, 0)] == pytest.approx(4.0)
-    assert trace.departures[(1, 0)] == pytest.approx(16.0 / 3.0)
+    assert trace.departures[0] == pytest.approx(4.0)
+    assert trace.departures[1] == pytest.approx(16.0 / 3.0)
 
 
 def _euler_departures(pkts, weights, rate, dt):
@@ -129,8 +126,9 @@ def test_matches_euler_integration(seed):
         seq[flow] += 1
     oracle = _euler_departures(pkts, weights, rate, dt=0.001)
     trace = m.gps_simulate(pkts, weights, rate)
-    assert set(trace.departures) == set(oracle)
-    for key, d in trace.departures.items():
+    departures = dict(zip((p.key for p in pkts), trace.departures))
+    assert set(departures) == set(oracle)
+    for key, d in departures.items():
         assert abs(d - oracle[key]) < 0.2, key
 
 
