@@ -20,8 +20,7 @@ from .model import (FlowQueue, NonIntegralFrame, NonIntegralQuota, Packet,
                     SystemConfig, frame_length, group_size, subcarrier_quota)
 from .scheduling import (AMPGPS, MODES, MPGPS, OMPGPS, PGPS, BoundViolation,
                          LagLedger, ScheduleDecision, ampgps_schedule,
-                         compositions, ompgps_schedule, select_mpgps,
-                         select_window)
+                         compositions, ompgps_schedule, select_mpgps)
 from .virtual_time import GpsReference, GpsTrace, VirtualClock, gps_simulate, stamp
 
 __version__ = "0.1.0"
@@ -37,6 +36,6 @@ __all__ = [
     "brute_force_ilp", "composition_value", "compositions", "fairness_metric",
     "frame_length", "frame_powers", "gps_simulate", "group_size", "link_budget",
     "ompgps_schedule", "packet_error_rate", "run", "select_mpgps",
-    "select_window", "service_curves", "snr_target", "solve_transport", "stamp",
+    "service_curves", "snr_target", "solve_transport", "stamp",
     "subcarrier_quota", "verify_bounds",
 ]

@@ -452,7 +452,7 @@ class Engine:
         self.gps.drain()
         trace = self.gps.trace()
         cfg = self.cfg
-        t_stop = self.horizon
+        t_stop = self.horizon             # a saturated run ends it at its last departure
         per_packet = cfg.L / cfg.bits_per_symbol          # symbols per packet
         m = self.m_eff
         rep = BoundReport()

@@ -87,13 +87,6 @@ def select_mpgps(queues: list[FlowQueue], m: int) -> ScheduleDecision:
     return ScheduleDecision(g=_per_flow(chosen, len(queues)), chosen=chosen)
 
 
-def select_window(queues: list[FlowQueue], u: int) -> tuple[int, ...]:
-    """Window occupancy: how many of the U earliest stamps each flow holds."""
-    if u < 1:
-        raise ValueError("u must be positive")
-    return _per_flow(_smallest_stamps(queues, u), len(queues))
-
-
 def compositions(total: int, bounds) -> list[tuple[int, ...]]:
     """All integer vectors 0 <= g <= bounds with sum(g) == total, lexicographic.
 

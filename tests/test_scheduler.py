@@ -48,8 +48,9 @@ class TestStampOrderedSelection:
 
     def test_window_occupancy(self):
         queues = make_queues([[1.0, 5.0], [2.0, 3.0]])
-        assert m.select_window(queues, 3) == (1, 2)
-        assert m.select_window(queues, 10) == (2, 2)
+        powers = np.ones((2, 4))
+        for u, occ in [(3, (1, 2)), (10, (2, 2))]:
+            assert occupancy(m.ompgps_schedule(queues, 1, u, powers, sched_cfg()), 2) == occ
 
 
 class TestCompositions:
@@ -119,7 +120,8 @@ class TestOpportunisticSelection:
             powers = rng.integers(1, 4, size=(k, 64)).astype(float)
             cfg = m.SystemConfig(K=k, N=64, L=1024, r=2, M=mm, U=u)
             best_g, best_val, vals = None, float("inf"), []
-            window = m.select_window(queues, u)
+            earliest = sorted((p.vfinish, p.flow) for q in queues for p in q.fifo)[:u]
+            window = [sum(f == flow for _, f in earliest) for flow in range(k)]
             for g in m.compositions(min(mm, backlog), window):
                 g_arr = np.array(g)
                 val = float(np.sum(powers * _min_cost_counts(
