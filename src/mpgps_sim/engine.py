@@ -6,7 +6,8 @@ eligible for service at frame boundaries; when the servers fall idle and
 backlog exists, the configured discipline picks the next batch. Frame ends
 outrank arrivals at equal times. Deadline-expired packets are shed before
 every selection, and failed packets rejoin their queue head with stamps
-intact.
+intact. Saturated traffic runs through the same loop with no arrivals: each
+selection tops every queue up, and the run stops at its frame cap.
 
 Verification mode runs error free with deadlines disabled and audits the run
 against the fluid reference (and, for the opportunistic discipline, against
@@ -63,7 +64,6 @@ class FrameRecord:
     depart: float
     g: tuple[int, ...]
     m_sel: int
-    group: int
     per_bit_power: float | None
     mean_power: float | None
     scale: float
@@ -145,8 +145,7 @@ class Engine:
                  warmup_frac: float = 0.05, error_free: bool = False,
                  verify: bool = False, max_frames: int | None = None,
                  collect_events: bool = False, collect_fairness: bool = False,
-                 fairness_window_s: float = 0.100,
-                 collect_power: bool | None = None):
+                 fairness_window_s: float = 0.100):
         if mode not in scheduling.MODES:
             raise ValueError(f"unknown mode {mode!r}")
         self.traffic = traffic or TrafficModel()
@@ -155,9 +154,16 @@ class Engine:
         self.error_free = error_free or verify
         cfg = replace(cfg, deadline=math.inf) if verify else cfg
         self.cfg = cfg
-        self.horizon = float(horizon_symbols)
+        saturated = self.traffic.infinite_backlog
+        if not (saturated or 0 < horizon_symbols < math.inf):
+            raise ValueError("horizon_symbols must be positive and finite")
+        if not 0 <= warmup_frac < 1:
+            raise ValueError("warmup_frac must lie in [0, 1)")
+        # a saturated run stops at its frame cap; the horizon becomes its
+        # last departure when the run ends
+        self.horizon = math.inf if saturated else float(horizon_symbols)
         self.max_frames = max_frames
-        self.warmup_t = warmup_frac * self.horizon if not self.traffic.infinite_backlog else 0.0
+        self.warmup_t = 0.0 if saturated else warmup_frac * self.horizon
         self.warmup_frames = int(warmup_frac * max_frames) if max_frames else 0
         self.collect_events = collect_events
         self.collect_fairness = collect_fairness
@@ -165,13 +171,13 @@ class Engine:
 
         self.m_eff = 1 if mode == PGPS else cfg.M
         # every batch size the discipline can form must fill whole symbols
-        if self.traffic.infinite_backlog and mode != AMPGPS:
+        if saturated and mode != AMPGPS:
             sizes = [self.m_eff]
         else:
             sizes = range(1, (cfg.M_max if mode == AMPGPS else self.m_eff) + 1)
         for size in sizes:
             frame_length((size,), cfg)
-        if self.traffic.infinite_backlog != (max_frames is not None):
+        if saturated != (max_frames is not None):
             raise ValueError("max_frames is required by infinite_backlog traffic "
                              "and applies to nothing else")
         if self.traffic.bucket is not None:
@@ -180,11 +186,8 @@ class Engine:
                 raise ValueError("bucket burst must hold at least one packet")
             if not rho_bps > 0:
                 raise ValueError("bucket rate must be positive")
-        self.collect_power = (not verify) if collect_power is None else collect_power
-        self.need_channel = mode in (AMPGPS, OMPGPS) or self.collect_power
-        if self.collect_power and verify:
-            raise ValueError("verification mode never allocates transmit power")
-        self.queues = [FlowQueue(k, cfg.weights[k]) for k in range(cfg.K)]
+        self.need_channel = mode in (AMPGPS, OMPGPS) or not verify
+        self.queues = [FlowQueue(k) for k in range(cfg.K)]
         self.gps = GpsReference(cfg.weights, cfg.bits_per_symbol, record=verify)
         self.budget: LinkBudget = link_budget(cfg)
         self.channel = ChannelProcess(cfg) if self.need_channel else None
@@ -197,7 +200,7 @@ class Engine:
         self.seq_next = [0] * cfg.K
 
         # shadow machinery for the opportunistic audit
-        self.shadow_queues = ([FlowQueue(k, cfg.weights[k]) for k in range(cfg.K)]
+        self.shadow_queues = ([FlowQueue(k) for k in range(cfg.K)]
                               if (verify and mode == OMPGPS) else None)
         self.ledger = (LagLedger(bound=cfg.U - cfg.M)
                        if (verify and mode == OMPGPS) else None)
@@ -217,7 +220,6 @@ class Engine:
         self.n_dropped = 0
         self.n_dropped_m = 0
         self.delay_sum_m = 0.0
-        self.t_end = 0.0
 
     # -- traffic -------------------------------------------------------------
 
@@ -256,6 +258,8 @@ class Engine:
         return out
 
     def _generate_arrivals(self) -> tuple[np.ndarray, np.ndarray]:
+        if self.traffic.infinite_backlog:
+            return np.empty(0), np.empty(0, dtype=np.int64)      # _refill supplies them
         rates = self.traffic.rates(self.cfg.K) * self.cfg.T_sym / self.cfg.L
         if self.traffic.bucket is not None:
             rho_bps = self.traffic.bucket[1]
@@ -321,7 +325,7 @@ class Engine:
             decision = scheduling.ompgps_schedule(self.queues, cfg.M, cfg.U, powers, cfg)
         alloc = None
         scale = 1.0
-        if self.collect_power and powers is not None:
+        if not self.verify:
             alloc = allocation.allocate_frame(decision.g, powers, cfg)
             if cfg.power_budget is not None and alloc.mean_power > cfg.power_budget:
                 scale = cfg.power_budget / alloc.mean_power
@@ -356,10 +360,8 @@ class Engine:
         mean_power = alloc.mean_power if alloc else None
         energy = alloc.energy * scale if alloc else 0.0
         rec = FrameRecord(index=self.frames_started, start=t, depart=t + airtime,
-                          g=decision.g, m_sel=decision.m_sel,
-                          group=alloc.group if alloc else 0,
-                          per_bit_power=per_bit, mean_power=mean_power,
-                          scale=scale, energy=energy)
+                          g=decision.g, m_sel=decision.m_sel, per_bit_power=per_bit,
+                          mean_power=mean_power, scale=scale, energy=energy)
         members = decision.chosen
         for flow, cnt in enumerate(decision.g):
             for _ in range(cnt):
@@ -393,7 +395,7 @@ class Engine:
                 if pkt.arrival >= self.warmup_t:
                     self.n_delivered_m += 1
                     self.delay_sum_m += t - pkt.arrival
-                if self.warmup_t < t <= self.horizon:
+                if t > self.warmup_t:
                     self.n_delivered_events_m += 1
                 if self.collect_fairness:
                     self.fair_events[pkt.flow].append((t, -1))
@@ -408,30 +410,17 @@ class Engine:
                 self.queues[flow].requeue_front(pkt)
         if self.collect_events:
             self.events.append(SimEvent(t, "frame_end", -1, -1, rec.index))
-        self.t_end = max(self.t_end, t)
 
     # -- main loop ------------------------------------------------------------
 
     def run(self) -> RunResult:
-        if self.traffic.infinite_backlog:
-            self._run_saturated()
-        else:
-            self._run_trace()
-        return self._finalise()
-
-    def _run_saturated(self) -> None:
-        self._instant(0.0)
-        while self.inflight is not None:
-            t = self.inflight.record.depart
-            self._finish_frame(t)
-            if self.frames_started < self.max_frames:
-                self._instant(t)
-        self.horizon = self.t_end
-
-    def _run_trace(self) -> None:
         times, flows = self._generate_arrivals()
         i, n = 0, len(times)
+        cap = math.inf if self.max_frames is None else self.max_frames
+        t = 0.0
         while True:
+            if self.inflight is None and self.frames_started < cap:
+                self._instant(t)
             next_arr = float(times[i]) if i < n else math.inf
             next_dep = self.inflight.record.depart if self.inflight else math.inf
             t = min(next_arr, next_dep)
@@ -443,8 +432,9 @@ class Engine:
                 while i < n and float(times[i]) == t:
                     self._admit(t, int(flows[i]))
                     i += 1
-            if self.inflight is None:
-                self._instant(t)
+        if self.traffic.infinite_backlog:
+            self.horizon = self.frames[-1].depart if self.frames else 0.0
+        return self._finalise()
 
     # -- reporting ------------------------------------------------------------
 

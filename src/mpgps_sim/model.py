@@ -119,9 +119,8 @@ class Packet:
 class FlowQueue:
     """FIFO queue for one flow. Selection only ever takes head-consecutive packets."""
 
-    def __init__(self, flow: int, weight: float):
+    def __init__(self, flow: int):
         self.flow = flow
-        self.weight = weight
         self.fifo: deque[Packet] = deque()
 
     def __len__(self) -> int:

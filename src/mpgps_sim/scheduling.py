@@ -142,28 +142,25 @@ def ampgps_schedule(queues: list[FlowQueue], m_max: int,
                     powers: np.ndarray, cfg: SystemConfig) -> ScheduleDecision:
     """Grow the batch while power per bit strictly improves.
 
-    Starts from the single best-stamped packet, then adds one server at a
-    time, re-ranking by stamps; the first non-improving step (ties included)
-    stops the search and the cheapest batch seen wins.
+    Starts from the single best-stamped packet, then adds the next packet in
+    stamp order one server at a time (the first m packets of the ``m_max``
+    smallest stamps are the m-packet stamp-ordered batch); the first
+    non-improving step (ties included) stops the search and the cheapest
+    batch seen wins.
     """
-    best = select_mpgps(queues, 1)
-    best_val = float(allocation.composition_value(powers, [best.g], cfg.N, cfg.r)[0])
-    init_val = best_val
-    m = 1
-    while m < m_max:
-        m += 1
-        cand = select_mpgps(queues, m)
-        if cand.m_sel == best.m_sel:
-            break                      # backlog exhausted, nothing new to add
-        val = float(allocation.composition_value(powers, [cand.g], cfg.N, cfg.r)[0])
-        if val < best_val:
-            best_val = val
-            best = cand
-        else:
+    window = _smallest_stamps(queues, m_max)
+    if not window:
+        raise ValueError("nothing queued")
+    counts = [0] * len(queues)
+    best_g, best_val = None, None
+    for pkt in window:
+        counts[pkt.flow] += 1
+        g = tuple(counts)
+        val = float(allocation.composition_value(powers, [g], cfg.N, cfg.r)[0])
+        if best_g is not None and not val < best_val:
             break
-    if best_val > init_val:
-        raise BoundViolation("adaptive batch became costlier than its own seed")
-    return ScheduleDecision(g=best.g, chosen=best.chosen, per_bit_power=best_val)
+        best_g, best_val = g, val
+    return ScheduleDecision(g=best_g, chosen=window[:sum(best_g)], per_bit_power=best_val)
 
 
 @dataclass

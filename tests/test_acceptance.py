@@ -212,8 +212,7 @@ def test_delay_grows_with_server_count(criterion_note):
         for s in range(20):
             cfg = SystemConfig(M=m, seed=300 + s)
             res = run(cfg, TrafficModel(rate_bps=63000.0), "mpgps",
-                      horizon_symbols=50000.0, error_free=True,
-                      collect_power=False)
+                      horizon_symbols=50000.0, error_free=True)
             delays.append(res.metrics.avg_delay)
         means[m] = float(np.mean(delays))
     order = [1, 2, 4, 6]
@@ -233,9 +232,9 @@ def test_adaptive_beats_fixed_batch_delay(criterion_note):
         base = dict(M=6, M_max=6, seed=600 + s)
         traffic = TrafficModel(rate_bps=63000.0)
         res_f = run(SystemConfig(**base), traffic, "mpgps", 30000.0,
-                    error_free=True, collect_power=False)
+                    error_free=True)
         res_a = run(SystemConfig(**base), traffic, "ampgps", 30000.0,
-                    error_free=True, collect_power=False)
+                    error_free=True)
         fixed.append(res_f.metrics.avg_delay)
         adaptive.append(res_a.metrics.avg_delay)
     f_mean, a_mean = float(np.mean(fixed)), float(np.mean(adaptive))
@@ -258,7 +257,7 @@ def test_fairness_trends(criterion_note):
                 cfg = SystemConfig(K=6, N=8, L=64, r=2, M=m, U=u, seed=s)
                 res = run(cfg, TrafficModel(infinite_backlog=True), "ompgps",
                           horizon_symbols=1e7, max_frames=1200,
-                          error_free=True, collect_power=False,
+                          error_free=True,
                           collect_fairness=True)
                 vals.append(res.metrics.fairness)
             cache[(m, u)] = float(np.mean(vals))
@@ -306,5 +305,5 @@ def test_artifacts_are_byte_identical(tmp_path, criterion_note):
 def test_heavy_load_is_carried_without_loss():
     cfg = SystemConfig(seed=4)
     res = run(cfg, TrafficModel(rate_bps=40000.0), "mpgps", 60000.0,
-              error_free=True, collect_power=False)
+              error_free=True)
     assert res.metrics.loss_rate < 1e-2

@@ -133,7 +133,7 @@ class TestSystemConfig:
 
 class TestFlowQueue:
     def test_fifo_order(self):
-        q = m.FlowQueue(0, 1.0)
+        q = m.FlowQueue(0)
         a = m.Packet(flow=0, seq=0, arrival=0.0, bits=64)
         b = m.Packet(flow=0, seq=1, arrival=1.0, bits=64)
         q.push(a)
@@ -145,7 +145,7 @@ class TestFlowQueue:
         assert len(q) == 0
 
     def test_requeue_front_restores_head(self):
-        q = m.FlowQueue(0, 1.0)
+        q = m.FlowQueue(0)
         a = m.Packet(flow=0, seq=0, arrival=0.0, bits=64)
         b = m.Packet(flow=0, seq=1, arrival=1.0, bits=64)
         q.push(a)

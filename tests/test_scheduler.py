@@ -6,8 +6,8 @@ import mpgps_sim as m
 from mpgps_sim.allocation import _min_cost_counts
 
 
-def make_queues(stamp_lists, weight=1.0):
-    queues = [m.FlowQueue(k, weight) for k in range(len(stamp_lists))]
+def make_queues(stamp_lists):
+    queues = [m.FlowQueue(k) for k in range(len(stamp_lists))]
     for k, stamps in enumerate(stamp_lists):
         for i, vf in enumerate(stamps):
             p = m.Packet(flow=k, seq=i, arrival=0.0, bits=64, vfinish=float(vf))

@@ -25,8 +25,7 @@ class TestSinglePacketTiming:
         # 1024 bits over 128 bits/symbol: exactly 8 symbols on air
         cfg = m.SystemConfig(K=2, N=64, L=1024, r=2, M=1, seed=3)
         res = m.run(cfg, m.TrafficModel(rate_bps=(2000.0, 0.0)), "mpgps",
-                    20_000.0, error_free=True, collect_events=True,
-                    collect_power=False)
+                    20_000.0, error_free=True, collect_events=True)
         arrives = by_kind(res.events, "arrive")
         delivers = {(e.flow, e.seq): e.time for e in by_kind(res.events, "deliver")}
         first = arrives[0]
@@ -36,14 +35,12 @@ class TestSinglePacketTiming:
     def test_silent_flow_never_arrives(self):
         cfg = m.SystemConfig(K=2, N=64, L=1024, r=2, seed=3)
         res = m.run(cfg, m.TrafficModel(rate_bps=(2000.0, 0.0)), "mpgps",
-                    20_000.0, error_free=True, collect_events=True,
-                    collect_power=False)
+                    20_000.0, error_free=True, collect_events=True)
         assert all(e.flow == 0 for e in by_kind(res.events, "arrive"))
 
 
 def test_zero_arrivals_runs_clean():
-    res = m.run(compact(), m.TrafficModel(rate_bps=0.0), "mpgps", 10_000.0,
-                collect_power=False)
+    res = m.run(compact(), m.TrafficModel(rate_bps=0.0), "mpgps", 10_000.0)
     assert res.metrics.arrivals == 0
     assert res.metrics.frames == 0
     assert math.isnan(res.metrics.avg_delay)
@@ -83,7 +80,7 @@ class TestConservation:
     def make(self):
         cfg = compact(M=2, seed=5, deadline=math.inf)
         return m.run(cfg, m.TrafficModel(rate_bps=7000.0), "mpgps", 30_000.0,
-                     error_free=True, collect_events=True, collect_power=False,
+                     error_free=True, collect_events=True,
                      warmup_frac=0.0)
 
     def test_flow_conservation_per_flow(self):
@@ -121,7 +118,7 @@ class TestConservation:
 def test_event_log_is_time_ordered_with_departures_first():
     eng = m.Engine(m.SystemConfig(K=1, N=8, L=64, r=2, seed=1),
                    m.TrafficModel(rate_bps=1000.0), "mpgps", 50.0,
-                   error_free=True, collect_events=True, collect_power=False)
+                   error_free=True, collect_events=True)
     # force an arrival exactly on a frame boundary: frame [0, 4) ends as the
     # second packet lands
     eng._generate_arrivals = lambda: (np.array([0.0, 4.0]),
@@ -137,7 +134,7 @@ class TestDeadlines:
     def test_expired_heads_are_shed(self):
         cfg = compact(K=3, M=1, deadline=0.0008, seed=9)   # 4 symbols
         res = m.run(cfg, m.TrafficModel(rate_bps=24000.0), "mpgps", 30_000.0,
-                    error_free=True, collect_events=True, collect_power=False)
+                    error_free=True, collect_events=True)
         drops = by_kind(res.events, "drop")
         assert drops, "overloaded run should shed packets"
         arrival_of = {(e.flow, e.seq): e.time for e in by_kind(res.events, "arrive")}
@@ -148,7 +145,7 @@ class TestDeadlines:
     def test_loss_rate_matches_event_counts(self):
         cfg = compact(K=3, M=1, deadline=0.0008, seed=9)
         res = m.run(cfg, m.TrafficModel(rate_bps=24000.0), "mpgps", 30_000.0,
-                    error_free=True, collect_events=True, collect_power=False,
+                    error_free=True, collect_events=True,
                     warmup_frac=0.0)
         n_drop = len(by_kind(res.events, "drop"))
         n_dlv = len(by_kind(res.events, "deliver"))
@@ -160,7 +157,7 @@ class TestRetransmission:
         # a loose BER target makes packet failures routine
         cfg = compact(K=2, M=1, target_ber=1e-3, deadline=math.inf, seed=13)
         return m.run(cfg, m.TrafficModel(rate_bps=4000.0), "mpgps", 40_000.0,
-                     collect_events=True, collect_power=False)
+                     collect_events=True)
 
     def test_failed_packets_retry_and_deliver(self):
         res = self.run_lossy()
@@ -187,16 +184,24 @@ class TestSaturatedMode:
     def test_runs_exactly_max_frames(self):
         cfg = compact(K=2, M=2, U=2, M_max=2)
         res = m.run(cfg, m.TrafficModel(infinite_backlog=True), "mpgps", 1e9,
-                    max_frames=30, error_free=True, collect_power=False)
+                    max_frames=30, error_free=True)
         assert len(res.frames) == 30
         assert all(f.m_sel == 2 for f in res.frames)
         for prev, nxt in zip(res.frames, res.frames[1:]):
             assert nxt.start == prev.depart      # never idles
 
+    def test_throughput_ignores_the_horizon(self):
+        # a saturated run stops at its frame cap, whatever horizon it is given
+        cfg = compact(K=3, N=8, L=64, M=2)
+        tput = [m.run(cfg, m.TrafficModel(infinite_backlog=True), "mpgps", h,
+                      max_frames=40).metrics.throughput for h in (1.0, 50.0, 1e9)]
+        assert tput[0] > 0.0
+        assert tput == [tput[0]] * 3
+
     def test_requires_max_frames(self):
         with pytest.raises(ValueError):
             m.run(compact(), m.TrafficModel(infinite_backlog=True), "mpgps",
-                  1e9, collect_power=False)
+                  1e9)
 
 
 class TestPowerBudget:
@@ -249,11 +254,6 @@ class TestVerificationMode:
         assert res.metrics.dropped == 0
         assert math.isinf(res.cfg.deadline)
 
-    def test_verify_refuses_power_collection(self):
-        with pytest.raises(ValueError):
-            m.Engine(compact(), m.TrafficModel(), "mpgps", 1000.0,
-                     verify=True, collect_power=True)
-
     def test_bound_summary_mentions_every_entry(self):
         res = m.verify_bounds(compact(M=2, seed=6),
                               m.TrafficModel(rate_bps=6000.0), "mpgps", 20_000.0)
@@ -266,10 +266,8 @@ class TestWarmup:
     def test_warmup_trims_the_measured_window(self):
         cfg = compact(seed=15)
         traffic = m.TrafficModel(rate_bps=6000.0)
-        full = m.run(cfg, traffic, "mpgps", 20_000.0, warmup_frac=0.0,
-                     collect_power=False)
-        trimmed = m.run(cfg, traffic, "mpgps", 20_000.0, warmup_frac=0.4,
-                        collect_power=False)
+        full = m.run(cfg, traffic, "mpgps", 20_000.0, warmup_frac=0.0)
+        trimmed = m.run(cfg, traffic, "mpgps", 20_000.0, warmup_frac=0.4)
         assert trimmed.metrics.arrivals < full.metrics.arrivals
         assert trimmed.metrics.sim_time == pytest.approx(
             0.6 * 20_000.0 * cfg.T_sym)
@@ -279,8 +277,7 @@ class TestTokenBucket:
     def test_shaped_gaps_respect_the_token_rate(self):
         cfg = m.SystemConfig(K=1, N=8, L=64, r=2, seed=2)
         res = m.run(cfg, m.TrafficModel(rate_bps=8000.0, bucket=(64.0, 4000.0)),
-                    "mpgps", 40_000.0, error_free=True, collect_events=True,
-                    collect_power=False)
+                    "mpgps", 40_000.0, error_free=True, collect_events=True)
         times = [e.time for e in by_kind(res.events, "arrive")]
         assert len(times) > 3
         # one packet per 64 tokens at 0.8 bits/symbol: 80-symbol spacing
@@ -291,14 +288,14 @@ class TestTokenBucket:
         cfg = m.SystemConfig(K=1, N=8, L=64, r=2, seed=2)
         with caplog.at_level(logging.WARNING, logger="mpgps_sim.engine"):
             m.run(cfg, m.TrafficModel(rate_bps=8000.0, bucket=(64.0, 4000.0)),
-                  "mpgps", 5_000.0, error_free=True, collect_power=False)
+                  "mpgps", 5_000.0, error_free=True)
         assert "unstable" in caplog.text
 
     def test_bucket_must_hold_one_packet(self):
         cfg = m.SystemConfig(K=1, N=8, L=64, r=2, seed=2)
         with pytest.raises(ValueError):
             m.run(cfg, m.TrafficModel(rate_bps=8000.0, bucket=(32.0, 9000.0)),
-                  "mpgps", 5_000.0, collect_power=False)
+                  "mpgps", 5_000.0)
 
 
 class TestInputValidation:
@@ -341,17 +338,25 @@ class TestFailsAtConstruction:
         ({"rate_bps": 6000.0, "bucket": (128.0, -1.0)}, {}),
         ({"rate_bps": 100.0, "bucket": (1e9, 0.0)}, {}),        # tokens never run short
         ({"infinite_backlog": True, "bucket": (32.0, 9000.0)}, {"max_frames": 10}),
+        ({"rate_bps": 6000.0}, {"horizon_symbols": 0.0}),       # nothing to draw
+        ({"rate_bps": 6000.0}, {"horizon_symbols": -5.0}),
+        ({"rate_bps": 6000.0}, {"horizon_symbols": math.nan}),
+        ({"rate_bps": 6000.0}, {"horizon_symbols": math.inf}),  # would draw forever
+        ({"rate_bps": 6000.0}, {"warmup_frac": 1.0}),           # nothing measured
+        ({"rate_bps": 6000.0}, {"warmup_frac": -0.5}),
+        ({"rate_bps": 6000.0}, {"warmup_frac": math.nan}),
+        ({"infinite_backlog": True}, {"max_frames": 10, "warmup_frac": 1.0}),
     ])
     def test_rejected_by_the_constructor(self, traffic, kw):
         with pytest.raises(ValueError):
-            m.Engine(compact(), m.TrafficModel(**traffic), "mpgps", 1000.0,
-                     collect_power=False, **kw)
+            m.Engine(compact(), m.TrafficModel(**traffic), "mpgps",
+                     **{"horizon_symbols": 1000.0, **kw})
 
 
 class TestPerPacketRecords:
     def engine(self, verify):
         return m.Engine(compact(M=2, seed=6), m.TrafficModel(rate_bps=6000.0),
-                        "mpgps", 5_000.0, verify=verify, collect_power=False)
+                        "mpgps", 5_000.0, verify=verify)
 
     def test_ordinary_runs_keep_no_per_packet_departures(self):
         eng = self.engine(verify=False)
@@ -386,8 +391,9 @@ def test_metric_ranges_on_a_routine_run():
 
 
 def test_per_bit_power_absent_without_collection():
-    res = m.run(compact(seed=42), m.TrafficModel(rate_bps=6000.0), "mpgps",
-                10_000.0, collect_power=False)
+    # verification runs allocate no transmit power
+    res = m.verify_bounds(compact(seed=42), m.TrafficModel(rate_bps=6000.0),
+                          "mpgps", 10_000.0)
     assert math.isnan(res.metrics.per_bit_power)
     assert math.isnan(res.metrics.avg_power)
 
