@@ -54,7 +54,7 @@ class InstanceTooLarge(ValueError):
 def required_power(gain: float, gamma: float, noise_power: float):
     """Transmit power that hits the SNR target through the given power gain."""
     g = np.asarray(gain, dtype=float)
-    if np.any(g <= 0.0):
+    if (g <= 0.0).any():
         raise ZeroGain("channel gain must be positive")
     return gamma * noise_power / g
 
@@ -74,11 +74,11 @@ class TransportInstance:
             raise ValueError("cost matrix must be 2-D")
         if self.quotas.shape != (self.alpha.shape[0],):
             raise ValueError("need one quota per user row")
-        if np.any(self.quotas < 0):
+        if (self.quotas < 0).any():
             raise ValueError("quotas must be nonnegative")
         if self.group < 1:
             raise ValueError("group must be positive")
-        if not np.all(np.isfinite(self.alpha)):
+        if not np.isfinite(self.alpha).all():
             raise ValueError("costs must be finite")
         n = self.alpha.shape[1]
         if int(self.quotas.sum()) != self.group * n:
@@ -226,7 +226,7 @@ def solve_transport(instance: TransportInstance) -> tuple[np.ndarray, float]:
     row sums equal the quotas) and its objective value.
     """
     counts = _min_cost_counts(instance.alpha, instance.quotas, instance.group)
-    objective = float(np.sum(instance.alpha * counts))
+    objective = float((instance.alpha * counts).sum())
     return counts, objective
 
 
@@ -339,8 +339,20 @@ def clamp_gains(gains: np.ndarray) -> np.ndarray:
 
 
 def frame_powers(gains: np.ndarray, budget: LinkBudget) -> np.ndarray:
-    """Per-user, per-subcarrier transmit power needed to hit the target SNR, W."""
-    return required_power(clamp_gains(gains), budget.gamma[:, None], budget.noise_power)
+    """Per-user, per-subcarrier transmit power needed to hit the target SNR, W.
+
+    ``gains`` is one frame's (K, N) matrix or a stack (..., K, N) of frames.
+    Each frame is clamped against its own gains, as ``clamp_gains`` of that
+    frame alone would, and only frames with a gain below the floor are.
+    """
+    frames = gains.reshape(-1, *gains.shape[-2:])
+    low = np.flatnonzero(frames.min(axis=(1, 2)) < GAIN_FLOOR_REL * frames.max(axis=(1, 2)))
+    if low.size:
+        frames = frames.copy()
+        for b in low:
+            frames[b] = clamp_gains(frames[b])
+        gains = frames.reshape(gains.shape)
+    return required_power(gains, budget.gamma[:, None], budget.noise_power)
 
 
 def allocate_frame(g, powers: np.ndarray, cfg: SystemConfig) -> AllocationResult:
@@ -359,7 +371,7 @@ def allocate_frame(g, powers: np.ndarray, cfg: SystemConfig) -> AllocationResult
     counts, objective = solve_transport(instance)
     # summing group costs is exactly power per bit; energy follows from it
     energy = objective * cfg.L * m_sel * cfg.T_sym
-    slot_power = float(np.sum(powers * counts))   # W summed over group slots
+    slot_power = float((powers * counts).sum())   # W summed over group slots
     return AllocationResult(
         g=g, m_sel=m_sel, airtime=airtime, group=grp, repeats=airtime // grp,
         counts=counts, per_bit_power=objective, energy=energy,

@@ -122,8 +122,16 @@ class ChannelProcess:
             self._last_taps = rho * self._last_taps + math.sqrt(1.0 - rho * rho) * w
         return self._last_taps
 
+    def block(self, lo: int, count: int) -> np.ndarray:
+        """Power gains of frames lo .. lo + count - 1, shape (count, K, N).
+
+        Each frame's taps are drawn exactly as for a lone frame; one FFT and
+        one scaling then serve the whole block. numpy's batched FFT equals
+        the per-frame one bit for bit (tests/test_channel.py guards this).
+        """
+        taps = np.stack([self._taps_for(f) for f in range(lo, lo + count)])
+        h = np.fft.fft(taps, n=self.cfg.N, axis=2)
+        return (h.real ** 2 + h.imag ** 2) * self._large[:, None]
+
     def state(self, frame: int) -> ChannelState:
-        taps = self._taps_for(frame)
-        h = np.fft.fft(taps, n=self.cfg.N, axis=1)
-        gains = (h.real ** 2 + h.imag ** 2) * self._large[:, None]
-        return ChannelState(frame=frame, gains=gains)
+        return ChannelState(frame=frame, gains=self.block(frame, 1)[0])

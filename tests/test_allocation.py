@@ -302,3 +302,18 @@ class TestPowerInversion:
         # 6e-12 >= 1e-12 * max skips the median; 2e-12 needs it (floor 1.5e-12)
         gains = np.array([[1.0, low], [2.0, 5.0]])
         assert clamp_gains(gains).tolist() == gains.tolist()
+
+    def test_a_block_clamps_each_frame_against_its_own_gains(self):
+        budget = m.link_budget(small_cfg())
+        block = np.random.default_rng(8).uniform(0.05, 2.0, size=(6, 3, 8))
+        block[2, 1, 5] = 1e-15       # the one frame below GAIN_FLOOR_REL * its max
+        block[4] *= 1e-13            # below the block's floor, not its own
+        before = block.copy()
+        got = m.frame_powers(block, budget)
+        for b in range(len(block)):
+            assert got[b].tolist() == m.frame_powers(block[b], budget).tolist()
+        plain = budget.gamma[:, None] * budget.noise_power / block
+        untouched = [0, 1, 3, 4, 5]
+        assert got[untouched].tolist() == plain[untouched].tolist()
+        assert got[2, 1, 5] < plain[2, 1, 5]
+        assert block.tolist() == before.tolist()

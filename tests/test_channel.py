@@ -132,3 +132,37 @@ class TestChannelProcess:
             states = np.array([proc.state(f).gains[0] for f in range(200)])
             return float(np.mean(np.diff(states, axis=0) ** 2))
         assert step_var(0.95) < step_var(0.0) / 2
+
+
+def per_frame_reference(cfg, frames):
+    """Gains frame by frame: one FFT of each frame's own (K, taps) draw."""
+    ref = ChannelProcess(cfg)
+    out = []
+    for f in frames:
+        h = np.fft.fft(ref._taps_for(f), n=cfg.N, axis=1)
+        out.append((h.real ** 2 + h.imag ** 2) * ref._large[:, None])
+    return np.array(out)
+
+
+class TestBlockTransform:
+    """A block's batched FFT must equal the per-frame FFT bit for bit, so a
+    numpy that rounds them differently fails here instead of moving outputs."""
+
+    @pytest.mark.parametrize("rho", [0.0, 0.6])
+    def test_block_equals_per_frame_transform(self, rho):
+        for seed in range(30):
+            cfg = m.SystemConfig(K=1 + seed % 10, N=(8, 16, 64)[seed % 3], L=64,
+                                 seed=seed, taps=1 + seed % 6, time_corr=rho)
+            lo, count = seed % 7, 1 + seed % 20
+            np.testing.assert_array_equal(ChannelProcess(cfg).block(lo, count),
+                                          per_frame_reference(cfg, range(lo, lo + count)))
+
+    @pytest.mark.parametrize("rho", [0.0, 0.6])
+    def test_frames_inside_a_block_and_after_a_rewind(self, rho):
+        cfg = m.SystemConfig(K=4, N=16, L=64, seed=3, time_corr=rho)
+        want = per_frame_reference(cfg, range(30))
+        proc = ChannelProcess(cfg)
+        np.testing.assert_array_equal(proc.block(10, 16), want[10:26])
+        np.testing.assert_array_equal(proc.state(17).gains, want[17])   # mid-block
+        np.testing.assert_array_equal(proc.block(2, 5), want[2:7])      # rewind
+        np.testing.assert_array_equal(proc.block(21, 9), want[21:30])

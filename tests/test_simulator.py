@@ -229,6 +229,53 @@ class TestPowerBudget:
             assert f.energy == pytest.approx(expect)
 
 
+class TestErrorDraws:
+    """A frame draws one uniform per member and one error rate per flow; both
+    must reproduce the per-packet draws exactly."""
+
+    def run_capped(self):
+        # a loose BER target makes failures routine; the budget scales
+        # roughly half of the frames below their requested power
+        cfg = compact(K=3, M=2, seed=8, target_ber=1e-3)
+        free = m.run(cfg, m.TrafficModel(rate_bps=6000.0), "mpgps", 15_000.0,
+                     error_free=True)
+        cap = float(np.median([f.mean_power for f in free.frames]))
+        return m.run(replace(cfg, power_budget=cap), m.TrafficModel(rate_bps=6000.0),
+                     "mpgps", 15_000.0, collect_events=True)
+
+    def test_per_flow_rates_equal_scalar_rates(self):
+        res = self.run_capped()
+        gamma = m.link_budget(res.cfg).gamma
+        scales = [f.scale for f in res.frames]
+        assert min(scales) < 1.0
+        scales += np.random.default_rng(5).uniform(1e-3, 1.0, 3000).tolist()
+        for bits, r in ((res.cfg.L, res.cfg.r), (1024, 2), (1024, 4)):
+            for scale in scales:
+                per = m.packet_error_rate(gamma * scale, bits, r)
+                for k in range(res.cfg.K):
+                    assert per[k] == m.packet_error_rate(float(gamma[k]) * scale, bits, r)
+
+    def test_outcomes_equal_a_per_packet_reference(self):
+        res = self.run_capped()
+        cfg = res.cfg
+        gamma = m.link_budget(cfg).gamma
+        outcomes = {}
+        for e in res.events:
+            if e.kind in ("deliver", "fail"):
+                outcomes.setdefault(e.frame, []).append(e)
+        assert any(f.scale < 1.0 for f in res.frames)
+        kinds = []
+        for f in res.frames:
+            assert len(outcomes[f.index]) == f.m_sel
+            rng = np.random.default_rng([cfg.seed, 53, f.index])
+            for e in outcomes[f.index]:              # frame members in order
+                snr = float(gamma[e.flow]) * f.scale
+                ok = bool(rng.random() >= m.packet_error_rate(snr, cfg.L, cfg.r))
+                kinds.append(e.kind)
+                assert e.kind == ("deliver" if ok else "fail")
+        assert set(kinds) == {"deliver", "fail"}
+
+
 class TestVerificationMode:
     def test_report_names_and_pass(self):
         res = m.verify_bounds(compact(M=2, seed=6),
@@ -346,6 +393,9 @@ class TestFailsAtConstruction:
         ({"rate_bps": 6000.0}, {"warmup_frac": -0.5}),
         ({"rate_bps": 6000.0}, {"warmup_frac": math.nan}),
         ({"infinite_backlog": True}, {"max_frames": 10, "warmup_frac": 1.0}),
+        ({"infinite_backlog": True}, {"max_frames": 0}),        # empty run
+        ({"infinite_backlog": True}, {"max_frames": -3}),
+        ({"infinite_backlog": True}, {"max_frames": 2.5}),
     ])
     def test_rejected_by_the_constructor(self, traffic, kw):
         with pytest.raises(ValueError):
