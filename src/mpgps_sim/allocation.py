@@ -342,8 +342,9 @@ def frame_powers(gains: np.ndarray, budget: LinkBudget) -> np.ndarray:
     """Per-user, per-subcarrier transmit power needed to hit the target SNR, W.
 
     ``gains`` is one frame's (K, N) matrix or a stack (..., K, N) of frames.
-    Each frame is clamped against its own gains, as ``clamp_gains`` of that
-    frame alone would, and only frames with a gain below the floor are.
+    A frame with a gain below the floor is clamped by ``clamp_gains`` of that
+    frame alone, against its own max and median; the others are inverted as
+    they are.
     """
     frames = gains.reshape(-1, *gains.shape[-2:])
     low = np.flatnonzero(frames.min(axis=(1, 2)) < GAIN_FLOOR_REL * frames.max(axis=(1, 2)))

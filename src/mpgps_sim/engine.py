@@ -404,22 +404,19 @@ class Engine:
         self.inflight = None
         rec = frame.record
         self.frames.append(rec)
-        members = frame.members
-        if self.error_free:
-            survived = [True] * len(members)
-        else:
-            # one uniform per member in frame order against its flow's error
-            # rate, recomputed only when the power scale changes
+        draws = None
+        if not self.error_free:
+            # one uniform per member, in frame order, against its flow's error
+            # rate; the rates are recomputed only when the power scale changes
             rng = np.random.default_rng([self.cfg.seed, 53, rec.index])
-            draws = rng.random(len(members)).tolist()
+            draws = iter(rng.random(len(frame.members)).tolist())
             if rec.scale != self.per_scale:
                 self.per_scale = rec.scale
                 self.per_flow = packet_error_rate(
                     self.budget.gamma * rec.scale, self.cfg.L, self.cfg.r).tolist()
-            survived = [u >= self.per_flow[pkt.flow] for u, pkt in zip(draws, members)]
         failures: dict[int, list[Packet]] = {}
-        for pkt, ok in zip(members, survived):
-            if ok:
+        for pkt in frame.members:
+            if draws is None or next(draws) >= self.per_flow[pkt.flow]:
                 self.n_delivered += 1
                 if self.verify:
                     self.delivered_at[pkt.index] = t
