@@ -353,7 +353,7 @@ def frame_powers(gains: np.ndarray, budget: LinkBudget) -> np.ndarray:
         for b in low:
             frames[b] = clamp_gains(frames[b])
         gains = frames.reshape(gains.shape)
-    return required_power(gains, budget.gamma[:, None], budget.noise_power)
+    return required_power(gains, budget.gamma, budget.noise_power)
 
 
 def allocate_frame(g, powers: np.ndarray, cfg: SystemConfig) -> AllocationResult:

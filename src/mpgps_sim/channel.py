@@ -66,23 +66,14 @@ def draw_geometry(cfg: SystemConfig, rng: np.random.Generator) -> list[UserGeome
 
 @dataclass(frozen=True)
 class LinkBudget:
-    """Per-user SNR requirement and the common noise floor."""
+    """SNR requirement, shared by every user, and the common noise floor."""
 
-    gamma: np.ndarray            # linear SNR meeting the BER target, per user
+    gamma: float                 # linear SNR meeting the BER target
     noise_power: float           # W per subcarrier
 
 
 def link_budget(cfg: SystemConfig) -> LinkBudget:
-    g = snr_target(cfg.target_ber, cfg.r)
-    return LinkBudget(gamma=np.full(cfg.K, g), noise_power=cfg.noise_power)
-
-
-@dataclass
-class ChannelState:
-    """Per-frame channel realisation: power gains |H|^2, shape (K, N)."""
-
-    frame: int
-    gains: np.ndarray
+    return LinkBudget(gamma=snr_target(cfg.target_ber, cfg.r), noise_power=cfg.noise_power)
 
 
 class ChannelProcess:
@@ -95,13 +86,12 @@ class ChannelProcess:
     state and replays from scratch if asked to jump).
     """
 
-    def __init__(self, cfg: SystemConfig, geometry: list[UserGeometry] | None = None):
+    def __init__(self, cfg: SystemConfig):
         self.cfg = cfg
-        rng = np.random.default_rng([cfg.seed, 11])
-        self.geometry = geometry if geometry is not None else draw_geometry(cfg, rng)
         profile = np.exp(-np.arange(cfg.taps) / cfg.tap_decay)
         self._tap_std = np.sqrt(profile / profile.sum() / 2.0)   # per real component
-        self._large = np.array([g.path_gain(cfg) for g in self.geometry])
+        geometry = draw_geometry(cfg, np.random.default_rng([cfg.seed, 11]))
+        self._large = np.array([g.path_gain(cfg) for g in geometry])
         self._last_frame: int | None = None
         self._last_taps: np.ndarray | None = None
 
@@ -133,5 +123,6 @@ class ChannelProcess:
         h = np.fft.fft(taps, n=self.cfg.N, axis=2)
         return (h.real ** 2 + h.imag ** 2) * self._large[:, None]
 
-    def state(self, frame: int) -> ChannelState:
-        return ChannelState(frame=frame, gains=self.block(frame, 1)[0])
+    def state(self, frame: int) -> np.ndarray:
+        """Power gains |H|^2 of one frame, shape (K, N)."""
+        return self.block(frame, 1)[0]

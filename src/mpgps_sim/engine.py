@@ -205,9 +205,9 @@ class Engine:
         # power matrices of frames block_lo, block_lo + 1, ...
         self.block_lo = 0
         self.block_powers = np.empty((0, cfg.K, cfg.N))
-        # packet error rate per flow at power scale per_scale
+        # packet error rate at power scale per_scale
         self.per_scale = math.nan
-        self.per_flow: list[float] = []
+        self.per = math.nan
 
         self.inflight: _InFlight | None = None
         self.frames_started = 0
@@ -360,9 +360,9 @@ class Engine:
         shadow = select_mpgps(self.shadow_queues, self.m_eff)
         if shadow.m_sel != decision.m_sel:
             raise BoundViolation("shadow and opportunistic batch sizes diverged")
-        window_ids = {p.key for p in decision.window}
-        decision_ids = {p.key for p in decision.chosen}
-        shadow_ids = {p.key for p in shadow.chosen}
+        window_ids = {p.index for p in decision.window}
+        decision_ids = {p.index for p in decision.chosen}
+        shadow_ids = {p.index for p in shadow.chosen}
         if decision_ids != shadow_ids:
             self.shadow_trace_equal = False
         self.ledger.update(window_ids, decision_ids, shadow_ids)
@@ -406,17 +406,17 @@ class Engine:
         self.frames.append(rec)
         draws = None
         if not self.error_free:
-            # one uniform per member, in frame order, against its flow's error
-            # rate; the rates are recomputed only when the power scale changes
+            # one uniform per member, in frame order, against the packet error
+            # rate, which is recomputed only when the power scale changes
             rng = np.random.default_rng([self.cfg.seed, 53, rec.index])
             draws = iter(rng.random(len(frame.members)).tolist())
             if rec.scale != self.per_scale:
                 self.per_scale = rec.scale
-                self.per_flow = packet_error_rate(
-                    self.budget.gamma * rec.scale, self.cfg.L, self.cfg.r).tolist()
+                self.per = float(packet_error_rate(
+                    self.budget.gamma * rec.scale, self.cfg.L, self.cfg.r))
         failures: dict[int, list[Packet]] = {}
         for pkt in frame.members:
-            if draws is None or next(draws) >= self.per_flow[pkt.flow]:
+            if draws is None or next(draws) >= self.per:
                 self.n_delivered += 1
                 if self.verify:
                     self.delivered_at[pkt.index] = t

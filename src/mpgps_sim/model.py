@@ -111,10 +111,6 @@ class Packet:
     deadline_at: float = math.inf   # symbols
     index: int = -1              # arrival order within a run
 
-    @property
-    def key(self) -> tuple[int, int]:
-        return (self.flow, self.seq)
-
 
 class FlowQueue:
     """FIFO queue for one flow. Selection only ever takes head-consecutive packets."""

@@ -164,19 +164,6 @@ def ampgps_schedule(queues: list[FlowQueue], m_max: int,
 
 
 @dataclass
-class LagStep:
-    """Classification of one opportunistic scheduling instant."""
-
-    g_lag: int
-    g_sync: int
-    g_lead: int
-    m_lag: int
-    m_sync: int
-    m_lead: int
-    drift: int                   # change of the aggregate lag at this instant
-
-
-@dataclass
 class LagLedger:
     """Tracks how far the opportunistic schedule trails its stamp-ordered shadow.
 
@@ -193,13 +180,10 @@ class LagLedger:
     violations: int = 0
     steps: int = 0
 
-    def update(self, window_ids: set, decision_ids: set, shadow_ids: set) -> LagStep:
-        g_lag = len(window_ids & self.lag)
+    def update(self, window_ids: set, decision_ids: set, shadow_ids: set) -> None:
         g_sync = len(window_ids & shadow_ids)
-        g_lead = len(window_ids) - g_lag - g_sync
         m_lag = len(decision_ids & self.lag)
         m_sync = len(decision_ids & shadow_ids)
-        m_lead = len(decision_ids) - m_lag - m_sync
         before = len(self.lag)
         new_lag = (self.lag - decision_ids) | (shadow_ids - decision_ids - self.lead)
         new_lead = (self.lead - shadow_ids) | (decision_ids - shadow_ids - self.lag)
@@ -213,4 +197,3 @@ class LagLedger:
         self.max_lag = max(self.max_lag, len(self.lag))
         if len(self.lag) > self.bound:
             self.violations += 1
-        return LagStep(g_lag, g_sync, g_lead, m_lag, m_sync, m_lead, drift)

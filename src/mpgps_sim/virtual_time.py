@@ -20,47 +20,6 @@ from .model import Packet
 
 
 @dataclass
-class VirtualClock:
-    """Piecewise-linear clock over the backlogged-weight sum.
-
-    Between events the clock grows at rate/weight_sum per symbol, so one unit
-    of virtual time corresponds to one bit of service per unit weight. While
-    no flow is backlogged the clock holds still.
-    """
-
-    rate: float                  # aggregate service rate, bits per symbol
-    V: float = 0.0
-    t_last: float = 0.0
-    weight_sum: float = 0.0
-
-    def advance(self, now: float) -> None:
-        """Move the clock forward to real time ``now`` (no event in between)."""
-        if now < self.t_last:
-            raise ValueError("clock cannot run backwards")
-        if self.weight_sum > 0.0:
-            self.V += self.rate * (now - self.t_last) / self.weight_sum
-        self.t_last = now
-
-    def next_event_time(self, f_min: float) -> float:
-        """Real time at which the clock reaches virtual time ``f_min``."""
-        if self.weight_sum <= 0.0:
-            raise ValueError("idle clock never reaches a finishing stamp")
-        return self.t_last + (f_min - self.V) * self.weight_sum / self.rate
-
-    def reset(self, t: float) -> None:
-        """Start a fresh busy period at real time ``t``."""
-        self.V = 0.0
-        self.t_last = t
-        self.weight_sum = 0.0
-
-
-def stamp(packet: Packet, clock: VirtualClock, prev_finish: float, weight: float) -> None:
-    """Assign virtual start/finish stamps to a newly arrived packet."""
-    packet.vstart = max(prev_finish, clock.V)
-    packet.vfinish = packet.vstart + packet.bits / weight
-
-
-@dataclass
 class GpsTrace:
     """Recorded behaviour of the fluid reference over one run.
 
@@ -103,12 +62,18 @@ class GpsReference:
     by arrival order, and the piecewise service rates. The whole reference
     restarts (stamps included) whenever its backlog drains, so stamps are
     only ever compared within one busy period.
+
+    The clock ``V`` is piecewise linear: between events it grows at
+    rate/weight_sum per symbol, so one unit of virtual time is one bit of
+    service per unit weight, and it holds still while nothing is backlogged.
     """
 
     def __init__(self, weights, rate: float, record: bool = False):
         self.weights = tuple(float(w) for w in weights)
         self.rate = float(rate)
-        self.clock = VirtualClock(rate=self.rate)
+        self.V = 0.0
+        self.t_last = 0.0
+        self.weight_sum = 0.0                       # weight of the backlogged flows
         self.prev_finish = [0.0] * len(self.weights)
         self.pending = [0] * len(self.weights)      # unfinished fluid packets per flow
         self._heap: list[tuple[float, int, int]] = []   # (vfinish, flow, index)
@@ -124,38 +89,55 @@ class GpsReference:
 
     # -- internal bookkeeping ------------------------------------------------
 
+    def _advance(self, now: float) -> None:
+        """Move the clock forward to real time ``now`` (no event in between)."""
+        if now < self.t_last:
+            raise ValueError("arrivals must come in time order")
+        if self.weight_sum > 0.0:
+            self.V += self.rate * (now - self.t_last) / self.weight_sum
+        self.t_last = now
+
+    def _restart(self, t: float) -> None:
+        """Start a fresh busy period at real time ``t``: stamps restart from zero."""
+        self.V = 0.0
+        self.t_last = t
+        self.prev_finish = [0.0] * len(self.weights)
+
     def _snapshot(self, t: float) -> None:
         if not self._record:
             return
         if self._seg_t and self._seg_t[-1] == t:
             # collapse zero-length segments in place
             self._seg_mask[-1] = self._mask
-            self._seg_phi[-1] = self.clock.weight_sum
+            self._seg_phi[-1] = self.weight_sum
             return
         self._seg_t.append(t)
         self._seg_mask.append(self._mask)
-        self._seg_phi.append(self.clock.weight_sum)
+        self._seg_phi.append(self.weight_sum)
 
     def _pop_departures_until(self, t: float) -> None:
         """Process every fluid departure not later than real time ``t``."""
         while self._heap:
             f_min = self._heap[0][0]
-            t_dep = max(self.clock.next_event_time(f_min), self.clock.t_last)
+            # a queued packet keeps its flow's weight in weight_sum, so the
+            # clock is running here and reaches f_min at t_dep
+            t_dep = max(self.t_last + (f_min - self.V) * self.weight_sum / self.rate,
+                        self.t_last)
             if t_dep > t:
                 break
-            self.clock.advance(t_dep)
+            self._advance(t_dep)
             # the clock provably reaches f_min here; clamp out roundoff
-            self.clock.V = max(self.clock.V, f_min)
-            while self._heap and self._heap[0][0] <= self.clock.V:
+            self.V = max(self.V, f_min)
+            while self._heap and self._heap[0][0] <= self.V:
                 _, flow, index = heapq.heappop(self._heap)
                 if self._record:
                     self.departures[index] = t_dep
                 self.pending[flow] -= 1
                 if self.pending[flow] == 0:
-                    self.clock.weight_sum -= self.weights[flow]
+                    self.weight_sum -= self.weights[flow]
                     self._mask &= ~(1 << flow)
             if self._mask == 0:
-                self.clock.weight_sum = 0.0
+                self.weight_sum = 0.0
                 self.idle_since = t_dep
             self._snapshot(t_dep)
 
@@ -166,16 +148,15 @@ class GpsReference:
         t = packet.arrival
         self._pop_departures_until(t)
         if self._mask == 0 and self.idle_since is not None and t > self.idle_since:
-            # a fresh busy period: stamps restart from zero
-            self.clock.reset(t)
-            self.prev_finish = [0.0] * len(self.weights)
+            self._restart(t)
         else:
-            self.clock.advance(t)
+            self._advance(t)
         flow = packet.flow
-        stamp(packet, self.clock, self.prev_finish[flow], self.weights[flow])
+        packet.vstart = max(self.prev_finish[flow], self.V)
+        packet.vfinish = packet.vstart + packet.bits / self.weights[flow]
         self.prev_finish[flow] = packet.vfinish
         if self.pending[flow] == 0:
-            self.clock.weight_sum += self.weights[flow]
+            self.weight_sum += self.weights[flow]
             self._mask |= 1 << flow
         self.pending[flow] += 1
         self.idle_since = None

@@ -312,7 +312,7 @@ class TestPowerInversion:
         got = m.frame_powers(block, budget)
         for b in range(len(block)):
             assert got[b].tolist() == m.frame_powers(block[b], budget).tolist()
-        plain = budget.gamma[:, None] * budget.noise_power / block
+        plain = budget.gamma * budget.noise_power / block
         untouched = [0, 1, 3, 4, 5]
         assert got[untouched].tolist() == plain[untouched].tolist()
         assert got[2, 1, 5] < plain[2, 1, 5]

@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 import mpgps_sim as m
 from mpgps_sim.channel import ChannelProcess, UserGeometry, draw_geometry
 
+# every user at the 1 m reference distance, unshadowed: a large-scale gain of 1
+UNIT_PATH_GAIN = dict(cell_radius_m=1.0, shadow_std_db=0.0)
+
 
 class TestErrorModel:
     @settings(max_examples=80, deadline=None)
@@ -50,8 +53,8 @@ class TestErrorModel:
     def test_link_budget_shape(self):
         cfg = m.SystemConfig(K=5)
         budget = m.link_budget(cfg)
-        assert budget.gamma.shape == (5,)
-        assert np.all(budget.gamma == m.snr_target(cfg.target_ber, cfg.r))
+        assert isinstance(budget.gamma, float)
+        assert budget.gamma == m.snr_target(cfg.target_ber, cfg.r)
         assert budget.noise_power == cfg.noise_power
 
 
@@ -76,35 +79,35 @@ class TestGeometry:
 class TestChannelProcess:
     def test_same_seed_same_gains(self):
         cfg = m.SystemConfig(K=3, N=16, L=64, seed=7)
-        a = ChannelProcess(cfg).state(4).gains
-        b = ChannelProcess(cfg).state(4).gains
+        a = ChannelProcess(cfg).state(4)
+        b = ChannelProcess(cfg).state(4)
         np.testing.assert_array_equal(a, b)
 
     def test_different_seed_differs(self):
-        g1 = ChannelProcess(m.SystemConfig(K=3, N=16, L=64, seed=7)).state(0).gains
-        g2 = ChannelProcess(m.SystemConfig(K=3, N=16, L=64, seed=8)).state(0).gains
+        g1 = ChannelProcess(m.SystemConfig(K=3, N=16, L=64, seed=7)).state(0)
+        g2 = ChannelProcess(m.SystemConfig(K=3, N=16, L=64, seed=8)).state(0)
         assert not np.array_equal(g1, g2)
 
     def test_independent_frames_regenerate_in_any_order(self):
         cfg = m.SystemConfig(K=2, N=8, L=64, seed=5)
         proc = ChannelProcess(cfg)
-        late = proc.state(9).gains.copy()
-        early = proc.state(2).gains.copy()
+        late = proc.state(9).copy()
+        early = proc.state(2).copy()
         fresh = ChannelProcess(cfg)
-        np.testing.assert_array_equal(fresh.state(2).gains, early)
-        np.testing.assert_array_equal(fresh.state(9).gains, late)
+        np.testing.assert_array_equal(fresh.state(2), early)
+        np.testing.assert_array_equal(fresh.state(9), late)
 
     def test_mean_square_gain_is_unit(self):
         # fix the large-scale part at 1 so only fading remains; subcarrier
         # gains within a frame are tap-correlated, so average many frames
-        cfg = m.SystemConfig(K=1, N=16, L=64, seed=2)
-        proc = ChannelProcess(cfg, geometry=[UserGeometry(1.0, 0.0)])
-        acc = [proc.state(f).gains for f in range(2000)]
+        proc = ChannelProcess(m.SystemConfig(K=1, N=16, L=64, seed=2, **UNIT_PATH_GAIN))
+        assert proc._large.tolist() == [1.0]
+        acc = [proc.state(f) for f in range(2000)]
         assert float(np.mean(acc)) == pytest.approx(1.0, abs=0.05)
 
     def test_gains_positive(self):
         cfg = m.SystemConfig(K=4, N=32, L=64, seed=1)
-        g = ChannelProcess(cfg).state(0).gains
+        g = ChannelProcess(cfg).state(0)
         assert np.all(g > 0)
         assert g.shape == (4, 32)
 
@@ -112,24 +115,23 @@ class TestChannelProcess:
         cfg = m.SystemConfig(K=2, N=8, L=64, seed=9, time_corr=0.6)
         seq = ChannelProcess(cfg)
         for f in range(4):
-            last = seq.state(f).gains.copy()
+            last = seq.state(f).copy()
         jump = ChannelProcess(cfg)
-        np.testing.assert_allclose(jump.state(3).gains, last, rtol=1e-12)
+        np.testing.assert_allclose(jump.state(3), last, rtol=1e-12)
 
     def test_correlated_rewind_replays_from_origin(self):
         cfg = m.SystemConfig(K=2, N=8, L=64, seed=9, time_corr=0.6)
         proc = ChannelProcess(cfg)
         proc.state(5)
-        rewound = proc.state(1).gains
-        fresh = ChannelProcess(cfg).state(1).gains
+        rewound = proc.state(1)
+        fresh = ChannelProcess(cfg).state(1)
         np.testing.assert_allclose(rewound, fresh, rtol=1e-12)
 
     def test_correlation_shrinks_frame_to_frame_change(self):
         base = dict(K=1, N=16, L=64, seed=4)
         def step_var(rho):
-            proc = ChannelProcess(m.SystemConfig(time_corr=rho, **base),
-                                  geometry=[UserGeometry(1.0, 0.0)])
-            states = np.array([proc.state(f).gains[0] for f in range(200)])
+            proc = ChannelProcess(m.SystemConfig(time_corr=rho, **base, **UNIT_PATH_GAIN))
+            states = np.array([proc.state(f)[0] for f in range(200)])
             return float(np.mean(np.diff(states, axis=0) ** 2))
         assert step_var(0.95) < step_var(0.0) / 2
 
@@ -163,6 +165,6 @@ class TestBlockTransform:
         want = per_frame_reference(cfg, range(30))
         proc = ChannelProcess(cfg)
         np.testing.assert_array_equal(proc.block(10, 16), want[10:26])
-        np.testing.assert_array_equal(proc.state(17).gains, want[17])   # mid-block
+        np.testing.assert_array_equal(proc.state(17), want[17])   # mid-block
         np.testing.assert_array_equal(proc.block(2, 5), want[2:7])      # rewind
         np.testing.assert_array_equal(proc.block(21, 9), want[21:30])

@@ -153,6 +153,3 @@ class TestFlowQueue:
         got = q.pop_front()
         q.requeue_front(got)
         assert q.fifo[0] is a
-
-    def test_packet_key(self):
-        assert m.Packet(flow=3, seq=7, arrival=0.0, bits=64).key == (3, 7)

@@ -43,13 +43,12 @@ class Recording(m.Engine):
         super().__init__(*args, **kwargs)
         self.admitted = []
         self.busy_period = 0
-        clock = self.gps.clock
-        reset = clock.reset
+        restart = self.gps._restart
 
-        def counted_reset(t):
+        def counted_restart(t):
             self.busy_period += 1
-            reset(t)
-        clock.reset = counted_reset
+            restart(t)
+        self.gps._restart = counted_restart
 
     def _admit(self, t, flow):
         pkt = super()._admit(t, flow)

@@ -188,11 +188,9 @@ class TestAdaptiveGrowth:
 class TestLagLedger:
     def test_hand_walk(self):
         led = m.LagLedger(bound=1)
-        s1 = led.update({"a", "b"}, {"b"}, {"a"})
-        assert (s1.g_sync, s1.m_sync, s1.m_lag, s1.drift) == (1, 0, 0, 1)
+        led.update({"a", "b"}, {"b"}, {"a"})          # shadow sends a, real sends b
         assert led.lag == {"a"} and led.lead == {"b"}
-        s2 = led.update({"a", "c"}, {"a"}, {"c"})
-        assert (s2.g_sync, s2.m_sync, s2.m_lag, s2.drift) == (1, 0, 1, 0)
+        led.update({"a", "c"}, {"a"}, {"c"})          # real catches up on a, owes c
         assert led.lag == {"c"} and led.lead == {"b"}
         assert led.max_lag == 1
         assert led.violations == 0
@@ -218,6 +216,6 @@ class TestLagLedger:
     def test_lockstep_never_drifts(self):
         led = m.LagLedger(bound=4)
         for i in range(5):
-            step = led.update({i, i + 100}, {i}, {i})
-            assert step.drift == 0
+            led.update({i, i + 100}, {i}, {i})
+            assert led.lag == set() and led.lead == set()
         assert led.max_lag == 0

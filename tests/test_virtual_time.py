@@ -59,13 +59,10 @@ def test_busy_period_reset_restarts_stamps():
     assert (pkts[1].vstart, pkts[1].vfinish) == (0.0, 8.0)
 
 
-def test_clock_guards():
-    clock = m.VirtualClock(rate=2.0)
-    clock.advance(5.0)
-    with pytest.raises(ValueError):
-        clock.advance(4.0)
-    with pytest.raises(ValueError):
-        clock.next_event_time(1.0)      # nothing backlogged
+def test_arrivals_out_of_time_order_are_refused():
+    pkts = [pkt(0, 0, 5.0, 8), pkt(1, 0, 4.0, 8)]
+    with pytest.raises(ValueError, match="time order"):
+        m.gps_simulate(pkts, (1.0, 1.0), 2.0)
 
 
 def test_weighted_share():
@@ -91,7 +88,7 @@ def _euler_departures(pkts, weights, rate, dt):
             t = order[i].arrival
         while i < n and order[i].arrival <= t + 1e-12:
             p = order[i]
-            queues[p.flow].append([p.key, float(p.bits)])
+            queues[p.flow].append([(p.flow, p.seq), float(p.bits)])
             i += 1
         next_arr = order[i].arrival if i < n else math.inf
         step = min(dt, max(next_arr - t, 1e-12))
@@ -126,7 +123,7 @@ def test_matches_euler_integration(seed):
         seq[flow] += 1
     oracle = _euler_departures(pkts, weights, rate, dt=0.001)
     trace = m.gps_simulate(pkts, weights, rate)
-    departures = dict(zip((p.key for p in pkts), trace.departures))
+    departures = dict(zip(((p.flow, p.seq) for p in pkts), trace.departures))
     assert set(departures) == set(oracle)
     for key, d in departures.items():
         assert abs(d - oracle[key]) < 0.2, key
