@@ -26,16 +26,16 @@ from .virtual_time import GpsReference, GpsTrace, gps_simulate
 __version__ = "0.1.0"
 
 __all__ = [
-    "AMPGPS", "AllocationResult", "BoundCheck", "BoundReport",
-    "BoundViolation", "ChannelProcess", "DomainError", "Engine", "FlowQueue",
-    "FrameRecord", "GpsReference", "GpsTrace", "InstanceTooLarge", "LagLedger",
-    "LinkBudget", "MODES", "MPGPS", "Metrics", "NonIntegralFrame",
-    "NonIntegralQuota", "OMPGPS", "PGPS", "Packet", "RunResult",
-    "ScheduleDecision", "SystemConfig", "TrafficModel", "TransportInstance",
-    "UnbalancedInstance", "UserGeometry", "ZeroGain", "allocate_frame",
-    "ampgps_schedule", "ber", "brute_force_ilp", "composition_value",
-    "compositions", "fairness_metric", "frame_length", "frame_powers",
-    "gps_simulate", "group_size", "link_budget", "ompgps_schedule",
-    "packet_error_rate", "run", "select_mpgps", "service_curves", "snr_target",
-    "solve_transport", "subcarrier_quota", "verify_bounds",
+    "AMPGPS", "AllocationResult", "BoundCheck", "BoundReport", "BoundViolation",
+    "ChannelProcess", "DomainError", "Engine", "FlowQueue", "FrameRecord",
+    "GpsReference", "GpsTrace", "InstanceTooLarge", "LagLedger", "LinkBudget",
+    "MODES", "MPGPS", "Metrics", "NonIntegralFrame", "NonIntegralQuota",
+    "OMPGPS", "PGPS", "Packet", "RunResult", "ScheduleDecision", "SystemConfig",
+    "TrafficModel", "TransportInstance", "UnbalancedInstance", "UserGeometry",
+    "ZeroGain", "allocate_frame", "ampgps_schedule", "ber",
+    "brute_force_ilp", "composition_value", "compositions", "fairness_metric",
+    "frame_length", "frame_powers", "gps_simulate", "group_size", "link_budget",
+    "ompgps_schedule", "packet_error_rate", "run", "select_mpgps",
+    "service_curves", "snr_target", "solve_transport",
+    "subcarrier_quota", "verify_bounds",
 ]

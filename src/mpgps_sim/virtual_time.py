@@ -98,7 +98,7 @@ class GpsReference:
         self.t_last = now
 
     def _restart(self, t: float) -> None:
-        """Start a fresh busy period at real time ``t``: stamps restart from zero."""
+        """Start a busy period at ``t``, stamps from zero; weight_sum is already 0."""
         self.V = 0.0
         self.t_last = t
         self.prev_finish = [0.0] * len(self.weights)
