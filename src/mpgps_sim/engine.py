@@ -42,6 +42,12 @@ BOUND_EPS = 1e-6
 # equally fast on the power benchmark, and 32 cost more memory for no gain.
 CHANNEL_BLOCK = 16
 
+# Largest expected arrival count of a Poisson run. The run pre-draws every
+# arrival time: 16 B per arrival (time and flow) before the sort's
+# temporaries, so the cap holds that trace near 1.6 GB. A CLI run at the
+# README working point with the default horizon draws ~1.2e5 arrivals.
+MAX_EXPECTED_ARRIVALS = 10 ** 8
+
 
 @dataclass
 class TrafficModel:
@@ -167,6 +173,13 @@ class Engine:
             raise ValueError("horizon_symbols must be positive and finite")
         if not 0 <= warmup_frac < 1:
             raise ValueError("warmup_frac must lie in [0, 1)")
+        if not fairness_window_s > 0:
+            raise ValueError("fairness_window_s must be positive")
+        self.rates_bps = self.traffic.rates(cfg.K)
+        expected = 0 if saturated else self.rates_bps.sum() * cfg.T_sym / cfg.L * horizon_symbols
+        if expected > MAX_EXPECTED_ARRIVALS:
+            raise ValueError(f"the run expects {expected:.3g} arrivals, over the cap of "
+                             f"{MAX_EXPECTED_ARRIVALS:.0e}; lower the rate or the horizon")
         if max_frames is not None and not (
                 isinstance(max_frames, numbers.Integral) and max_frames > 0):
             raise ValueError("max_frames must be a positive integer")
@@ -277,10 +290,10 @@ class Engine:
     def _generate_arrivals(self) -> tuple[np.ndarray, np.ndarray]:
         if self.traffic.infinite_backlog:
             return np.empty(0), np.empty(0, dtype=np.int64)      # _refill supplies them
-        rates = self.traffic.rates(self.cfg.K) * self.cfg.T_sym / self.cfg.L
+        rates = self.rates_bps * self.cfg.T_sym / self.cfg.L
         if self.traffic.bucket is not None:
             rho_bps = self.traffic.bucket[1]
-            if np.any(rho_bps < self.traffic.rates(self.cfg.K)):
+            if np.any(rho_bps < self.rates_bps):
                 log.warning("bucket rate below mean offered rate; shaping is unstable")
         per_flow = [self._shape(self._poisson_times(k, rates[k])) for k in range(self.cfg.K)]
         times = np.concatenate(per_flow)

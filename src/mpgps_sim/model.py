@@ -56,8 +56,8 @@ class SystemConfig:
             raise ValueError("K, N, L, r must be positive")
         if self.L % self.r:
             raise ValueError("packet size must be a whole number of subcarrier-symbols (L mod r = 0)")
-        if self.T_sym <= 0:
-            raise ValueError("T_sym must be positive")
+        if not 0 < self.T_sym < math.inf:
+            raise ValueError("T_sym must be positive and finite")
         if self.M < 1 or self.M_max < 1:
             raise ValueError("M and M_max must be at least 1")
         if self.U is None:
@@ -76,14 +76,21 @@ class SystemConfig:
             raise ValueError("target_ber must lie in (0, 1)")
         if self.B is None:
             self.B = 1.0 / self.T_sym
-        if self.deadline <= 0:
+        for name in ("N0", "B", "cell_radius_m", "ref_distance_m", "tap_decay"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not 0 <= self.shadow_std_db < math.inf:
+            raise ValueError("shadow_std_db must be finite and nonnegative")
+        if not math.isfinite(self.pathloss_exp):
+            raise ValueError("pathloss_exp must be finite")
+        if not self.deadline > 0:
             raise ValueError("deadline must be positive (use math.inf to disable)")
         if self.taps < 1:
             raise ValueError("need at least one channel tap")
         if not 0.0 <= self.time_corr < 1.0:
             raise ValueError("time_corr must lie in [0, 1)")
-        if self.power_budget is not None and self.power_budget <= 0:
-            raise ValueError("power_budget must be positive when set")
+        if self.power_budget is not None and not 0 < self.power_budget < math.inf:
+            raise ValueError("power_budget must be positive and finite when set")
 
     @property
     def bits_per_symbol(self) -> int:

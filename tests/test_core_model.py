@@ -126,9 +126,33 @@ class TestSystemConfig:
         with pytest.raises(ValueError):
             m.SystemConfig(**kw)
 
+    @pytest.mark.parametrize("field, value", [
+        ("T_sym", math.inf),            # the Poisson draw never reaches the horizon
+        ("T_sym", math.nan),
+        ("N0", 0.0), ("N0", -1e-21), ("N0", math.nan), ("N0", math.inf),
+        ("B", 0.0), ("B", -1.0), ("B", math.nan), ("B", math.inf),
+        ("cell_radius_m", -5.0), ("cell_radius_m", 0.0), ("cell_radius_m", math.inf),
+        ("ref_distance_m", 0.0), ("ref_distance_m", math.nan),
+        ("tap_decay", 0.0), ("tap_decay", math.nan), ("tap_decay", math.inf),
+        ("shadow_std_db", -1.0), ("shadow_std_db", math.nan), ("shadow_std_db", math.inf),
+        ("pathloss_exp", math.nan), ("pathloss_exp", math.inf),
+        ("deadline", math.nan),         # would never drop a packet
+        ("power_budget", math.nan), ("power_budget", math.inf),
+    ])
+    def test_rejects_bad_physical_values(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            m.SystemConfig(**{field: value})
+
     def test_infinite_deadline_allowed(self):
         cfg = m.SystemConfig(deadline=math.inf)
         assert math.isinf(cfg.deadline_symbols)
+
+
+def test_every_exported_name_resolves():
+    namespace = {}
+    exec("from mpgps_sim import *", namespace)
+    assert len(set(m.__all__)) == len(m.__all__)
+    assert set(m.__all__) <= namespace.keys()
 
 
 class TestFlowQueue:

@@ -384,11 +384,26 @@ class TestFailsAtConstruction:
         ({"infinite_backlog": True}, {"max_frames": 0}),        # empty run
         ({"infinite_backlog": True}, {"max_frames": -3}),
         ({"infinite_backlog": True}, {"max_frames": 2.5}),
+        ({"rate_bps": 6000.0}, {"fairness_window_s": 0.0}),  # fails after the run
+        ({"rate_bps": 6000.0}, {"fairness_window_s": -0.1}),
+        ({"rate_bps": 6000.0}, {"fairness_window_s": math.nan}),
+        ({"rate_bps": (6000.0, 6000.0)}, {}),                   # K=3 flows
+        ({"rate_bps": 1e12}, {"horizon_symbols": 1e6}),         # ~9e12 arrivals
     ])
     def test_rejected_by_the_constructor(self, traffic, kw):
         with pytest.raises(ValueError):
             m.Engine(compact(), m.TrafficModel(**traffic), "mpgps",
                      **{"horizon_symbols": 1000.0, **kw})
+
+    def test_expected_arrivals_are_capped(self):
+        cfg = compact()
+        per_flow_bps = m.engine.MAX_EXPECTED_ARRIVALS / 1e6 * cfg.L / cfg.T_sym / cfg.K
+        m.Engine(cfg, m.TrafficModel(rate_bps=0.99 * per_flow_bps), "mpgps", 1e6)
+        with pytest.raises(ValueError, match="arrivals"):
+            m.Engine(cfg, m.TrafficModel(rate_bps=1.01 * per_flow_bps), "mpgps", 1e6)
+        # saturated runs draw no arrival trace
+        m.Engine(cfg, m.TrafficModel(rate_bps=1e12, infinite_backlog=True), "mpgps",
+                 1e6, max_frames=5)
 
 
 class TestPerPacketRecords:
