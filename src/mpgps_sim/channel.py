@@ -76,6 +76,104 @@ def link_budget(cfg: SystemConfig) -> LinkBudget:
     return LinkBudget(gamma=snr_target(cfg.target_ber, cfg.r), noise_power=cfg.noise_power)
 
 
+# Frames whose stream keys FrameStreams hashes in one numpy pass. numpy's
+# per-call overhead sets the cost of short chunks: the hash takes ~12-21 us
+# a frame at 16 frames and ~1.4 us at 256. So the chunk is not tied to the
+# engine's CHANNEL_BLOCK; a Poisson run hashes at most its unused tail.
+STREAM_CHUNK = 256
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and the PCG64
+# multiplier (numpy/random/src/pcg64/pcg64.h)
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _uint32_words(n: int) -> list[int]:
+    """A non-negative integer as SeedSequence reads it: 32-bit words, low first."""
+    return [(n >> s) & _MASK32 for s in range(0, max(n.bit_length(), 1), 32)]
+
+
+def _seed_sequence_states(prefix: list[int], frames: np.ndarray) -> np.ndarray:
+    """``SeedSequence(prefix + [f]).generate_state(4, np.uint64)`` for every
+    frame f of a uint32 column, shape (len(frames), 4).
+
+    The same uint32 arithmetic as numpy's loop, run over the frame column;
+    the words of ``prefix`` are shape-(1,) arrays that broadcast against it.
+    The hash constants depend on no data, so they stay Python ints.
+    """
+    entropy = [np.array([w], dtype=np.uint32) for w in prefix] + [frames]
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = x * _MIX_L - y * _MIX_R
+        return result ^ (result >> 16)
+
+    zero = np.zeros(1, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, len(entropy)):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(entropy[src]))
+    out = []
+    hash_const = _INIT_B
+    for i in range(8):          # 4 uint64 words, as uint32 pairs
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        out.append(value ^ (value >> 16))
+    return np.stack(out, axis=1).view(np.uint64)
+
+
+class FrameStreams:
+    """One random stream per frame, keyed (seed, tag, frame).
+
+    ``at(frame)`` draws exactly what ``np.random.default_rng([seed, tag,
+    frame])`` draws, bit for bit, without hashing the key on each call: keys
+    are hashed STREAM_CHUNK frames at a time, and each frame's PCG64 state
+    is loaded into one reused Generator. That Generator is valid until the
+    next ``at``. Frames past the one-word range fall back to ``default_rng``.
+    """
+
+    def __init__(self, seed: int, tag: int):
+        self.seed, self.tag = int(seed), int(tag)
+        self._prefix = _uint32_words(self.seed) + _uint32_words(self.tag)
+        self._lo = 0
+        self._keys: list[list[int]] = []
+        self._gen = np.random.Generator(np.random.PCG64(0))
+
+    def at(self, frame: int) -> np.random.Generator:
+        if not 0 <= frame <= _MASK32:
+            return np.random.default_rng([self.seed, self.tag, frame])
+        i = frame - self._lo
+        if not 0 <= i < len(self._keys):
+            frames = np.arange(frame, min(frame + STREAM_CHUNK, _MASK32 + 1), dtype=np.uint32)
+            self._keys = _seed_sequence_states(self._prefix, frames).tolist()
+            self._lo, i = frame, 0
+        w0, w1, w2, w3 = self._keys[i]
+        # pcg64_set_seed: inc = seq << 1 | 1, two LCG steps around adding the seed
+        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+        state = (((w0 << 64 | w1) + inc) * _PCG_MULT + inc) & _MASK128
+        self._gen.bit_generator.state = {
+            "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+        return self._gen
+
+
 class ChannelProcess:
     """Deterministic per-frame channel generator.
 
@@ -92,11 +190,12 @@ class ChannelProcess:
         self._tap_std = np.sqrt(profile / profile.sum() / 2.0)   # per real component
         geometry = draw_geometry(cfg, np.random.default_rng([cfg.seed, 11]))
         self._large = np.array([g.path_gain(cfg) for g in geometry])
+        self._streams = FrameStreams(cfg.seed, 37)
         self._last_frame: int | None = None
         self._last_taps: np.ndarray | None = None
 
     def _draw_taps(self, frame: int) -> np.ndarray:
-        rng = np.random.default_rng([self.cfg.seed, 37, frame])
+        rng = self._streams.at(frame)
         shape = (self.cfg.K, self.cfg.taps)
         return (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * self._tap_std
 

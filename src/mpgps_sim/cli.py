@@ -446,10 +446,15 @@ def _traffic_model(traffic: dict) -> TrafficModel:
     return TrafficModel(**tr)
 
 
+def _build_engine(task: dict) -> Engine:
+    cfg = SystemConfig(**task["system"])
+    return Engine(cfg, _traffic_model(task["traffic"]), task["mode"], **task["engine"])
+
+
 def _run_task(task: dict) -> dict:
     """Worker body: one engine, one run. Must stay importable for pickling."""
-    cfg = SystemConfig(**task["system"])
-    eng = Engine(cfg, _traffic_model(task["traffic"]), task["mode"], **task["engine"])
+    eng = _build_engine(task)
+    cfg = eng.cfg
     # labelled before the run, so a hard_assert row carries the same label
     ident = {**task["label"], "M": cfg.M, "M_max": cfg.M_max, "U": cfg.U,
              "seed": cfg.seed, "replication": task["rep"]}
@@ -624,6 +629,14 @@ def _budget_watts(point: Point) -> float | None:
 
 def execute(scenario: Scenario, check_bounds: bool = False) -> int:
     points = grid_points(scenario)
+    # the Engine's own checks (rates, horizon, batch sizes) refuse a
+    # schema-valid task before any run starts
+    for p in points:
+        for rep in range(scenario.replications):
+            try:
+                _build_engine(_make_task(scenario, p, rep, verify=check_bounds))
+            except ValueError as exc:
+                raise ConfigError(f"point {p.index} {p.mode} {p.overrides}: {exc}") from exc
     if not check_bounds:        # verification never allocates power
         _calibrate_budgets(scenario, points)
     tasks = [_make_task(scenario, p, rep, verify=check_bounds,

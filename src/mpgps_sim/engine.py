@@ -24,7 +24,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import allocation, metrics as metrics_mod, scheduling
-from .channel import ChannelProcess, LinkBudget, link_budget, packet_error_rate
+from .channel import (ChannelProcess, FrameStreams, LinkBudget, link_budget,
+                      packet_error_rate)
 from .model import FlowQueue, Packet, SystemConfig, frame_length
 from .scheduling import (AMPGPS, MPGPS, OMPGPS, PGPS, BoundViolation,
                          LagLedger, ScheduleDecision, select_mpgps)
@@ -215,6 +216,7 @@ class Engine:
         self.gps = GpsReference(cfg.weights, cfg.bits_per_symbol, record=verify)
         self.budget: LinkBudget = link_budget(cfg)
         self.channel = ChannelProcess(cfg) if self.need_channel else None
+        self.error_streams = None if self.error_free else FrameStreams(cfg.seed, 53)
         # power matrices of frames block_lo, block_lo + 1, ...
         self.block_lo = 0
         self.block_powers = np.empty((0, cfg.K, cfg.N))
@@ -418,10 +420,10 @@ class Engine:
         rec = frame.record
         self.frames.append(rec)
         draws = None
-        if not self.error_free:
+        if self.error_streams is not None:
             # one uniform per member, in frame order, against the packet error
             # rate, which is recomputed only when the power scale changes
-            rng = np.random.default_rng([self.cfg.seed, 53, rec.index])
+            rng = self.error_streams.at(rec.index)
             draws = iter(rng.random(len(frame.members)).tolist())
             if rec.scale != self.per_scale:
                 self.per_scale = rec.scale

@@ -7,6 +7,7 @@ drift. Seconds appear only at the interfaces (configs, metrics, logs).
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass
 
@@ -91,6 +92,9 @@ class SystemConfig:
             raise ValueError("time_corr must lie in [0, 1)")
         if self.power_budget is not None and not 0 < self.power_budget < math.inf:
             raise ValueError("power_budget must be positive and finite when set")
+        # numpy seeds every random stream from it, and takes no other kind
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValueError("seed must be a non-negative integer")
 
     @property
     def bits_per_symbol(self) -> int:

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mpgps_sim as m
-from mpgps_sim.channel import ChannelProcess, UserGeometry, draw_geometry
+from mpgps_sim.channel import (STREAM_CHUNK, ChannelProcess, FrameStreams,
+                               UserGeometry, draw_geometry)
 
 # every user at the 1 m reference distance, unshadowed: a large-scale gain of 1
 UNIT_PATH_GAIN = dict(cell_radius_m=1.0, shadow_std_db=0.0)
@@ -137,12 +138,30 @@ class TestChannelProcess:
 
 
 def per_frame_reference(cfg, frames):
-    """Gains frame by frame: one FFT of each frame's own (K, taps) draw."""
-    ref = ChannelProcess(cfg)
+    """Gains of increasing frames, one at a time: each frame's (K, taps) draw
+    comes from its own ``default_rng([seed, 37, frame])``, AR(1) taps walk
+    the recurrence from frame 0, and each frame gets its own FFT."""
+    profile = np.exp(-np.arange(cfg.taps) / cfg.tap_decay)
+    tap_std = np.sqrt(profile / profile.sum() / 2.0)
+    large = ChannelProcess(cfg)._large
+
+    def draw(f):
+        rng = np.random.default_rng([cfg.seed, 37, f])
+        shape = (cfg.K, cfg.taps)
+        return (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * tap_std
+
+    rho = cfg.time_corr
+    walked, taps = 0, draw(0)
     out = []
     for f in frames:
-        h = np.fft.fft(ref._taps_for(f), n=cfg.N, axis=1)
-        out.append((h.real ** 2 + h.imag ** 2) * ref._large[:, None])
+        if rho == 0.0:
+            taps = draw(f)
+        else:
+            while walked < f:
+                walked += 1
+                taps = rho * taps + math.sqrt(1.0 - rho * rho) * draw(walked)
+        h = np.fft.fft(taps, n=cfg.N, axis=1)
+        out.append((h.real ** 2 + h.imag ** 2) * large[:, None])
     return np.array(out)
 
 
@@ -168,3 +187,29 @@ class TestBlockTransform:
         np.testing.assert_array_equal(proc.state(17), want[17])   # mid-block
         np.testing.assert_array_equal(proc.block(2, 5), want[2:7])      # rewind
         np.testing.assert_array_equal(proc.block(21, 9), want[21:30])
+
+
+class TestFrameStreams:
+    """Each frame's stream must equal numpy's own seeding of the same key."""
+
+    SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 40 + 7,
+             int(np.random.default_rng(2024).integers(2 ** 64, dtype=np.uint64))]
+
+    @staticmethod
+    def assert_same(stream, key):
+        ref = np.random.default_rng(key)
+        assert stream.bit_generator.state == ref.bit_generator.state, key
+        assert stream.normal() == ref.normal(), key
+        assert stream.random() == ref.random(), key
+
+    @pytest.mark.parametrize("tag", [37, 53])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_equals_default_rng_key_by_key(self, seed, tag):
+        rng = np.random.default_rng([seed, tag])
+        frames = (list(range(STREAM_CHUNK + 3))                 # across the first boundary
+                  + [2 * STREAM_CHUNK - 1, 2 * STREAM_CHUNK, 5]   # the next one, a rewind
+                  + rng.integers(0, 2 ** 32, 160).tolist()
+                  + [2 ** 32 - 2, 2 ** 32 - 1, 2 ** 32, 2 ** 40 + 3, 0])
+        streams = FrameStreams(seed, tag)
+        for f in frames:
+            self.assert_same(streams.at(f), [seed, tag, f])

@@ -287,11 +287,12 @@ class TestRunCommand:
         traffic = engine_mod.TrafficModel(rate_bps=(3000.0, 5000.0),
                                           bucket=(2048.0, 6000.0),
                                           infinite_backlog=True)
+        # two tasks, each built once by the up-front check and once to run
         assert [(args[1:], kwargs) for args, kwargs in calls] == [(
             (traffic, "ampgps"),
             {"horizon_symbols": 4000.0, "warmup_frac": 0.1, "error_free": True,
              "max_frames": 30, "collect_events": True, "collect_fairness": True,
-             "fairness_window_s": 0.05, "verify": False})] * 2
+             "fairness_window_s": 0.05, "verify": False})] * 4
         assert {"events_p0_r0.csv", "events_p0_r1.csv", "plots.gp"} <= set(
             os.listdir(out))
 
@@ -314,6 +315,15 @@ class TestRunCommand:
         path = write_cfg(tmp_path, **sections)
         assert cli.main(["run", path]) == 1
         assert "config error" in capsys.readouterr().err
+
+    def test_engine_construction_error_is_a_config_error(self, tmp_path, capsys):
+        # schema-valid, but the Poisson run would expect ~1e12 arrivals
+        path = write_cfg(tmp_path, system={"K": 2, "N": 8, "L": 64},
+                         traffic={"rate_bps": 1e12}, run={"horizon_symbols": 1000000})
+        out = tmp_path / "x"
+        assert cli.main(["run", path, "--out", str(out)]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()             # refused before any run
 
     def test_engine_crash_exit_code(self, tmp_path, monkeypatch):
         class Boom:

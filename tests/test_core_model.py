@@ -143,6 +143,12 @@ class TestSystemConfig:
         with pytest.raises(ValueError, match=field):
             m.SystemConfig(**{field: value})
 
+    @pytest.mark.parametrize("seed", [-1, 2.5])
+    def test_rejects_bad_seed(self, seed):
+        # both used to build, then fail inside numpy when the run drew
+        with pytest.raises(ValueError, match="seed"):
+            m.SystemConfig(seed=seed)
+
     def test_infinite_deadline_allowed(self):
         cfg = m.SystemConfig(deadline=math.inf)
         assert math.isinf(cfg.deadline_symbols)
