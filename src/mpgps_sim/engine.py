@@ -36,11 +36,12 @@ log = logging.getLogger(__name__)
 # slack for float comparisons against analytic bounds, in symbols or bits
 BOUND_EPS = 1e-6
 
-# Frames whose channel and power matrix are built in one pass. Seeding and
-# drawing stay per frame; the FFT, the |H|^2 scaling and the inversion run
-# once per block. A Poisson run draws at most the block's unused tail in
-# vain; a capped run draws no frame past its cap. Blocks of 8 and 16 ran
-# equally fast on the power benchmark, and 32 cost more memory for no gain.
+# Frames whose channel and power matrix are built in one pass. Drawing stays
+# per frame (channel.STREAM_CHUNK sets how many frames' seeds are hashed at
+# once); the FFT, the |H|^2 scaling and the inversion run once per block. A
+# Poisson run draws at most the block's unused tail in vain; a capped run
+# draws no frame past its cap. Blocks of 8 and 16 ran equally fast on the
+# power benchmark, and 32 cost more memory for no gain.
 CHANNEL_BLOCK = 16
 
 # Largest expected arrival count of a Poisson run. The run pre-draws every

@@ -317,7 +317,7 @@ class TestRunCommand:
         assert "config error" in capsys.readouterr().err
 
     def test_engine_construction_error_is_a_config_error(self, tmp_path, capsys):
-        # schema-valid, but the Poisson run would expect ~1e12 arrivals
+        # schema-valid, but the Poisson run would expect ~6e12 arrivals
         path = write_cfg(tmp_path, system={"K": 2, "N": 8, "L": 64},
                          traffic={"rate_bps": 1e12}, run={"horizon_symbols": 1000000})
         out = tmp_path / "x"
