@@ -15,11 +15,19 @@ independent check of exactness.
 The frame repeats one group of ``group`` symbols airtime/group times, so all
 arithmetic happens on the compressed K x N group matrix: column n stands for
 ``group`` identical slots on subcarrier n.
+
+``solve_frames`` plans a stack of frames in one pass: every frame with one or
+two active rows goes through one stacked closed-form split, and each frame
+with three or more through ``solve_transport``. The engine solves the plans of
+an unbudgeted run once per channel block, since nothing reads them before the
+run ends, and a budgeted run's plan at frame start, where its mean power sets
+the power scale; ``allocate_frame`` is the one-frame form.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,7 +105,7 @@ def _split_rows(first: np.ndarray, last: np.ndarray, quota: np.ndarray,
     runs out; the last row takes the rest of each column. A single active row
     is passed as both rows: its difference is zero and it takes every column.
     """
-    rank = np.argsort(np.argsort(first - last, axis=1, kind="stable"), axis=1)
+    rank = (first - last).argsort(axis=1, kind="stable").argsort(axis=1)
     return np.minimum(np.maximum(quota - demand * rank, 0), demand)
 
 
@@ -270,27 +278,31 @@ def brute_force_ilp(instance: TransportInstance) -> tuple[np.ndarray, float]:
     return best, float(best_val)
 
 
-def _ranking_counts(powers: np.ndarray, gs: np.ndarray, n_subcarriers: int) -> np.ndarray:
-    """Optimal (C, K, N) slot counts of the scaled instances of a composition stack.
+def _split_counts(costs: np.ndarray, quotas: np.ndarray,
+                  demand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal (C, K, N) slot counts of stacked instances with at most two active rows.
 
-    All compositions are first split between their first and last active
-    rows in one ``_split_rows`` call; the exchange solver then overwrites the
-    compositions with three or more active rows, one at a time.
+    ``costs`` is one (K, N) matrix shared by every instance or a (C, K, N)
+    stack, ``quotas`` the (C, K) row supplies and ``demand`` the (C,) column
+    demands. Every instance is split between its first and last active rows
+    in one ``_split_rows`` call. Also returns the indices of the instances
+    with three or more active rows, whose counts the caller must overwrite.
     """
-    c, k = gs.shape
-    counts = np.zeros((c, k, powers.shape[1]), dtype=np.int64)
+    c, k = quotas.shape
+    counts = np.zeros((c, k, costs.shape[-1]), dtype=np.int64)
     each = np.arange(c)
-    active = gs > 0
-    first = np.argmax(active, axis=1)
-    last = k - 1 - np.argmax(active[:, ::-1], axis=1)
-    m = gs.sum(axis=1)[:, None]
-    top = _split_rows(powers[first], powers[last],
-                      gs[each, first][:, None] * n_subcarriers, m)
-    counts[each, last] = m - top             # overwritten when last == first
+    active = quotas > 0
+    # array methods, not the np.* wrappers: on a stack of one frame the
+    # wrappers' dispatch costs as much as the arithmetic
+    first = active.argmax(axis=1)
+    last = k - 1 - active[:, ::-1].argmax(axis=1)
+    # a shared matrix is indexed by row alone: broadcasting it costs more
+    at_first, at_last = (first, last) if costs.ndim == 2 else ((each, first), (each, last))
+    top = _split_rows(costs[at_first], costs[at_last], quotas[each, first][:, None],
+                      demand[:, None])
+    counts[each, last] = demand[:, None] - top   # overwritten when last == first
     counts[each, first] = top
-    for i in np.flatnonzero(active.sum(axis=1) > 2):
-        counts[i] = _min_cost_counts(powers, gs[i] * n_subcarriers, int(m[i, 0]))
-    return counts
+    return counts, (active.sum(axis=1) > 2).nonzero()[0]
 
 
 def composition_value(powers: np.ndarray, gs, n_subcarriers: int, r: int) -> np.ndarray:
@@ -308,7 +320,11 @@ def composition_value(powers: np.ndarray, gs, n_subcarriers: int, r: int) -> np.
         raise ValueError("empty composition")
     slot_power = np.empty(len(gs))
     for lo in range(0, len(gs), RANK_BLOCK):
-        counts = _ranking_counts(powers, gs[lo:lo + RANK_BLOCK], n_subcarriers)
+        block = gs[lo:lo + RANK_BLOCK]
+        m = m_sel[lo:lo + RANK_BLOCK]
+        counts, multi_row = _split_counts(powers, block * n_subcarriers, m)
+        for i in multi_row:
+            counts[i] = _min_cost_counts(powers, block[i] * n_subcarriers, int(m[i]))
         slot_power[lo:lo + RANK_BLOCK] = (powers * counts).sum(axis=(1, 2))
     return slot_power / (n_subcarriers * r * m_sel)
 
@@ -356,24 +372,59 @@ def frame_powers(gains: np.ndarray, budget: LinkBudget) -> np.ndarray:
     return required_power(gains, budget.gamma, budget.noise_power)
 
 
-def allocate_frame(g, powers: np.ndarray, cfg: SystemConfig) -> AllocationResult:
-    """Solve one frame end to end: quotas, group assignment, energy.
+class FrameLayout(NamedTuple):
+    """Frame arithmetic of one composition; it depends only on g and the config."""
 
-    ``powers`` is the frame's (K, N) power matrix from ``frame_powers``, the
-    same one the batch selection ranked compositions with.
-    """
+    m_sel: int
+    airtime: int                 # symbols
+    group: int                   # symbols per group
+    quotas: tuple[int, ...]      # slots per group owed to each user
+
+
+def frame_layout(g, cfg: SystemConfig) -> FrameLayout:
+    """Airtime, group size and quotas of composition ``g``."""
     g = tuple(int(x) for x in g)
     m_sel = sum(g)
     airtime = frame_length(g, cfg)
     grp = group_size(airtime, g, cfg.N)
-    quotas = np.array([subcarrier_quota(g_k, grp, cfg.N, m_sel) for g_k in g], dtype=np.int64)
-    alpha = powers / (grp * cfg.N * cfg.r)
-    instance = TransportInstance(alpha=alpha, quotas=quotas, group=grp)
-    counts, objective = solve_transport(instance)
+    return FrameLayout(m_sel, airtime, grp,
+                       tuple(subcarrier_quota(g_k, grp, cfg.N, m_sel) for g_k in g))
+
+
+def solve_frames(layouts, powers: np.ndarray, cfg: SystemConfig
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Optimal plans of a stack of frames: counts, per-bit power, energy, mean power.
+
+    ``layouts`` holds each frame's ``FrameLayout`` and ``powers`` their
+    (B, K, N) power matrices from ``frame_powers``, the ones the batch
+    selection ranked compositions with. Returns the (B, K, N) slot counts per
+    group and the (B,) power per bit (W per delivered bit), energy over the
+    whole frame at requested power (J) and mean power over the airtime (W).
+    """
+    table = np.array([(lay.group, lay.m_sel, *lay.quotas) for lay in layouts], dtype=np.int64)
+    grp, m_sel, quotas = table[:, 0], table[:, 1], table[:, 2:]
+    alpha = powers / (grp * (cfg.N * cfg.r))[:, None, None]
+    counts, multi_row = _split_counts(alpha, quotas, grp)
+    for i in multi_row:
+        instance = TransportInstance(alpha=alpha[i], quotas=quotas[i], group=int(grp[i]))
+        counts[i] = solve_transport(instance)[0]
     # summing group costs is exactly power per bit; energy follows from it
-    energy = objective * cfg.L * m_sel * cfg.T_sym
-    slot_power = float((powers * counts).sum())   # W summed over group slots
+    per_bit_power = (alpha * counts).sum(axis=(1, 2))
+    energy = per_bit_power * cfg.L * m_sel * cfg.T_sym
+    mean_power = (powers * counts).sum(axis=(1, 2)) / grp
+    return counts, per_bit_power, energy, mean_power
+
+
+def allocate_frame(g, powers: np.ndarray, cfg: SystemConfig) -> AllocationResult:
+    """Solve one frame end to end: quotas, group assignment, energy.
+
+    ``powers`` is the frame's (K, N) power matrix from ``frame_powers``; the
+    plan is ``solve_frames`` on a stack of one.
+    """
+    lay = frame_layout(g, cfg)
+    counts, per_bit_power, energy, mean_power = solve_frames([lay], powers[None], cfg)
     return AllocationResult(
-        g=g, m_sel=m_sel, airtime=airtime, group=grp, repeats=airtime // grp,
-        counts=counts, per_bit_power=objective, energy=energy,
-        mean_power=slot_power / grp)
+        g=tuple(int(x) for x in g), m_sel=lay.m_sel, airtime=lay.airtime,
+        group=lay.group, repeats=lay.airtime // lay.group, counts=counts[0],
+        per_bit_power=float(per_bit_power[0]), energy=float(energy[0]),
+        mean_power=float(mean_power[0]))

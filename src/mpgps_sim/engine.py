@@ -75,6 +75,14 @@ class TrafficModel:
 
 @dataclass
 class FrameRecord:
+    """One frame as scheduled and planned.
+
+    The plan fields (per_bit_power, mean_power, energy) are filled when the
+    frame's plan is solved: at frame start in a budgeted run, otherwise
+    together with the rest of its channel block, at the latest before
+    ``Engine.run`` returns.
+    """
+
     index: int
     start: float
     depart: float
@@ -224,6 +232,10 @@ class Engine:
         # packet error rate at power scale per_scale
         self.per_scale = math.nan
         self.per = math.nan
+        # frame arithmetic per composition, and the started frames of the
+        # current channel block whose plans are not solved yet
+        self.layouts: dict[tuple[int, ...], allocation.FrameLayout] = {}
+        self.unplanned: list[FrameRecord] = []
 
         self.inflight: _InFlight | None = None
         self.frames_started = 0
@@ -344,29 +356,43 @@ class Engine:
                 if self.collect_events:
                     self.events.append(SimEvent(t, "drop", pkt.flow, pkt.seq, -1))
 
-    def _decide(self, t: float) -> tuple[ScheduleDecision, allocation.AllocationResult | None, float]:
+    def _decide(self, t: float) -> ScheduleDecision:
         cfg = self.cfg
         powers = None
         if self.need_channel:
             powers = self._frame_powers()
         if self.mode in (PGPS, MPGPS):
-            decision = select_mpgps(self.queues, self.m_eff)
-        elif self.mode == AMPGPS:
-            decision = scheduling.ampgps_schedule(self.queues, cfg.M_max, powers, cfg)
-        else:
-            decision = scheduling.ompgps_schedule(self.queues, cfg.M, cfg.U, powers, cfg)
-        alloc = None
-        scale = 1.0
-        if not self.verify:
-            alloc = allocation.allocate_frame(decision.g, powers, cfg)
-            if cfg.power_budget is not None and alloc.mean_power > cfg.power_budget:
-                scale = cfg.power_budget / alloc.mean_power
-        return decision, alloc, scale
+            return select_mpgps(self.queues, self.m_eff)
+        if self.mode == AMPGPS:
+            return scheduling.ampgps_schedule(self.queues, cfg.M_max, powers, cfg)
+        return scheduling.ompgps_schedule(self.queues, cfg.M, cfg.U, powers, cfg)
+
+    def _layout(self, g: tuple[int, ...]) -> allocation.FrameLayout:
+        lay = self.layouts.get(g)
+        if lay is None:
+            lay = self.layouts[g] = allocation.frame_layout(g, self.cfg)
+        return lay
+
+    def _solve_unplanned(self) -> None:
+        """Solve the plans of the waiting frames, which are consecutive frames of one block."""
+        if not self.unplanned:
+            return
+        lo = self.unplanned[0].index - self.block_lo
+        _, per_bit, energy, mean_power = allocation.solve_frames(
+            [self.layouts[rec.g] for rec in self.unplanned],
+            self.block_powers[lo:lo + len(self.unplanned)], self.cfg)
+        for rec, p, e, w in zip(self.unplanned, per_bit.tolist(), energy.tolist(),
+                                mean_power.tolist()):
+            rec.per_bit_power = p
+            rec.energy = e
+            rec.mean_power = w
+        self.unplanned.clear()
 
     def _frame_powers(self) -> np.ndarray:
         """The (K, N) power matrix of the frame about to start."""
         f = self.frames_started
         if f - self.block_lo >= len(self.block_powers):
+            self._solve_unplanned()
             gains = self.channel.block(f, min(CHANNEL_BLOCK, self.frame_cap - f))
             self.block_powers = allocation.frame_powers(gains, self.budget)
             self.block_lo = f
@@ -387,22 +413,31 @@ class Engine:
                 self.shadow_queues[flow].pop_front()
 
     def _instant(self, t: float) -> None:
+        """Start a frame at t; the run enters only with a packet queued or refillable."""
         if self.traffic.infinite_backlog:
             self._refill(t)
         if math.isfinite(self.cfg.deadline_symbols):
             self._drop_expired(t)
-        if not any(self.queues):
-            return
-        decision, alloc, scale = self._decide(t)
+            if not any(self.queues):
+                return
+        decision = self._decide(t)
         if self.shadow_queues is not None:
             self._shadow_step(t, decision)
-        airtime = frame_length(decision.g, self.cfg)
-        per_bit = alloc.per_bit_power if alloc else decision.per_bit_power
-        mean_power = alloc.mean_power if alloc else None
-        energy = alloc.energy * scale if alloc else 0.0
-        rec = FrameRecord(index=self.frames_started, start=t, depart=t + airtime,
-                          g=decision.g, m_sel=decision.m_sel, per_bit_power=per_bit,
-                          mean_power=mean_power, scale=scale, energy=energy)
+        rec = FrameRecord(index=self.frames_started, start=t,
+                          depart=t + self._layout(decision.g).airtime,
+                          g=decision.g, m_sel=decision.m_sel,
+                          per_bit_power=decision.per_bit_power, mean_power=None,
+                          scale=1.0, energy=0.0)
+        if not self.verify:
+            self.unplanned.append(rec)
+            budget = self.cfg.power_budget
+            if budget is not None:
+                # a budgeted frame is planned now: its mean power sets the
+                # power scale its packets are sent at
+                self._solve_unplanned()
+                if rec.mean_power > budget:
+                    rec.scale = budget / rec.mean_power
+                    rec.energy *= rec.scale
         members = decision.chosen
         for flow, cnt in enumerate(decision.g):
             for _ in range(cnt):
@@ -461,8 +496,12 @@ class Engine:
         times, flows = self._generate_arrivals()
         i, n = 0, len(times)
         t = 0.0
+        saturated = self.traffic.infinite_backlog
         while True:
-            if self.inflight is None and self.frames_started < self.frame_cap:
+            # with no frame in flight, every packet neither delivered nor
+            # dropped sits in a queue
+            if (self.inflight is None and self.frames_started < self.frame_cap
+                    and (saturated or self.n_arrivals > self.n_delivered + self.n_dropped)):
                 self._instant(t)
             next_arr = float(times[i]) if i < n else math.inf
             next_dep = self.inflight.record.depart if self.inflight else math.inf
@@ -475,7 +514,8 @@ class Engine:
                 while i < n and float(times[i]) == t:
                     self._admit(t, int(flows[i]))
                     i += 1
-        if self.traffic.infinite_backlog:
+        self._solve_unplanned()
+        if saturated:
             self.horizon = self.frames[-1].depart if self.frames else 0.0
         return self._finalise()
 

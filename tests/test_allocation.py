@@ -1,5 +1,7 @@
 """Exact assignment solver vs brute force, plus frame-level plan checks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -223,6 +225,143 @@ class TestFrameAllocation:
         plan = m.allocate_frame((1, 1), m.frame_powers(gains, budget), cfg)
         assert plan.counts[0, :4].sum() == plan.counts[0].sum()
         assert plan.counts[1, 4:].sum() == plan.counts[1].sum()
+
+
+def oracle_plan(g, powers, cfg):
+    """One frame planned on its own: quotas, instance, exact solve, whole-matrix sums."""
+    m_sel = sum(g)
+    grp = m.group_size(m.frame_length(g, cfg), g, cfg.N)
+    quotas = np.array([m.subcarrier_quota(gk, grp, cfg.N, m_sel) for gk in g])
+    alpha = powers / (grp * cfg.N * cfg.r)
+    counts, objective = m.solve_transport(
+        m.TransportInstance(alpha=alpha, quotas=quotas, group=grp))
+    energy = objective * cfg.L * m_sel * cfg.T_sym
+    mean_power = float((powers * counts).sum()) / grp
+    return counts, objective, energy, mean_power
+
+
+def plan_stack(seed, b=16, k=10):
+    """Compositions and power matrices of b frames at K=k, N=64, M <= 4.
+
+    Gains spread over several decades, as path loss and fading make them, and
+    every frame count from one to four active rows occurs.
+    """
+    rng = np.random.default_rng(seed)
+    cfg = m.SystemConfig(K=k, N=64, L=1024, r=2, M=4)
+    gs = []
+    for i in range(b):
+        rows = rng.choice(k, size=1 + i % 4, replace=False)
+        g = np.zeros(k, dtype=int)
+        g[rows] = 1
+        g[rng.choice(rows, size=int(rng.integers(0, 5 - rows.size)))] += 1
+        gs.append(tuple(int(x) for x in g))
+    gains = 10.0 ** rng.uniform(-9, -5, size=(b, k, 1)) * rng.exponential(size=(b, k, 64))
+    return cfg, gs, gains
+
+
+class TestStackedPlans:
+    def test_stack_equals_per_frame_solves(self):
+        for seed in range(12):
+            cfg, gs, gains = plan_stack(seed)
+            assert {np.count_nonzero(g) for g in gs} == {1, 2, 3, 4}
+            powers = m.frame_powers(gains, m.link_budget(cfg))
+            layouts = [allocation.frame_layout(g, cfg) for g in gs]
+            counts, per_bit, energy, mean_power = allocation.solve_frames(layouts, powers, cfg)
+            for b, g in enumerate(gs):
+                want = oracle_plan(g, powers[b], cfg)
+                assert counts[b].tolist() == want[0].tolist(), (seed, g)
+                assert (per_bit[b], energy[b], mean_power[b]) == want[1:], (seed, g)
+
+    def test_clamped_frame(self):
+        cfg, gs, gains = plan_stack(3, b=4)
+        gains[2, 1, 7] = 1e-3 * allocation.GAIN_FLOOR_REL * gains[2].max()
+        gs[2] = (1, 1, 1) + (0,) * 7
+        budget = m.link_budget(cfg)
+        powers = m.frame_powers(gains, budget)
+        assert powers[2, 1, 7] < budget.gamma * budget.noise_power / gains[2, 1, 7]
+        _, per_bit, energy, mean_power = allocation.solve_frames(
+            [allocation.frame_layout(g, cfg) for g in gs], powers, cfg)
+        for b, g in enumerate(gs):
+            assert (per_bit[b], energy[b], mean_power[b]) == oracle_plan(g, powers[b], cfg)[1:]
+
+    def test_allocate_frame_is_the_stack_of_one(self):
+        cfg, gs, gains = plan_stack(5, b=4)
+        powers = m.frame_powers(gains, m.link_budget(cfg))
+        for b, g in enumerate(gs):
+            plan = m.allocate_frame(g, powers[b], cfg)
+            want = oracle_plan(g, powers[b], cfg)
+            assert plan.counts.tolist() == want[0].tolist()
+            assert (plan.per_bit_power, plan.energy, plan.mean_power) == want[1:]
+
+    def test_stacked_sums_equal_per_frame_sums(self):
+        # the stack sums each frame's K*N products in the same pairwise order
+        rng = np.random.default_rng(11)
+        stack = rng.uniform(1e-10, 1e-6, size=(16, 10, 64)) * rng.integers(0, 5, size=(16, 10, 64))
+        assert stack.flags.c_contiguous
+        assert stack.sum(axis=(1, 2)).tolist() == [float(f.sum()) for f in stack]
+
+
+class TestDeferredPlans:
+    """Unbudgeted plans are solved a channel block at a time; every frame
+    must still carry the plan a solve at its own start gives."""
+
+    def run_capturing_powers(self, monkeypatch, engine):
+        blocks = []
+        real = allocation.frame_powers
+
+        def capture(gains, budget):
+            blocks.append(real(gains, budget))
+            return blocks[-1]
+
+        monkeypatch.setattr(allocation, "frame_powers", capture)
+        return engine.run(), np.concatenate(blocks)
+
+    def check_plans(self, res, powers):
+        cfg = res.cfg
+        for f in res.frames:
+            _, per_bit, energy, mean_power = oracle_plan(f.g, powers[f.index], cfg)
+            scale = 1.0
+            if cfg.power_budget is not None and mean_power > cfg.power_budget:
+                scale = cfg.power_budget / mean_power
+            assert (f.per_bit_power, f.mean_power, f.scale, f.energy) == (
+                per_bit, mean_power, scale, energy * scale), f.index
+
+    def test_poisson_horizon_ends_mid_block(self, monkeypatch):
+        cfg = m.SystemConfig(K=10, N=64, L=1024, r=2, M=4, seed=4)
+        eng = m.Engine(cfg, m.TrafficModel(rate_bps=50000.0), "mpgps", 1500.0)
+        res, powers = self.run_capturing_powers(monkeypatch, eng)
+        assert eng.frames_started % m.engine.CHANNEL_BLOCK != 0
+        assert any(np.count_nonzero(f.g) >= 3 for f in res.frames)
+        self.check_plans(res, powers)
+
+    def test_frame_cap_not_a_multiple_of_the_block(self, monkeypatch):
+        cfg = m.SystemConfig(K=6, N=64, L=1024, r=2, M=3, seed=2)
+        eng = m.Engine(cfg, m.TrafficModel(infinite_backlog=True), "mpgps", 1.0,
+                       max_frames=37)
+        res, powers = self.run_capturing_powers(monkeypatch, eng)
+        assert len(res.frames) == 37 == len(powers)
+        self.check_plans(res, powers)
+
+    def test_budgeted_frames_are_scaled(self, monkeypatch):
+        cfg = m.SystemConfig(K=10, N=64, L=1024, r=2, M=4, seed=4)
+        free = m.run(cfg, m.TrafficModel(rate_bps=50000.0), "mpgps", 1500.0)
+        cap = float(np.median([f.mean_power for f in free.frames]))
+        eng = m.Engine(replace(cfg, power_budget=cap), m.TrafficModel(rate_bps=50000.0),
+                       "mpgps", 1500.0)
+        res, powers = self.run_capturing_powers(monkeypatch, eng)
+        assert any(f.scale < 1.0 for f in res.frames)
+        self.check_plans(res, powers)
+
+    @pytest.mark.parametrize("mode", ["mpgps", "ompgps"])
+    def test_verify_runs_solve_no_plan(self, monkeypatch, mode):
+        calls = []
+        real = allocation.solve_frames
+        monkeypatch.setattr(allocation, "solve_frames",
+                            lambda *a: calls.append(1) or real(*a))
+        cfg = m.SystemConfig(K=4, N=64, L=1024, r=2, M=2, U=3, seed=1)
+        res = m.verify_bounds(cfg, m.TrafficModel(rate_bps=80000.0), mode, 3000.0)
+        assert res.frames and res.bounds.passed
+        assert calls == []
 
 
 def reference_value(powers, g, r):
