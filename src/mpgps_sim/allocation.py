@@ -9,8 +9,10 @@ style solver recovers the true integer optimum. With three or more active
 rows the solver prices the rows first (a few Gauss-Seidel rounds of dual
 ascent, after Bertsekas' auction method for transportation problems), starts
 from the assignment those prices make cheapest, and finishes with shortest
-exchange paths. A brute-force enumerator over tiny instances provides an
-independent check of exactness.
+exchange paths. Each exchange round builds every row-to-row edge in one
+array operation and relaxes the paths over the few active rows in plain
+Python. A brute-force enumerator over tiny instances provides an independent
+check of exactness.
 
 The frame repeats one group of ``group`` symbols airtime/group times, so all
 arithmetic happens on the compressed K x N group matrix: column n stands for
@@ -147,44 +149,42 @@ def _solve_exchange(costs: np.ndarray, quotas: np.ndarray, demand: int) -> np.nd
     they never affect exactness.
     """
     k, n = costs.shape
+    rows = range(k)
     counts = np.zeros((k, n), dtype=np.int64)
     counts[_price_start(costs, quotas, demand), np.arange(n)] = demand
-    delta = counts.sum(axis=1) - quotas          # + surplus, - deficit
-    while delta.max() > 0:
-        edge_cost = np.full((k, k), np.inf)
-        edge_col = np.zeros((k, k), dtype=np.int64)
-        for src in range(k):
-            cols = np.nonzero(counts[src])[0]
-            if cols.size == 0:
-                continue
-            d = costs[:, cols] - costs[src, cols][None, :]
-            pick = np.argmin(d, axis=1)
-            edge_cost[src] = d[np.arange(k), pick]
-            edge_col[src] = cols[pick]
-            edge_cost[src, src] = np.inf
+    delta = (counts.sum(axis=1) - quotas).tolist()     # + surplus, - deficit
+    # moving a slot of column n from row src to row dst costs
+    # costs[dst, n] - costs[src, n]; src can only give columns it holds
+    shift = costs[None, :, :] - costs[:, None, :]       # [src, dst, n]
+    shift[rows, rows] = np.inf                          # no edge from a row to itself
+    while max(delta) > 0:
+        held = np.where(counts[:, None, :] > 0, shift, np.inf)
+        edge_col = held.argmin(axis=2).tolist()         # first cheapest column
+        edge_cost = held.min(axis=2).tolist()
         # shortest paths from all surplus rows, unrolled by path length so the
         # parent chain can never cycle (simultaneous relaxations with zero- or
-        # negative-cost edges would let a single parent array do exactly that)
-        level_dist = np.where(delta > 0, 0.0, np.inf)
-        parents: list[np.ndarray] = []
-        best_dist = level_dist.copy()
-        best_len = np.zeros(k, dtype=np.int64)
-        for _ in range(k - 1):
-            via = level_dist[:, None] + edge_cost
-            level_dist = via.min(axis=0)
-            parents.append(via.argmin(axis=0))
-            improved = level_dist < best_dist
-            best_dist[improved] = level_dist[improved]
-            best_len[improved] = len(parents)
-        sinks = np.nonzero(delta < 0)[0]
-        reach = sinks[np.isfinite(best_dist[sinks])]
-        if reach.size == 0:
+        # negative-cost edges would let a single parent array do exactly that);
+        # k <= M, so plain lists beat numpy calls. Ties go to the first source.
+        level_dist = [0.0 if d > 0 else math.inf for d in delta]
+        parents: list[list[int]] = []
+        best_dist = level_dist[:]
+        best_len = [0] * k
+        for lvl in range(1, k):
+            via = [min((level_dist[src] + edge_cost[src][dst], src) for src in rows)
+                   for dst in rows]
+            level_dist = [dist for dist, _ in via]
+            parents.append([src for _, src in via])
+            for dst in rows:
+                if level_dist[dst] < best_dist[dst]:
+                    best_dist[dst], best_len[dst] = level_dist[dst], lvl
+        reach = [s for s in rows if delta[s] < 0 and best_dist[s] < math.inf]
+        if not reach:
             raise UnbalancedInstance("no exchange path between surplus and deficit rows")
-        sink = int(reach[np.argmin(best_dist[reach])])
-        node, lvl = sink, int(best_len[sink])
+        sink = min(reach, key=best_dist.__getitem__)     # first cheapest sink
+        node, lvl = sink, best_len[sink]
         path = []
         while lvl > 0:
-            prev = int(parents[lvl - 1][node])
+            prev = parents[lvl - 1][node]
             path.append((prev, node))
             node, lvl = prev, lvl - 1
         path.reverse()
@@ -200,11 +200,11 @@ def _solve_exchange(costs: np.ndarray, quotas: np.ndarray, demand: int) -> np.nd
             else:
                 i += 1
                 seen[dst] = i
-        move = min(int(delta[node]), int(-delta[sink]))
+        move = min(delta[node], -delta[sink])
         for src, dst in path:
-            move = min(move, int(counts[src, edge_col[src, dst]]))
+            move = min(move, int(counts[src, edge_col[src][dst]]))
         for src, dst in path:
-            col = edge_col[src, dst]
+            col = edge_col[src][dst]
             counts[src, col] -= move
             counts[dst, col] += move
         delta[node] -= move

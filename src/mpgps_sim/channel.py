@@ -181,7 +181,7 @@ class ChannelProcess:
     (seed, frame index), so states can be regenerated in any order and are
     bit-identical across runs. With time_corr > 0 taps evolve as an AR(1)
     process and frames must be visited in order (the process caches the last
-    state and replays from scratch if asked to jump).
+    state and replays from frame 0 if asked to go back).
     """
 
     def __init__(self, cfg: SystemConfig):
@@ -191,34 +191,52 @@ class ChannelProcess:
         geometry = draw_geometry(cfg, np.random.default_rng([cfg.seed, 11]))
         self._large = np.array([g.path_gain(cfg) for g in geometry])
         self._streams = FrameStreams(cfg.seed, 37)
-        self._last_frame: int | None = None
+        # AR(1) state: the taps of frame _last_frame; -1 means before frame 0
+        self._last_frame = -1
         self._last_taps: np.ndarray | None = None
 
-    def _draw_taps(self, frame: int) -> np.ndarray:
-        rng = self._streams.at(frame)
-        shape = (self.cfg.K, self.cfg.taps)
-        return (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * self._tap_std
+    def _draw_taps(self, lo: int, count: int) -> np.ndarray:
+        """Fresh complex taps of frames lo .. lo + count - 1, shape (count, K, taps).
 
-    def _taps_for(self, frame: int) -> np.ndarray:
+        Each frame fills its real then its imaginary (K, taps) normals from
+        its own stream, in the order two ``normal`` calls would draw them.
+        """
+        raw = np.empty((count, 2, self.cfg.K, self.cfg.taps))
+        for i in range(count):
+            self._streams.at(lo + i).standard_normal(out=raw[i])
+        return (raw[:, 0] + 1j * raw[:, 1]) * self._tap_std
+
+    def _walk(self, lo: int, count: int) -> np.ndarray:
+        """AR(1) taps of frames lo .. lo + count - 1; lo must follow _last_frame."""
         rho = self.cfg.time_corr
-        if rho == 0.0:
-            return self._draw_taps(frame)
-        if self._last_frame is None or frame < self._last_frame:
-            self._last_frame, self._last_taps = 0, self._draw_taps(0)
-        while self._last_frame < frame:
-            self._last_frame += 1
-            w = self._draw_taps(self._last_frame)
-            self._last_taps = rho * self._last_taps + math.sqrt(1.0 - rho * rho) * w
-        return self._last_taps
+        fresh = math.sqrt(1.0 - rho * rho)
+        taps = self._draw_taps(lo, count)
+        for i in range(count):
+            if self._last_taps is not None:
+                taps[i] = rho * self._last_taps + fresh * taps[i]
+            self._last_taps = taps[i]
+        self._last_frame = lo + count - 1
+        return taps
 
     def block(self, lo: int, count: int) -> np.ndarray:
         """Power gains of frames lo .. lo + count - 1, shape (count, K, N).
 
-        Each frame's taps are drawn exactly as for a lone frame; one FFT and
-        one scaling then serve the whole block. numpy's batched FFT equals
-        the per-frame one bit for bit (tests/test_channel.py guards this).
+        Each frame draws its raw normals from its own stream, in stream order;
+        the complex taps, one FFT and one scaling then serve the whole block.
+        With time_corr > 0 the taps walk the AR(1) recursion row by row from
+        the cached frame, replaying from frame 0, STREAM_CHUNK frames at a
+        time, after a rewind. numpy's batched arithmetic and FFT equal the
+        per-frame ones bit for bit (tests/test_channel.py guards this).
         """
-        taps = np.stack([self._taps_for(f) for f in range(lo, lo + count)])
+        if self.cfg.time_corr == 0.0:
+            taps = self._draw_taps(lo, count)
+        else:
+            if lo <= self._last_frame:
+                self._last_frame, self._last_taps = -1, None
+            while self._last_frame + 1 < lo:
+                start = self._last_frame + 1
+                self._walk(start, min(STREAM_CHUNK, lo - start))
+            taps = self._walk(lo, count)
         h = np.fft.fft(taps, n=self.cfg.N, axis=2)
         return (h.real ** 2 + h.imag ** 2) * self._large[:, None]
 

@@ -170,6 +170,100 @@ def test_solver_matches_highs_beyond_enumeration(seed):
     assert abs(obj - ref) <= 1e-9 * abs(ref)
 
 
+def row_loop_exchange(costs, quotas, demand):
+    """The exchange solve with its edges built by a loop over source rows and
+    its shortest paths relaxed in numpy; ``_solve_exchange`` must return its
+    counts exactly, ties and spliced paths included."""
+    k, n = costs.shape
+    counts = np.zeros((k, n), dtype=np.int64)
+    counts[_price_start(costs, quotas, demand), np.arange(n)] = demand
+    delta = counts.sum(axis=1) - quotas
+    while delta.max() > 0:
+        edge_cost = np.full((k, k), np.inf)
+        edge_col = np.zeros((k, k), dtype=np.int64)
+        for src in range(k):
+            cols = np.nonzero(counts[src])[0]
+            if cols.size == 0:
+                continue
+            d = costs[:, cols] - costs[src, cols][None, :]
+            pick = np.argmin(d, axis=1)
+            edge_cost[src] = d[np.arange(k), pick]
+            edge_col[src] = cols[pick]
+            edge_cost[src, src] = np.inf
+        level_dist = np.where(delta > 0, 0.0, np.inf)
+        parents = []
+        best_dist = level_dist.copy()
+        best_len = np.zeros(k, dtype=np.int64)
+        for _ in range(k - 1):
+            via = level_dist[:, None] + edge_cost
+            level_dist = via.min(axis=0)
+            parents.append(via.argmin(axis=0))
+            improved = level_dist < best_dist
+            best_dist[improved] = level_dist[improved]
+            best_len[improved] = len(parents)
+        sinks = np.nonzero(delta < 0)[0]
+        reach = sinks[np.isfinite(best_dist[sinks])]
+        sink = int(reach[np.argmin(best_dist[reach])])
+        node, lvl = sink, int(best_len[sink])
+        path = []
+        while lvl > 0:
+            prev = int(parents[lvl - 1][node])
+            path.append((prev, node))
+            node, lvl = prev, lvl - 1
+        path.reverse()
+        seen = {path[0][0]: 0}
+        i = 0
+        while i < len(path):
+            dst = path[i][1]
+            if dst in seen:
+                del path[seen[dst]:i + 1]
+                i = seen[dst]
+                seen = {v: j for v, j in seen.items() if j <= i}
+            else:
+                i += 1
+                seen[dst] = i
+        move = min(int(delta[node]), int(-delta[sink]))
+        for src, dst in path:
+            move = min(move, int(counts[src, edge_col[src, dst]]))
+        for src, dst in path:
+            col = edge_col[src, dst]
+            counts[src, col] -= move
+            counts[dst, col] += move
+        delta[node] -= move
+        delta[sink] += move
+    return counts
+
+
+def exchange_instance(rng, integer):
+    """3-6 active rows, N in 4..64, demand 1-4, quotas summing to demand * N.
+
+    Costs are small integers (ties everywhere) or spread over four decades.
+    """
+    n = int(rng.integers(4, 65))
+    demand = int(rng.integers(1, 5))
+    k = min(int(rng.integers(3, 7)), demand * n)
+    if integer:
+        costs = rng.integers(1, 4, size=(k, n)).astype(float)
+    else:
+        costs = 10.0 ** rng.uniform(-2, 2, size=(k, 1)) * rng.exponential(size=(k, n))
+    cuts = np.sort(rng.choice(np.arange(1, demand * n), size=k - 1, replace=False))
+    return costs, np.diff(np.concatenate(([0], cuts, [demand * n]))), demand
+
+
+@pytest.mark.parametrize("integer", [False, True], ids=["continuous", "integer"])
+def test_exchange_matches_row_loop(integer):
+    rng = np.random.default_rng(2024 + integer)
+    empty_after_pricing = 0
+    for case in range(1000):
+        costs, quotas, demand = exchange_instance(rng, integer)
+        k = len(quotas)
+        owners = _price_start(costs, quotas, demand)
+        empty_after_pricing += np.bincount(owners, minlength=k).min() == 0
+        want = row_loop_exchange(costs, quotas, demand)
+        assert _solve_exchange(costs, quotas, demand).tolist() == want.tolist(), case
+    assert empty_after_pricing > 0
+
+
 def small_cfg(k=3):
     return m.SystemConfig(K=k, N=8, L=64, r=2, M=k, M_max=k)
 

@@ -188,6 +188,21 @@ class TestBlockTransform:
         np.testing.assert_array_equal(proc.block(2, 5), want[2:7])      # rewind
         np.testing.assert_array_equal(proc.block(21, 9), want[21:30])
 
+    def test_block_across_a_stream_chunk(self):
+        cfg = m.SystemConfig(K=4, N=16, L=64, seed=3)
+        proc = ChannelProcess(cfg)
+        proc.block(0, 1)                 # hashes the keys of frames 0 .. 255
+        frames = range(STREAM_CHUNK - 6, STREAM_CHUNK + 6)
+        np.testing.assert_array_equal(proc.block(frames[0], len(frames)),
+                                      per_frame_reference(cfg, frames))
+
+    def test_block_across_the_one_word_boundary(self):
+        # frames past 2**32 - 1 fall back to default_rng inside the block
+        cfg = m.SystemConfig(K=4, N=16, L=64, seed=3)
+        frames = range(2 ** 32 - 3, 2 ** 32 + 3)
+        np.testing.assert_array_equal(ChannelProcess(cfg).block(frames[0], len(frames)),
+                                      per_frame_reference(cfg, frames))
+
 
 class TestFrameStreams:
     """Each frame's stream must equal numpy's own seeding of the same key."""
