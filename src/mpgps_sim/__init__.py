@@ -7,9 +7,8 @@ variants that trade stamp order for transmit power), solves the joint
 subcarrier-and-power assignment exactly for every frame, and audits runs
 against the fluid reference schedule.
 """
-from .allocation import (AllocationResult, InstanceTooLarge, TransportInstance,
-                         UnbalancedInstance, ZeroGain, allocate_frame,
-                         brute_force_ilp, composition_value, frame_powers,
+from .allocation import (AllocationResult, TransportInstance, UnbalancedInstance,
+                         ZeroGain, allocate_frame, composition_value, frame_powers,
                          solve_transport)
 from .channel import (ChannelProcess, DomainError, LinkBudget, UserGeometry,
                       ber, link_budget, packet_error_rate, snr_target)
@@ -21,21 +20,20 @@ from .model import (FlowQueue, NonIntegralFrame, NonIntegralQuota, Packet,
 from .scheduling import (AMPGPS, MODES, MPGPS, OMPGPS, PGPS, BoundViolation,
                          LagLedger, ScheduleDecision, ampgps_schedule,
                          compositions, ompgps_schedule, select_mpgps)
-from .virtual_time import GpsReference, GpsTrace, gps_simulate
+from .virtual_time import GpsReference, GpsTrace
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AMPGPS", "AllocationResult", "BoundCheck", "BoundReport", "BoundViolation",
     "ChannelProcess", "DomainError", "Engine", "FlowQueue", "FrameRecord",
-    "GpsReference", "GpsTrace", "InstanceTooLarge", "LagLedger", "LinkBudget",
-    "MODES", "MPGPS", "Metrics", "NonIntegralFrame", "NonIntegralQuota",
-    "OMPGPS", "PGPS", "Packet", "RunResult", "ScheduleDecision", "SystemConfig",
-    "TrafficModel", "TransportInstance", "UnbalancedInstance", "UserGeometry",
-    "ZeroGain", "allocate_frame", "ampgps_schedule", "ber",
-    "brute_force_ilp", "composition_value", "compositions", "fairness_metric",
-    "frame_length", "frame_powers", "gps_simulate", "group_size", "link_budget",
-    "ompgps_schedule", "packet_error_rate", "run", "select_mpgps",
-    "service_curves", "snr_target", "solve_transport",
+    "GpsReference", "GpsTrace", "LagLedger", "LinkBudget", "MODES", "MPGPS",
+    "Metrics", "NonIntegralFrame", "NonIntegralQuota", "OMPGPS", "PGPS",
+    "Packet", "RunResult", "ScheduleDecision", "SystemConfig", "TrafficModel",
+    "TransportInstance", "UnbalancedInstance", "UserGeometry", "ZeroGain",
+    "allocate_frame", "ampgps_schedule", "ber", "composition_value",
+    "compositions", "fairness_metric", "frame_length", "frame_powers",
+    "group_size", "link_budget", "ompgps_schedule", "packet_error_rate", "run",
+    "select_mpgps", "service_curves", "snr_target", "solve_transport",
     "subcarrier_quota", "verify_bounds",
 ]

@@ -11,19 +11,23 @@ ascent, after Bertsekas' auction method for transportation problems), starts
 from the assignment those prices make cheapest, and finishes with shortest
 exchange paths. Each exchange round builds every row-to-row edge in one
 array operation and relaxes the paths over the few active rows in plain
-Python. A brute-force enumerator over tiny instances provides an independent
-check of exactness.
+Python. One private stacked solve serves both the ranking of compositions
+and the frame plans. The tests check exactness against a brute-force
+enumerator on tiny instances and the HiGHS LP optimum on larger ones; both
+oracles live in ``tests/``, not in the package.
 
 The frame repeats one group of ``group`` symbols airtime/group times, so all
 arithmetic happens on the compressed K x N group matrix: column n stands for
 ``group`` identical slots on subcarrier n.
 
-``solve_frames`` plans a stack of frames in one pass: every frame with one or
-two active rows goes through one stacked closed-form split, and each frame
-with three or more through ``solve_transport``. The engine solves the plans of
-an unbudgeted run once per channel block, since nothing reads them before the
-run ends, and a budgeted run's plan at frame start, where its mean power sets
-the power scale; ``allocate_frame`` is the one-frame form.
+``solve_frames`` plans a stack of frames with one validated
+``solve_transport`` call: every frame with one or two active rows goes
+through one stacked closed-form split, each frame with three or more through
+the exchange solver, and the call's objective is each frame's power per bit.
+The engine solves the plans of an unbudgeted run once per channel block,
+since nothing reads them before the run ends, and a budgeted run's plan at
+frame start, where its mean power sets the power scale; ``allocate_frame``
+is the one-frame form.
 """
 from __future__ import annotations
 
@@ -57,43 +61,35 @@ class UnbalancedInstance(ValueError):
     """Quotas do not add up to the number of slots on offer."""
 
 
-class InstanceTooLarge(ValueError):
-    """Instance beyond the exhaustive enumeration bound."""
-
-
-def required_power(gain: float, gamma: float, noise_power: float):
-    """Transmit power that hits the SNR target through the given power gain."""
-    g = np.asarray(gain, dtype=float)
-    if (g <= 0.0).any():
-        raise ZeroGain("channel gain must be positive")
-    return gamma * noise_power / g
-
-
 @dataclass
 class TransportInstance:
-    """Balanced transportation instance on the compressed group matrix."""
+    """Balanced transportation instance on the compressed group matrix, or a
+    stack of C of them."""
 
-    alpha: np.ndarray            # (K, N) unit-slot costs
-    quotas: np.ndarray           # (K,) slots owed per user
-    group: int                   # identical slots per subcarrier column
+    alpha: np.ndarray            # (K, N) unit-slot costs, or a (C, K, N) stack
+    quotas: np.ndarray           # (K,) slots owed per user, or (C, K)
+    group: int | np.ndarray      # identical slots per subcarrier column, or (C,)
 
     def __post_init__(self):
         self.alpha = np.asarray(self.alpha, dtype=float)
         self.quotas = np.asarray(self.quotas, dtype=np.int64)
-        if self.alpha.ndim != 2:
-            raise ValueError("cost matrix must be 2-D")
-        if self.quotas.shape != (self.alpha.shape[0],):
+        group = np.asarray(self.group)
+        if self.alpha.ndim not in (2, 3):
+            raise ValueError("costs must be a (K, N) matrix or a (C, K, N) stack")
+        if self.quotas.shape != self.alpha.shape[:-1]:
             raise ValueError("need one quota per user row")
+        if group.shape != self.alpha.shape[:-2]:
+            raise ValueError("need one group size per instance")
         if (self.quotas < 0).any():
             raise ValueError("quotas must be nonnegative")
-        if self.group < 1:
+        if (group < 1).any():
             raise ValueError("group must be positive")
         if not np.isfinite(self.alpha).all():
             raise ValueError("costs must be finite")
-        n = self.alpha.shape[1]
-        if int(self.quotas.sum()) != self.group * n:
-            raise UnbalancedInstance(
-                f"quotas sum to {int(self.quotas.sum())}, need {self.group * n}")
+        supply, need = self.quotas.sum(axis=-1), group * self.alpha.shape[-1]
+        if (supply != need).any():
+            i = np.flatnonzero(supply != need)[0]
+            raise UnbalancedInstance(f"quotas sum to {supply.flat[i]}, need {need.flat[i]}")
 
 
 def _split_rows(first: np.ndarray, last: np.ndarray, quota: np.ndarray,
@@ -212,81 +208,15 @@ def _solve_exchange(costs: np.ndarray, quotas: np.ndarray, demand: int) -> np.nd
     return counts
 
 
-def _min_cost_counts(costs: np.ndarray, quotas: np.ndarray, demand: int) -> np.ndarray:
-    active = np.nonzero(quotas > 0)[0]
-    counts = np.zeros(costs.shape, dtype=np.int64)
-    if active.size == 1:
-        counts[active[0]] = demand
-    elif active.size == 2:
-        a, b = active
-        top = _split_rows(costs[a, None], costs[b, None], quotas[a], demand)[0]
-        counts[a] = top
-        counts[b] = demand - top
-    else:
-        counts[active] = _solve_exchange(costs[active], quotas[active], demand)
-    return counts
-
-
-def solve_transport(instance: TransportInstance) -> tuple[np.ndarray, float]:
-    """Exact optimum of the group assignment problem.
-
-    Returns the (K, N) slot-count matrix (column sums equal the group size,
-    row sums equal the quotas) and its objective value.
-    """
-    counts = _min_cost_counts(instance.alpha, instance.quotas, instance.group)
-    objective = float((instance.alpha * counts).sum())
-    return counts, objective
-
-
-def brute_force_ilp(instance: TransportInstance) -> tuple[np.ndarray, float]:
-    """Exhaustive slot-by-slot enumeration, the oracle for solver exactness.
-
-    Slots of one column are interchangeable, so the enumeration only visits
-    non-decreasing user sequences within a column; with branch-and-bound
-    pruning that keeps the largest admitted instances well under a second.
-    """
-    k, n = instance.alpha.shape
-    if k * n * instance.group > 36:
-        raise InstanceTooLarge("enumeration bound is K*G*N <= 36")
-    slots = [col for col in range(n) for _ in range(instance.group)]
-    best_val = math.inf
-    best: np.ndarray | None = None
-    counts = np.zeros((k, n), dtype=np.int64)
-    remaining = instance.quotas.copy()
-
-    def descend(i: int, acc: float, low: int) -> None:
-        nonlocal best_val, best
-        if acc >= best_val:
-            return
-        if i == len(slots):
-            best_val = acc
-            best = counts.copy()
-            return
-        col = slots[i]
-        start = low if i and slots[i - 1] == col else 0
-        for user in range(start, k):
-            if remaining[user] == 0:
-                continue
-            remaining[user] -= 1
-            counts[user, col] += 1
-            descend(i + 1, acc + instance.alpha[user, col], user)
-            counts[user, col] -= 1
-            remaining[user] += 1
-
-    descend(0, 0.0, 0)
-    assert best is not None
-    return best, float(best_val)
-
-
-def _split_counts(costs: np.ndarray, quotas: np.ndarray,
-                  demand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Optimal (C, K, N) slot counts of stacked instances with at most two active rows.
+def _solve_stack(costs: np.ndarray, quotas: np.ndarray, demand: np.ndarray) -> np.ndarray:
+    """Optimal (C, K, N) slot counts of a stack of transportation instances.
 
     ``costs`` is one (K, N) matrix shared by every instance or a (C, K, N)
     stack, ``quotas`` the (C, K) row supplies and ``demand`` the (C,) column
-    demands. Every instance is split between its first and last active rows
-    in one ``_split_rows`` call. Also returns the indices of the instances
-    with three or more active rows, whose counts the caller must overwrite.
+    demands; nothing is validated. Every instance is split between its first
+    and last active rows in one ``_split_rows`` call, which is exact for one
+    or two active rows; each instance with three or more is then solved on
+    its active rows by ``_solve_exchange``.
     """
     c, k = quotas.shape
     counts = np.zeros((c, k, costs.shape[-1]), dtype=np.int64)
@@ -302,7 +232,28 @@ def _split_counts(costs: np.ndarray, quotas: np.ndarray,
                       demand[:, None])
     counts[each, last] = demand[:, None] - top   # overwritten when last == first
     counts[each, first] = top
-    return counts, (active.sum(axis=1) > 2).nonzero()[0]
+    # the split wrote only active rows, all of which the exchange solve rewrites
+    for i in (active.sum(axis=1) > 2).nonzero()[0]:
+        rows = active[i].nonzero()[0]
+        own = costs if costs.ndim == 2 else costs[i]
+        counts[i, rows] = _solve_exchange(own[rows], quotas[i, rows], int(demand[i]))
+    return counts
+
+
+def solve_transport(instance: TransportInstance) -> tuple[np.ndarray, float | np.ndarray]:
+    """Exact optimum of the group assignment problem.
+
+    Returns the (K, N) slot-count matrix (column sums equal the group size,
+    row sums equal the quotas) and its objective value; for a stack, the
+    (C, K, N) counts and the (C,) objective values.
+    """
+    alpha = instance.alpha.reshape(-1, *instance.alpha.shape[-2:])
+    counts = _solve_stack(alpha, instance.quotas.reshape(len(alpha), -1),
+                          np.reshape(instance.group, -1))
+    objective = (alpha * counts).sum(axis=(1, 2))
+    if instance.alpha.ndim == 2:
+        return counts[0], float(objective[0])
+    return counts, objective
 
 
 def composition_value(powers: np.ndarray, gs, n_subcarriers: int, r: int) -> np.ndarray:
@@ -322,9 +273,7 @@ def composition_value(powers: np.ndarray, gs, n_subcarriers: int, r: int) -> np.
     for lo in range(0, len(gs), RANK_BLOCK):
         block = gs[lo:lo + RANK_BLOCK]
         m = m_sel[lo:lo + RANK_BLOCK]
-        counts, multi_row = _split_counts(powers, block * n_subcarriers, m)
-        for i in multi_row:
-            counts[i] = _min_cost_counts(powers, block[i] * n_subcarriers, int(m[i]))
+        counts = _solve_stack(powers, block * n_subcarriers, m)
         slot_power[lo:lo + RANK_BLOCK] = (powers * counts).sum(axis=(1, 2))
     return slot_power / (n_subcarriers * r * m_sel)
 
@@ -344,32 +293,26 @@ class AllocationResult:
     mean_power: float            # W, mean over the frame's airtime
 
 
-def clamp_gains(gains: np.ndarray) -> np.ndarray:
-    """Floor pathological fades relative to the instance median."""
-    if np.any(gains <= 0.0):
-        raise ZeroGain("channel gain must be positive")
-    if gains.min() >= GAIN_FLOOR_REL * gains.max():
-        return gains                 # the floor sits below every gain
-    floor = GAIN_FLOOR_REL * float(np.median(gains))
-    return np.maximum(gains, floor)
-
-
 def frame_powers(gains: np.ndarray, budget: LinkBudget) -> np.ndarray:
     """Per-user, per-subcarrier transmit power needed to hit the target SNR, W.
 
     ``gains`` is one frame's (K, N) matrix or a stack (..., K, N) of frames.
-    A frame with a gain below the floor is clamped by ``clamp_gains`` of that
-    frame alone, against its own max and median; the others are inverted as
-    they are.
+    A frame whose smallest gain lies below ``GAIN_FLOOR_REL`` times its
+    largest has its gains floored at ``GAIN_FLOOR_REL`` times its own median
+    first, so a single fade cannot blow up its costs; the other frames are
+    inverted as they are.
     """
     frames = gains.reshape(-1, *gains.shape[-2:])
-    low = np.flatnonzero(frames.min(axis=(1, 2)) < GAIN_FLOOR_REL * frames.max(axis=(1, 2)))
-    if low.size:
+    low = frames.min(axis=(1, 2))
+    if low.min() <= 0.0:
+        raise ZeroGain("channel gain must be positive")
+    faded = np.flatnonzero(low < GAIN_FLOOR_REL * frames.max(axis=(1, 2)))
+    if faded.size:
         frames = frames.copy()
-        for b in low:
-            frames[b] = clamp_gains(frames[b])
+        for b in faded:
+            frames[b] = np.maximum(frames[b], GAIN_FLOOR_REL * float(np.median(frames[b])))
         gains = frames.reshape(gains.shape)
-    return required_power(gains, budget.gamma, budget.noise_power)
+    return budget.gamma * budget.noise_power / gains
 
 
 class FrameLayout(NamedTuple):
@@ -404,12 +347,9 @@ def solve_frames(layouts, powers: np.ndarray, cfg: SystemConfig
     table = np.array([(lay.group, lay.m_sel, *lay.quotas) for lay in layouts], dtype=np.int64)
     grp, m_sel, quotas = table[:, 0], table[:, 1], table[:, 2:]
     alpha = powers / (grp * (cfg.N * cfg.r))[:, None, None]
-    counts, multi_row = _split_counts(alpha, quotas, grp)
-    for i in multi_row:
-        instance = TransportInstance(alpha=alpha[i], quotas=quotas[i], group=int(grp[i]))
-        counts[i] = solve_transport(instance)[0]
-    # summing group costs is exactly power per bit; energy follows from it
-    per_bit_power = (alpha * counts).sum(axis=(1, 2))
+    # the objective, a sum of group costs, is exactly power per bit
+    counts, per_bit_power = solve_transport(
+        TransportInstance(alpha=alpha, quotas=quotas, group=grp))
     energy = per_bit_power * cfg.L * m_sel * cfg.T_sym
     mean_power = (powers * counts).sum(axis=(1, 2)) / grp
     return counts, per_bit_power, energy, mean_power

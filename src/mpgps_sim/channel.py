@@ -54,7 +54,10 @@ class UserGeometry:
 
     def path_gain(self, cfg: SystemConfig) -> float:
         d = max(self.distance_m, cfg.ref_distance_m)
-        return (cfg.ref_distance_m / d) ** cfg.pathloss_exp * 10.0 ** (self.shadow_db / 10.0)
+        try:
+            return (cfg.ref_distance_m / d) ** cfg.pathloss_exp * 10.0 ** (self.shadow_db / 10.0)
+        except OverflowError:    # beyond float range; the Engine refuses it
+            return math.inf
 
 
 def draw_geometry(cfg: SystemConfig, rng: np.random.Generator) -> list[UserGeometry]:
@@ -189,7 +192,7 @@ class ChannelProcess:
         profile = np.exp(-np.arange(cfg.taps) / cfg.tap_decay)
         self._tap_std = np.sqrt(profile / profile.sum() / 2.0)   # per real component
         geometry = draw_geometry(cfg, np.random.default_rng([cfg.seed, 11]))
-        self._large = np.array([g.path_gain(cfg) for g in geometry])
+        self.path_gains = np.array([g.path_gain(cfg) for g in geometry])
         self._streams = FrameStreams(cfg.seed, 37)
         # AR(1) state: the taps of frame _last_frame; -1 means before frame 0
         self._last_frame = -1
@@ -238,7 +241,7 @@ class ChannelProcess:
                 self._walk(start, min(STREAM_CHUNK, lo - start))
             taps = self._walk(lo, count)
         h = np.fft.fft(taps, n=self.cfg.N, axis=2)
-        return (h.real ** 2 + h.imag ** 2) * self._large[:, None]
+        return (h.real ** 2 + h.imag ** 2) * self.path_gains[:, None]
 
     def state(self, frame: int) -> np.ndarray:
         """Power gains |H|^2 of one frame, shape (K, N)."""

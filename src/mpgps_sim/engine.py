@@ -50,6 +50,12 @@ CHANNEL_BLOCK = 16
 # README working point with the default horizon draws ~1.2e5 arrivals.
 MAX_EXPECTED_ARRIVALS = 10 ** 8
 
+# A run that draws a channel is refused unless gamma * noise_power / path gain
+# stays finite divided by this margin, for every user: 12 decades for the gain
+# floor (allocation.GAIN_FLOOR_REL), 4 for fades below a frame's median gain,
+# and 8 for the sums over a frame's slots that plans and rankings take.
+FADE_MARGIN = 1e-24
+
 
 @dataclass
 class TrafficModel:
@@ -225,6 +231,15 @@ class Engine:
         self.gps = GpsReference(cfg.weights, cfg.bits_per_symbol, record=verify)
         self.budget: LinkBudget = link_budget(cfg)
         self.channel = ChannelProcess(cfg) if self.need_channel else None
+        if self.channel is not None:
+            inverse = float(self.budget.gamma * self.budget.noise_power)
+            for k, gain in enumerate(self.channel.path_gains.tolist()):
+                if not (0.0 < gain < math.inf and math.isfinite(inverse / gain / FADE_MARGIN)):
+                    raise ValueError(
+                        f"user {k}'s path gain {gain:.3g} is out of range: gamma * "
+                        f"noise_power / gain must be finite with a {FADE_MARGIN:.0e} fading "
+                        "margin; check pathloss_exp, shadow_std_db, N0 and B (1/T_sym "
+                        "by default)")
         self.error_streams = None if self.error_free else FrameStreams(cfg.seed, 53)
         # power matrices of frames block_lo, block_lo + 1, ...
         self.block_lo = 0

@@ -38,18 +38,13 @@ class GpsTrace:
     seg_mask: np.ndarray | None = None
     seg_phi: np.ndarray | None = None
 
-    def service_curve(self, flow: int) -> tuple[np.ndarray, np.ndarray]:
-        """Cumulative bits served to ``flow``: breakpoint times and values."""
+    def service_at(self, flow: int, times: np.ndarray) -> np.ndarray:
+        """Cumulative bits served to ``flow`` by each of ``times``."""
         active = (self.seg_mask >> flow) & 1
-        span = np.diff(self.seg_t)
         phi = np.where(self.seg_phi > 0, self.seg_phi, 1.0)
         rates = np.where(active == 1, self.rate * self.weights[flow] / phi, 0.0)
-        bits = np.concatenate(([0.0], np.cumsum(rates * span)))
-        return self.seg_t, bits
-
-    def service_at(self, flow: int, times: np.ndarray) -> np.ndarray:
-        t, bits = self.service_curve(flow)
-        return np.interp(times, t, bits)
+        bits = np.concatenate(([0.0], np.cumsum(rates * np.diff(self.seg_t))))
+        return np.interp(times, self.seg_t, bits)
 
 
 class GpsReference:
@@ -182,17 +177,3 @@ class GpsReference:
             tr.seg_phi = np.asarray(self._seg_phi, dtype=float)
         return tr
 
-
-def gps_simulate(arrivals, weights, rate: float) -> GpsTrace:
-    """Run the fluid reference over a full arrival trace.
-
-    ``arrivals`` is an iterable of packets (anything with flow, arrival, bits,
-    and writable stamps) already sorted by arrival time. Stamps are written onto the packets
-    as a side effect, exactly as the online reference would. The trace's
-    departures follow the order of ``arrivals``.
-    """
-    ref = GpsReference(weights, rate, record=True)
-    for pkt in arrivals:
-        ref.on_arrival(pkt)
-    ref.drain()
-    return ref.trace()

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 import mpgps_sim.cli as cli
-from mpgps_sim import (SystemConfig, TrafficModel, TransportInstance,
-                       brute_force_ilp, run, snr_target, solve_transport,
-                       verify_bounds)
+from mpgps_sim import (SystemConfig, TrafficModel, TransportInstance, run,
+                       snr_target, solve_transport, verify_bounds)
+from oracles import brute_force_ilp
 
 # default geometry: L=1024 bits over N=64 subcarriers at r=2 bits/symbol,
 # so one packet occupies 8 subcarrier-symbols of airtime

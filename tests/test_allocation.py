@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 import mpgps_sim as m
 from mpgps_sim import allocation
-from mpgps_sim.allocation import (_min_cost_counts, _price_start, _solve_exchange,
-                                  clamp_gains, required_power)
+from mpgps_sim.allocation import _price_start, _solve_exchange
+from oracles import InstanceTooLarge, brute_force_ilp
 
 
 def check_feasible(counts, instance):
@@ -59,7 +59,7 @@ class TestSolver:
                           [9.0, 0.2, 9.0]])
         inst = m.TransportInstance(alpha=alpha, quotas=np.array([1, 1, 1]), group=1)
         counts, obj = m.solve_transport(inst)
-        _, oracle = m.brute_force_ilp(inst)
+        _, oracle = brute_force_ilp(inst)
         check_feasible(counts, inst)
         assert obj == pytest.approx(oracle, abs=1e-12)
 
@@ -119,8 +119,8 @@ class TestSolver:
         assert abs(obj - ref) <= 1e-9 * abs(ref)
 
     def test_brute_force_size_guard(self):
-        with pytest.raises(m.InstanceTooLarge):
-            m.brute_force_ilp(m.TransportInstance(
+        with pytest.raises(InstanceTooLarge):
+            brute_force_ilp(m.TransportInstance(
                 alpha=np.ones((3, 7)), quotas=np.array([5, 5, 4]), group=2))
 
 
@@ -143,7 +143,7 @@ def instances(draw):
 @given(inst=instances())
 def test_solver_matches_brute_force(inst):
     counts, obj = m.solve_transport(inst)
-    _, oracle = m.brute_force_ilp(inst)
+    _, oracle = brute_force_ilp(inst)
     check_feasible(counts, inst)
     assert abs(obj - oracle) <= 1e-9 * max(1.0, abs(oracle))
 
@@ -262,6 +262,87 @@ def test_exchange_matches_row_loop(integer):
         want = row_loop_exchange(costs, quotas, demand)
         assert _solve_exchange(costs, quotas, demand).tolist() == want.tolist(), case
     assert empty_after_pricing > 0
+
+
+def padded_stack(members, k):
+    """One stacked instance of (costs, quotas, demand) members sharing N; each
+    member is padded to k rows with zero-quota rows of unit cost."""
+    alpha = np.ones((len(members), k, members[0][0].shape[1]))
+    quotas = np.zeros((len(members), k), dtype=np.int64)
+    for i, (costs, q, _) in enumerate(members):
+        alpha[i, :len(q)] = costs
+        quotas[i, :len(q)] = q
+    return m.TransportInstance(alpha=alpha, quotas=quotas,
+                               group=np.array([demand for *_, demand in members]))
+
+
+def on_fewer_rows(costs, quotas, demand, rows):
+    """The same costs with the whole supply moved onto the first ``rows`` rows."""
+    q = np.zeros_like(quotas)
+    q[:rows] = quotas[:rows]
+    q[rows - 1] += quotas.sum() - q.sum()
+    return costs, q, demand
+
+
+class TestStackedSolve:
+    def check_stack(self, stack):
+        counts, objective = m.solve_transport(stack)
+        assert counts.shape == stack.alpha.shape
+        assert objective.shape == (len(stack.alpha),)
+        for i in range(len(stack.alpha)):
+            alone, value = m.solve_transport(m.TransportInstance(
+                alpha=stack.alpha[i], quotas=stack.quotas[i], group=int(stack.group[i])))
+            assert isinstance(value, float)
+            assert counts[i].tolist() == alone.tolist(), i
+            assert objective[i] == value, i
+        return counts
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_instances(self, seed):
+        # 3-10 active rows, and the same members on one and on two rows
+        rng = np.random.default_rng(seed)
+        members = []
+        for j in range(8):
+            inst = random_instance(rng, rounded=j % 3 == 0)
+            member = (inst.alpha, inst.quotas, inst.group)
+            members += [member, on_fewer_rows(*member, 1), on_fewer_rows(*member, 2)]
+        counts = self.check_stack(padded_stack(members, 10))
+        for i, (costs, q, demand) in enumerate(members):
+            alone = m.solve_transport(m.TransportInstance(alpha=costs, quotas=q, group=demand))[0]
+            assert counts[i, :len(q)].tolist() == alone.tolist()
+            assert not counts[i, len(q):].any()
+
+    def test_exchange_instances(self):
+        rng = np.random.default_rng(2031)
+        by_width = {}
+        for j in range(400):
+            costs, quotas, demand = exchange_instance(rng, integer=j % 2 == 1)
+            by_width.setdefault(costs.shape[1], []).append((costs, quotas, demand))
+        stacks = [members for members in by_width.values() if len(members) > 1]
+        assert len(stacks) > 20
+        for members in stacks:
+            self.check_stack(padded_stack(members, 6))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_one_non_finite_cost_is_refused(self, bad):
+        rng = np.random.default_rng(5)
+        stack = padded_stack([(i.alpha, i.quotas, i.group)
+                              for i in (random_instance(rng, False) for _ in range(5))], 10)
+        alpha = stack.alpha.copy()
+        alpha[3, 1, 7] = bad
+        with pytest.raises(ValueError, match="finite"):
+            m.TransportInstance(alpha=alpha, quotas=stack.quotas, group=stack.group)
+
+    def test_one_unbalanced_member_is_refused(self):
+        rng = np.random.default_rng(6)
+        stack = padded_stack([(i.alpha, i.quotas, i.group)
+                              for i in (random_instance(rng, False) for _ in range(5))], 10)
+        quotas = stack.quotas.copy()
+        quotas[2, 0] += 1
+        with pytest.raises(m.UnbalancedInstance, match=f"need {stack.group[2] * 64}"):
+            m.TransportInstance(alpha=stack.alpha, quotas=quotas, group=stack.group)
+        with pytest.raises(ValueError, match="group size"):
+            m.TransportInstance(alpha=stack.alpha, quotas=stack.quotas, group=stack.group[:4])
 
 
 def small_cfg(k=3):
@@ -387,6 +468,22 @@ class TestStackedPlans:
             assert plan.counts.tolist() == want[0].tolist()
             assert (plan.per_bit_power, plan.energy, plan.mean_power) == want[1:]
 
+    def test_one_validated_solve_per_stack(self, monkeypatch):
+        calls = []
+        real = allocation.solve_transport
+        monkeypatch.setattr(allocation, "solve_transport",
+                            lambda instance: calls.append(instance) or real(instance))
+        cfg, gs, gains = plan_stack(1)
+        powers = m.frame_powers(gains, m.link_budget(cfg))
+        layouts = [allocation.frame_layout(g, cfg) for g in gs]
+        allocation.solve_frames(layouts, powers, cfg)
+        assert [c.alpha.shape for c in calls] == [powers.shape]
+        # a one-row frame's costs are checked too
+        assert np.count_nonzero(gs[0]) == 1
+        powers[0, :, 3] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            allocation.solve_frames(layouts, powers, cfg)
+
     def test_stacked_sums_equal_per_frame_sums(self):
         # the stack sums each frame's K*N products in the same pairwise order
         rng = np.random.default_rng(11)
@@ -463,7 +560,8 @@ def reference_value(powers, g, r):
     n = powers.shape[1]
     g = np.asarray(g, dtype=np.int64)
     m_sel = int(g.sum())
-    return float(np.sum(powers * _min_cost_counts(powers, g * n, m_sel))) / (n * r * m_sel)
+    instance = m.TransportInstance(alpha=powers, quotas=g * n, group=m_sel)
+    return m.solve_transport(instance)[1] / (n * r * m_sel)
 
 
 def window_stack(seed):
@@ -508,33 +606,40 @@ class TestCompositionRanking:
 
 
 class TestPowerInversion:
+    BUDGET = m.LinkBudget(gamma=20.0, noise_power=2e-17)
+
+    def invert(self, gains):
+        return self.BUDGET.gamma * self.BUDGET.noise_power / gains
+
     def test_required_power_hits_target(self):
-        p = required_power(np.array([0.5]), 20.0, 2e-17)
-        assert p[0] * 0.5 / 2e-17 == pytest.approx(20.0)
+        p = m.frame_powers(np.array([[0.5]]), self.BUDGET)
+        assert p[0, 0] * 0.5 / 2e-17 == pytest.approx(20.0)
 
     def test_zero_gain_rejected(self):
         with pytest.raises(m.ZeroGain):
-            required_power(np.array([0.0]), 20.0, 2e-17)
+            m.frame_powers(np.array([[0.0]]), self.BUDGET)
         with pytest.raises(m.ZeroGain):
-            clamp_gains(np.array([[1.0, -0.5]]))
+            m.frame_powers(np.array([[1.0, -0.5]]), self.BUDGET)
+        with pytest.raises(m.ZeroGain):        # one frame of a stack, below the floor
+            m.frame_powers(np.array([[[1.0, 2.0]], [[1.0, -1e-300]]]), self.BUDGET)
 
     def test_deep_fade_is_floored(self):
-        g = clamp_gains(np.array([[1.0, 1e-300]]))
-        assert g[0, 1] >= 1e-12 * 1.0 / 2  # relative to the median
+        p = m.frame_powers(np.array([[1.0, 1e-300]]), self.BUDGET)
+        assert p[0, 1] <= self.invert(1e-12 * 1.0 / 2)  # relative to the median
 
     def test_one_gain_below_the_floor(self):
         gains = np.full((2, 4), 2.0)
         gains[1, 2] = 1e-13                  # below 1e-12 * median (= 2e-12)
-        got = clamp_gains(gains)
+        got = m.frame_powers(gains, self.BUDGET)
         want = gains.copy()
         want[1, 2] = 1e-12 * 2.0
-        assert got.tolist() == want.tolist()
+        assert got.tolist() == self.invert(want).tolist()
 
     @pytest.mark.parametrize("low", [6e-12, 2e-12])
     def test_gains_above_the_floor_pass_unchanged(self, low):
         # 6e-12 >= 1e-12 * max skips the median; 2e-12 needs it (floor 1.5e-12)
         gains = np.array([[1.0, low], [2.0, 5.0]])
-        assert clamp_gains(gains).tolist() == gains.tolist()
+        assert m.frame_powers(gains, self.BUDGET).tolist() == self.invert(gains).tolist()
 
     def test_a_block_clamps_each_frame_against_its_own_gains(self):
         budget = m.link_budget(small_cfg())

@@ -102,7 +102,7 @@ class TestChannelProcess:
         # fix the large-scale part at 1 so only fading remains; subcarrier
         # gains within a frame are tap-correlated, so average many frames
         proc = ChannelProcess(m.SystemConfig(K=1, N=16, L=64, seed=2, **UNIT_PATH_GAIN))
-        assert proc._large.tolist() == [1.0]
+        assert proc.path_gains.tolist() == [1.0]
         acc = [proc.state(f) for f in range(2000)]
         assert float(np.mean(acc)) == pytest.approx(1.0, abs=0.05)
 
@@ -143,7 +143,7 @@ def per_frame_reference(cfg, frames):
     the recurrence from frame 0, and each frame gets its own FFT."""
     profile = np.exp(-np.arange(cfg.taps) / cfg.tap_decay)
     tap_std = np.sqrt(profile / profile.sum() / 2.0)
-    large = ChannelProcess(cfg)._large
+    large = ChannelProcess(cfg).path_gains
 
     def draw(f):
         rng = np.random.default_rng([cfg.seed, 37, f])

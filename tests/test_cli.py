@@ -338,6 +338,40 @@ class TestRunCommand:
         assert cli.main(["run", path, "--out", str(tmp_path / "x")]) == 3
 
 
+class TestUnusableLinks:
+    """Schema-valid physical inputs whose power inversion cannot be finite
+    are refused before any run, and usable extremes still run."""
+
+    def sections(self, **system):
+        return {"system": {"K": 4, "N": 16, "L": 64, "r": 2, **system},
+                "traffic": {"rate_bps": 50000.0}, "run": {"horizon_symbols": 2000}}
+
+    @pytest.mark.parametrize("M", [2, 4])
+    @pytest.mark.parametrize("system", [{"pathloss_exp": 200}, {"pathloss_exp": -200},
+                                        {"N0": 1e300}],
+                             ids=["path_gain_underflows", "path_gain_overflows",
+                                  "noise_overflows"])
+    def test_refused_before_any_run(self, tmp_path, capsys, M, system):
+        path = write_cfg(tmp_path, **self.sections(M=M, **system))
+        out = tmp_path / "x"
+        assert cli.main(["run", path, "--out", str(out)]) == 1
+        assert "fading margin" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("system", [
+        {"M": 2, "pathloss_exp": 150}, {"M": 4, "pathloss_exp": 150},
+        {"K": 10, "N": 64, "L": 1024, "M": 4},          # the README working point
+    ])
+    def test_usable_extremes_still_run(self, tmp_path, system):
+        path = write_cfg(tmp_path, **self.sections(**system))
+        out = tmp_path / "x"
+        assert cli.main(["run", path, "--out", str(out)]) == 0
+        row, = read_rows(out / "runs.csv")
+        assert int(row["frames"]) > 0
+        assert math.isfinite(float(row["avg_power"]))
+        assert math.isfinite(float(row["per_bit_power"]))
+
+
 class TestSweepCommand:
     def test_axis_flag_expands_grid(self, tmp_path):
         path = write_cfg(tmp_path, **tiny_sections())

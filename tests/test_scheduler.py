@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 import mpgps_sim as m
-from mpgps_sim.allocation import _min_cost_counts
 
 
 def make_queues(stamp_lists):
@@ -124,8 +123,9 @@ class TestOpportunisticSelection:
             window = [sum(f == flow for _, f in earliest) for flow in range(k)]
             for g in m.compositions(min(mm, backlog), window):
                 g_arr = np.array(g)
-                val = float(np.sum(powers * _min_cost_counts(
-                    powers, g_arr * 64, int(g_arr.sum())))) / (64 * 2 * g_arr.sum())
+                val = m.solve_transport(m.TransportInstance(
+                    alpha=powers, quotas=g_arr * 64, group=int(g_arr.sum())))[1] / (
+                        64 * 2 * g_arr.sum())
                 vals.append(val)
                 if val < best_val:
                     best_g, best_val = g, val

@@ -405,6 +405,25 @@ class TestFailsAtConstruction:
         m.Engine(cfg, m.TrafficModel(rate_bps=1e12, infinite_backlog=True), "mpgps",
                  1e6, max_frames=5)
 
+    def test_link_budget_needs_the_fading_margin(self):
+        # the weakest user's gamma * noise_power / path gain, over the margin,
+        # must be finite; a verification mpgps run draws no channel at all
+        cfg = compact()
+        weakest = m.ChannelProcess(cfg).path_gains.min()
+        gamma = m.snr_target(cfg.target_ber, cfg.r)
+
+        def noise_density(worst):
+            return worst * m.engine.FADE_MARGIN * weakest / (gamma * cfg.B)
+
+        traffic = m.TrafficModel(rate_bps=6000.0)
+        m.Engine(replace(cfg, N0=noise_density(1e306)), traffic, "mpgps", 1000.0)
+        too_noisy = replace(cfg, N0=noise_density(1e306) * 1e3)
+        with pytest.raises(ValueError, match="fading margin"):
+            m.Engine(too_noisy, traffic, "mpgps", 1000.0)
+        m.Engine(too_noisy, traffic, "mpgps", 1000.0, verify=True)
+        with pytest.raises(ValueError, match="fading margin"):
+            m.Engine(too_noisy, traffic, "ompgps", 1000.0, verify=True)
+
 
 class TestPerPacketRecords:
     def engine(self, verify):
