@@ -95,6 +95,7 @@ _POS_INT = {"type": "integer", "minimum": 1}
 _BOOL = {"type": "boolean"}
 _AXIS = {"oneOf": [{"type": "array", "items": _NUMBER, "minItems": 1},
                    {"type": "string"}]}
+MAX_AXIS_VALUES = 10_000     # a lo:hi:step range must expand to fewer values
 
 
 @dataclass(frozen=True)
@@ -144,7 +145,7 @@ class Axis:
 
 
 # sets no SystemConfig field: each point gets the budget, in dB against its
-# own unconstrained mean power (see _calibrate_budgets)
+# own unconstrained mean power (see execute)
 BUDGET_AXIS = Axis("power_budget_db",
                    {"type": "array", "items": _NUMBER, "minItems": 1}, {},
                    integer=False, alias="P")
@@ -248,29 +249,29 @@ class Point:
     mode: str
     overrides: dict
     budget_db: float | None = None
-    baseline_power: float | None = None
 
 
 def parse_axis_values(text: str, integer: bool = True) -> list:
-    """Accept '1:6', '1:6:2', or '1,2,4' forms."""
+    """Accept '1:6', '1:6:2', or '1,2,4' forms of finite numbers."""
     cast = int if integer else float
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) not in (2, 3) or not all(parts):
-            raise ConfigError(f"bad axis range {text!r}")
-        lo, hi = cast(parts[0]), cast(parts[1])
-        step = cast(parts[2]) if len(parts) == 3 else 1
-        if step <= 0 or hi < lo:
-            raise ConfigError(f"bad axis range {text!r}")
-        out, v = [], lo
-        while v <= hi + (0 if integer else 1e-12):
-            out.append(cast(v))
-            v += step
-        return out
+    ranged = ":" in text
+    tokens = text.split(":") if ranged else [tok for tok in text.split(",") if tok]
     try:
-        return [cast(tok) for tok in text.split(",") if tok]
+        values = [cast(tok) for tok in tokens]
     except ValueError as exc:
-        raise ConfigError(f"bad axis list {text!r}") from exc
+        raise ConfigError(f"bad axis values {text!r}") from exc
+    if not values or not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"axis {text!r} needs finite numbers")
+    if not ranged:
+        return values
+    lo, hi, step = (*values, 1)[:3]
+    if len(values) > 3 or step <= 0 or hi < lo or (hi - lo) / step >= MAX_AXIS_VALUES:
+        raise ConfigError(f"bad axis range {text!r}")
+    out, v = [], lo
+    while v <= hi + (0 if integer else 1e-12):
+        out.append(cast(v))
+        v += step
+    return out
 
 
 def _axis_list(raw, integer: bool = True) -> list | None:
@@ -422,11 +423,9 @@ def grid_points(scenario: Scenario) -> list[Point]:
 
 
 def _make_task(scenario: Scenario, point: Point, rep: int, *,
-               verify: bool = False, budget_w: float | None = None) -> dict:
+               verify: bool = False) -> dict:
     system = {**scenario.system, **point.overrides}
     system["seed"] = int(system.get("seed", 1)) + rep
-    if budget_w is not None:
-        system["power_budget"] = budget_w
     engine = {**scenario.engine, "verify": verify}
     if verify:
         engine.update(collect_events=False, collect_fairness=False)
@@ -461,7 +460,7 @@ def _run_task(task: dict) -> dict:
     try:
         result = eng.run()
     except BoundViolation as exc:
-        return {"row": None, "events": None, "violation": True,
+        return {"row": None, "events": None,
                 "bounds": [{**ident, "check": "hard_assert", "bound": 0.0,
                             "observed": 1.0, "violations": 1,
                             "applicable": True, "note": str(exc)}]}
@@ -469,7 +468,6 @@ def _run_task(task: dict) -> dict:
     bound_rows = [{**ident, "check": e.name, "bound": e.bound,
                    "observed": e.observed, "violations": e.violations,
                    "applicable": e.applicable, "note": e.note} for e in entries]
-    violation = any(e.applicable and e.violations for e in entries)
     row = {**ident, "horizon_symbols": task["engine"]["horizon_symbols"],
            **result.metrics.as_dict()}
     events = None
@@ -480,8 +478,7 @@ def _run_task(task: dict) -> dict:
                    "flow": ev.flow, "seq": ev.seq, "frame": ev.frame,
                    "outcome": outcome.get(ev.kind, "")}
                   for ev in result.events]
-    return {"row": row, "bounds": bound_rows, "events": events,
-            "violation": violation}
+    return {"row": row, "bounds": bound_rows, "events": events}
 
 
 def _fmt(value) -> str:
@@ -598,74 +595,74 @@ def _write_gnuplot(scenario: Scenario, names: list[str]) -> None:
 
 # -- execution ----------------------------------------------------------------
 
-def _calibrate_budgets(scenario: Scenario, points: list[Point]) -> None:
-    """Resolve dB budgets into watts against each point's unconstrained power."""
-    baselines: dict[tuple, float] = {}
-    for point in points:
-        if point.budget_db is None:
-            continue
-        key = (point.mode, tuple(sorted(point.overrides.items())))
-        if key in baselines:
-            point.baseline_power = baselines[key]
-            continue
-        task = _make_task(scenario, point, 0)
-        task["engine"].update(collect_events=False, collect_fairness=False)
-        out = _run_task(task)
-        power = out["row"]["avg_power"] if out["row"] else float("nan")
-        baselines[key] = power
-        point.baseline_power = power
-        log.info("calibration %s %s: mean power %.3g W", point.mode,
-                 point.overrides, power)
-
-
-def _budget_watts(point: Point) -> float | None:
-    if point.budget_db is None:
-        return None
-    base = point.baseline_power
-    if base is None or not math.isfinite(base):
-        return None
-    return base * 10.0 ** (point.budget_db / 10.0)
+def _run_tasks(pool: ProcessPoolExecutor | None, tasks: dict, done: dict) -> None:
+    """Run each task into ``done[key]``, in this process when ``pool`` is None."""
+    if pool is None:
+        for key, task in tasks.items():
+            done[key] = _run_task(task)
+        return
+    futures = {pool.submit(_run_task, task): key for key, task in tasks.items()}
+    for fut in as_completed(futures):
+        done[futures[fut]] = fut.result()
 
 
 def execute(scenario: Scenario, check_bounds: bool = False) -> int:
     points = grid_points(scenario)
-    # the Engine's own checks (rates, horizon, batch sizes) refuse a
-    # schema-valid task before any run starts
+    tasks: dict[tuple, dict] = {}
+    budgeted: dict[tuple, list[Point]] = {}
     for p in points:
         for rep in range(scenario.replications):
+            task = tasks[(p.index, rep)] = _make_task(scenario, p, rep, verify=check_bounds)
+            # the Engine's own checks (rates, horizon, batch sizes) refuse a
+            # schema-valid task before any run starts
             try:
-                _build_engine(_make_task(scenario, p, rep, verify=check_bounds))
+                _build_engine(task)
             except ValueError as exc:
                 raise ConfigError(f"point {p.index} {p.mode} {p.overrides}: {exc}") from exc
-    if not check_bounds:        # verification never allocates power
-        _calibrate_budgets(scenario, points)
-    tasks = [_make_task(scenario, p, rep, verify=check_bounds,
-                        budget_w=_budget_watts(p))
-             for p in points for rep in range(scenario.replications)]
-    os.makedirs(scenario.out, exist_ok=True)
+        # a dB budget is against the mean power of one unconstrained run per
+        # (mode, overrides); verification never allocates power, so needs none
+        if p.budget_db is not None and not check_bounds:
+            budgeted.setdefault((p.mode, tuple(sorted(p.overrides.items()))), []).append(p)
+    calibrations = {key: _make_task(scenario, ps[0], 0) for key, ps in budgeted.items()}
+    for task in calibrations.values():
+        task["engine"].update(collect_events=False, collect_fairness=False)
+
     results: dict[tuple, dict] = {}
     interrupted = False
+    pool = ProcessPoolExecutor(scenario.workers) if scenario.workers > 1 else None
     try:
-        if scenario.workers > 1:
-            with ProcessPoolExecutor(max_workers=scenario.workers) as pool:
-                futures = {pool.submit(_run_task, t): (t["point"], t["rep"])
-                           for t in tasks}
-                for fut in as_completed(futures):
-                    results[futures[fut]] = fut.result()
-        else:
-            for t in tasks:
-                results[(t["point"], t["rep"])] = _run_task(t)
-    except KeyboardInterrupt:
-        interrupted = True
-        log.warning("interrupted: flushing %d completed runs", len(results))
+        baselines: dict[tuple, dict] = {}
+        _run_tasks(pool, calibrations, baselines)
+        for key, ps in budgeted.items():
+            power = baselines[key]["row"]["avg_power"]
+            log.info("calibration %s %s: mean power %.3g W", ps[0].mode,
+                     ps[0].overrides, power)
+            for p in ps:
+                try:
+                    watts = float(power) * 10.0 ** (p.budget_db / 10.0)
+                except OverflowError:        # 10 ** (dB / 10) is past the float range
+                    watts = math.inf
+                if not 0.0 < watts < math.inf:
+                    raise ConfigError(f"point {p.index} {p.mode} {p.overrides}: {p.budget_db}"
+                                      f" dB is {watts:.3g} W, not a positive finite budget")
+                for rep in range(scenario.replications):
+                    tasks[(p.index, rep)]["system"]["power_budget"] = watts
+        os.makedirs(scenario.out, exist_ok=True)
+        try:
+            _run_tasks(pool, tasks, results)
+        except KeyboardInterrupt:
+            interrupted = True
+            log.warning("interrupted: flushing %d completed runs", len(results))
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
-    run_rows, bound_rows, violation = [], [], False
+    run_rows, bound_rows = [], []
     for point, rep in sorted(results):
         out = results[(point, rep)]
         if out["row"] is not None:
             run_rows.append(out["row"])
         bound_rows += out["bounds"]
-        violation = violation or out["violation"]
         if out["events"] is not None:
             suffix = ("" if len(points) == 1 and scenario.replications == 1
                       else f"_p{point}_r{rep}")
@@ -691,7 +688,7 @@ def execute(scenario: Scenario, check_bounds: bool = False) -> int:
           + (f" (+{len(figures)} figure files)" if figures else ""))
     if interrupted:
         return 3
-    if check_bounds and violation:
+    if check_bounds and any(r["applicable"] and r["violations"] for r in bound_rows):
         return 2
     return 0
 

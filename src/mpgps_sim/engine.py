@@ -196,6 +196,8 @@ class Engine:
         if expected > MAX_EXPECTED_ARRIVALS:
             raise ValueError(f"the run expects {expected:.3g} arrivals, over the cap of "
                              f"{MAX_EXPECTED_ARRIVALS:.0e}; lower the rate or the horizon")
+        if not saturated and expected < 1:
+            log.warning("the run expects %.3g arrivals within its horizon", expected)
         if max_frames is not None and not (
                 isinstance(max_frames, numbers.Integral) and max_frames > 0):
             raise ValueError("max_frames must be a positive integer")

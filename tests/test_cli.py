@@ -241,13 +241,43 @@ class TestRunCommand:
         agg = read_rows(out / "aggregate.csv")
         assert len(agg) == 1 and agg[0]["n"] == "3"
 
-    def test_worker_pool_merges_deterministically(self, tmp_path):
-        path = write_cfg(tmp_path, **tiny_sections(run={"replications": 2}))
+    @pytest.mark.parametrize("sweep", [{}, {"M": [1, 2], "power_budget_db": [-3.0, 0.0]}],
+                             ids=["replications", "budget_grid"])
+    def test_worker_pool_merges_deterministically(self, tmp_path, sweep):
+        # the budget grid also sends its calibrations through the pool
+        path = write_cfg(tmp_path, **tiny_sections(run={"replications": 2}, sweep=sweep))
         solo, pooled = tmp_path / "solo", tmp_path / "pooled"
         assert cli.main(["run", path, "--out", str(solo)]) == 0
         assert cli.main(["run", path, "--out", str(pooled),
                          "--workers", "2"]) == 0
-        assert (solo / "runs.csv").read_bytes() == (pooled / "runs.csv").read_bytes()
+        for name in ("runs.csv", "aggregate.csv"):
+            assert (solo / name).read_bytes() == (pooled / name).read_bytes()
+
+    @pytest.mark.parametrize("call, rows", [(1, None), (5, 2)],
+                             ids=["during_calibration", "during_grid"])
+    def test_interrupt_flushes_completed_runs(self, tmp_path, monkeypatch, call, rows):
+        # 2 calibrations (one per M), then 4 grid runs, all in this process
+        path = write_cfg(tmp_path, **tiny_sections(
+            sweep={"M": [1, 2], "power_budget_db": [-3.0, 0.0]}))
+        full, cut = tmp_path / "full", tmp_path / "cut"
+        assert cli.main(["run", path, "--out", str(full)]) == 0
+        real, calls = cli._run_task, []
+
+        def interrupting(task):
+            calls.append(task)
+            if len(calls) == call:
+                raise KeyboardInterrupt
+            return real(task)
+
+        monkeypatch.setattr(cli, "_run_task", interrupting)
+        assert cli.main(["run", path, "--out", str(cut)]) == 3
+        assert len(calls) == call
+        if rows is None:                    # no grid run started
+            assert not cut.exists()
+            return
+        kept = (cut / "runs.csv").read_text().splitlines()
+        assert kept == (full / "runs.csv").read_text().splitlines()[:1 + rows]
+        assert not (cut / "aggregate.csv").exists()
 
     def test_events_file_for_single_point(self, tmp_path):
         path = write_cfg(tmp_path, **tiny_sections(run={"collect_events": True}))
@@ -324,6 +354,15 @@ class TestRunCommand:
         assert cli.main(["run", path, "--out", str(out)]) == 1
         assert "config error" in capsys.readouterr().err
         assert not out.exists()             # refused before any run
+
+    def test_run_expecting_no_arrival_warns(self, tmp_path, caplog):
+        # 2000 symbols of 1e-300 s: the horizon holds ~6e-294 expected arrivals
+        path = write_cfg(tmp_path, system={"K": 4, "N": 16, "L": 64, "r": 2, "M": 2,
+                                           "T_sym": 1e-300, "B": 15000},
+                         traffic={"rate_bps": 50000.0}, run={"horizon_symbols": 2000})
+        with caplog.at_level(logging.WARNING, logger="mpgps_sim.engine"):
+            assert cli.main(["run", path, "--out", str(tmp_path / "x")]) == 0
+        assert "the run expects 6.25e-294 arrivals" in caplog.text
 
     def test_engine_crash_exit_code(self, tmp_path, monkeypatch):
         class Boom:
@@ -406,6 +445,22 @@ class TestSweepCommand:
         assert cli.main(["sweep", path, "--out", str(out), "--axis", "M=1,2,10"]) == 0
         rows = read_rows(out / "fig3_delay_vs_M.csv")
         assert [r["M"] for r in rows] == ["1", "2", "10"]
+
+    @pytest.mark.parametrize("sweep, axis, err", [
+        ({}, "M=a:b", ""), ({"U": "2:x"}, None, ""), ({}, "P=-3:nan:1", ""),
+        ({}, "P=nan", ""), ({}, "P=inf", ""), ({}, "P=0:inf:1", ""), ({}, "P=,", ""),
+        ({}, "M=1:1000000000", ""),
+        # refused after the calibration, before any grid run
+        ({}, "P=4000", ": point 0 mpgps"), ({}, "P=-4000", ": point 0 mpgps"),
+        ({"power_budget_db": [4000]}, None, ": point 0 mpgps"),
+    ])
+    def test_bad_axis_value_is_a_config_error(self, tmp_path, capsys, sweep, axis, err):
+        path = write_cfg(tmp_path, **tiny_sections(sweep=sweep))
+        out = tmp_path / "x"
+        argv = ["sweep", path, "--out", str(out)] + (["--axis", axis] if axis else [])
+        assert cli.main(argv) == 1
+        assert f"config error{err}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_axis_rejected(self, tmp_path):
         path = write_cfg(tmp_path, **tiny_sections())
