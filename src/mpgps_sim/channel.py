@@ -56,7 +56,7 @@ class UserGeometry:
         d = max(self.distance_m, cfg.ref_distance_m)
         try:
             return (cfg.ref_distance_m / d) ** cfg.pathloss_exp * 10.0 ** (self.shadow_db / 10.0)
-        except OverflowError:    # beyond float range; the Engine refuses it
+        except (OverflowError, ZeroDivisionError):   # beyond float range; the Engine refuses it
             return math.inf
 
 
@@ -189,7 +189,8 @@ class ChannelProcess:
 
     def __init__(self, cfg: SystemConfig):
         self.cfg = cfg
-        profile = np.exp(-np.arange(cfg.taps) / cfg.tap_decay)
+        with np.errstate(over="ignore"):        # a decay near 1e-308 leaves one tap
+            profile = np.exp(-np.arange(cfg.taps) / cfg.tap_decay)
         self._tap_std = np.sqrt(profile / profile.sum() / 2.0)   # per real component
         geometry = draw_geometry(cfg, np.random.default_rng([cfg.seed, 11]))
         self.path_gains = np.array([g.path_gain(cfg) for g in geometry])

@@ -93,8 +93,9 @@ _NUMBER = {"type": "number"}
 _POS_NUMBER = {"type": "number", "exclusiveMinimum": 0}
 _POS_INT = {"type": "integer", "minimum": 1}
 _BOOL = {"type": "boolean"}
-_AXIS = {"oneOf": [{"type": "array", "items": _NUMBER, "minItems": 1},
-                   {"type": "string"}]}
+# integer axes take integer-valued numbers only: 2.0 passes, 1.5 does not
+_INT_AXIS = {"oneOf": [{"type": "array", "items": {"type": "integer"}, "minItems": 1},
+                       {"type": "string"}]}
 MAX_AXIS_VALUES = 10_000     # a lo:hi:step range must expand to fewer values
 
 
@@ -151,9 +152,9 @@ BUDGET_AXIS = Axis("power_budget_db",
                    integer=False, alias="P")
 AXES = (
     # the adaptive discipline takes M as its ceiling M_max
-    Axis("M", _AXIS, {PGPS: "M", MPGPS: "M", AMPGPS: "M_max", OMPGPS: "M"}),
-    Axis("M_max", _AXIS, {AMPGPS: "M_max"}),
-    Axis("U", _AXIS, {OMPGPS: "U"}),
+    Axis("M", _INT_AXIS, {PGPS: "M", MPGPS: "M", AMPGPS: "M_max", OMPGPS: "M"}),
+    Axis("M_max", _INT_AXIS, {AMPGPS: "M_max"}),
+    Axis("U", _INT_AXIS, {OMPGPS: "U"}),
     BUDGET_AXIS,
 )
 

@@ -196,8 +196,7 @@ class Engine:
         if expected > MAX_EXPECTED_ARRIVALS:
             raise ValueError(f"the run expects {expected:.3g} arrivals, over the cap of "
                              f"{MAX_EXPECTED_ARRIVALS:.0e}; lower the rate or the horizon")
-        if not saturated and expected < 1:
-            log.warning("the run expects %.3g arrivals within its horizon", expected)
+        self.expected_arrivals = expected
         if max_frames is not None and not (
                 isinstance(max_frames, numbers.Integral) and max_frames > 0):
             raise ValueError("max_frames must be a positive integer")
@@ -258,8 +257,11 @@ class Engine:
         self.frames_started = 0
         self.frames: list[FrameRecord] = []
         self.events: list[SimEvent] = []
-        self.fair_events: list[list[tuple[float, int]]] = [[] for _ in range(cfg.K)]
         self.seq_next = [0] * cfg.K
+        # fairness runs: packets in system per flow, and each flow's busy
+        # intervals as alternating open and close times
+        self.in_system = [0] * cfg.K
+        self.busy_edges: list[list[float]] = [[] for _ in range(cfg.K)]
 
         # shadow machinery for the opportunistic audit
         self.shadow_queues = ([FlowQueue(k) for k in range(cfg.K)]
@@ -267,11 +269,6 @@ class Engine:
         self.ledger = (LagLedger(bound=cfg.U - cfg.M)
                        if (verify and mode == OMPGPS) else None)
         self.shadow_trace_equal = True
-
-        # per packet, by arrival index, in verification mode only: the real
-        # departure time (nan until delivered) and the frame that sent it
-        self.delivered_at: list[float] = []
-        self.sent_in: list[int] = []
 
         # counters
         self.n_arrivals = 0
@@ -327,7 +324,10 @@ class Engine:
             rho_bps = self.traffic.bucket[1]
             if np.any(rho_bps < self.rates_bps):
                 log.warning("bucket rate below mean offered rate; shaping is unstable")
-        per_flow = [self._shape(self._poisson_times(k, rates[k])) for k in range(self.cfg.K)]
+        # rates near the float range overflow gaps and release times to inf,
+        # past any horizon as the true values are; later releases stay inf
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            per_flow = [self._shape(self._poisson_times(k, rates[k])) for k in range(self.cfg.K)]
         times = np.concatenate(per_flow)
         flows = np.repeat(np.arange(self.cfg.K, dtype=np.int64), [len(p) for p in per_flow])
         order = np.lexsort((flows, times))
@@ -339,9 +339,6 @@ class Engine:
         pkt = Packet(flow=flow, seq=self.seq_next[flow], arrival=t, bits=self.cfg.L,
                      deadline_at=t + self.cfg.deadline_symbols, index=self.n_arrivals)
         self.seq_next[flow] += 1
-        if self.verify:
-            self.delivered_at.append(math.nan)
-            self.sent_in.append(-1)
         self.gps.on_arrival(pkt)
         self.queues[flow].push(pkt)
         if self.shadow_queues is not None:
@@ -350,10 +347,20 @@ class Engine:
         if t >= self.warmup_t:
             self.n_arrivals_m += 1
         if self.collect_fairness:
-            self.fair_events[flow].append((t, +1))
+            self._count(t, flow, 1)
         if self.collect_events:
             self.events.append(SimEvent(t, "arrive", flow, pkt.seq, -1))
         return pkt
+
+    def _count(self, t: float, flow: int, delta: int) -> None:
+        """Move flow's in-system count by delta (+1 or -1), tracking its busy edges."""
+        self.in_system[flow] += delta
+        if self.in_system[flow] == (delta > 0):         # 0 -> 1 opens, 1 -> 0 closes
+            edges = self.busy_edges[flow]
+            if edges and edges[-1] == t:
+                edges.pop()     # undone at the same instant: no gap, no empty interval
+            else:
+                edges.append(t)
 
     def _refill(self, t: float) -> None:
         target = max(self.cfg.U, self.cfg.M, self.cfg.M_max)
@@ -369,7 +376,7 @@ class Engine:
                 if pkt.arrival >= self.warmup_t:
                     self.n_dropped_m += 1
                 if self.collect_fairness:
-                    self.fair_events[pkt.flow].append((t, -1))
+                    self._count(t, pkt.flow, -1)
                 if self.collect_events:
                     self.events.append(SimEvent(t, "drop", pkt.flow, pkt.seq, -1))
 
@@ -459,9 +466,6 @@ class Engine:
         for flow, cnt in enumerate(decision.g):
             for _ in range(cnt):
                 self.queues[flow].pop_front()
-        if self.verify:
-            for pkt in members:
-                self.sent_in[pkt.index] = rec.index
         self.inflight = _InFlight(rec, members)
         self.frames_started += 1
         if self.collect_events:
@@ -482,38 +486,38 @@ class Engine:
                 self.per_scale = rec.scale
                 self.per = float(packet_error_rate(
                     self.budget.gamma * rec.scale, self.cfg.L, self.cfg.r))
-        failures: dict[int, list[Packet]] = {}
+        failures: list[Packet] = []
         for pkt in frame.members:
             if draws is None or next(draws) >= self.per:
                 self.n_delivered += 1
-                if self.verify:
-                    self.delivered_at[pkt.index] = t
                 if pkt.arrival >= self.warmup_t:
                     self.n_delivered_m += 1
                     self.delay_sum_m += t - pkt.arrival
                 if t > self.warmup_t:
                     self.n_delivered_events_m += 1
                 if self.collect_fairness:
-                    self.fair_events[pkt.flow].append((t, -1))
+                    self._count(t, pkt.flow, -1)
                 if self.collect_events:
                     self.events.append(SimEvent(t, "deliver", pkt.flow, pkt.seq, rec.index))
             else:
-                failures.setdefault(pkt.flow, []).append(pkt)
+                failures.append(pkt)
                 if self.collect_events:
                     self.events.append(SimEvent(t, "fail", pkt.flow, pkt.seq, rec.index))
-        for flow, pkts in failures.items():
-            for pkt in sorted(pkts, key=lambda p: p.seq, reverse=True):
-                self.queues[flow].requeue_front(pkt)
+        # each flow's members are a prefix of its queue, in seq order
+        for pkt in reversed(failures):
+            self.queues[pkt.flow].requeue_front(pkt)
         if self.collect_events:
             self.events.append(SimEvent(t, "frame_end", -1, -1, rec.index))
 
     # -- main loop ------------------------------------------------------------
 
     def run(self) -> RunResult:
+        saturated = self.traffic.infinite_backlog
+        if not saturated and self.expected_arrivals < 1:
+            log.warning("the run expects %.3g arrivals within its horizon", self.expected_arrivals)
         times, flows = self._generate_arrivals()
         i, n = 0, len(times)
         t = 0.0
-        saturated = self.traffic.infinite_backlog
         while True:
             # with no frame in flight, every packet neither delivered nor
             # dropped sits in a queue
@@ -548,9 +552,23 @@ class Engine:
         rep = BoundReport()
         ordered_modes = self.mode in (PGPS, MPGPS)
 
-        # delay gap vs the fluid reference, over the delivered packets
-        depart = np.asarray(self.delivered_at, dtype=float)
+        # A verify run neither fails nor drops a packet and serves each flow
+        # in arrival order: flow k's j-th packet went in the frame where the
+        # running sum of g_k passes j. Packets of the frame in flight at the
+        # horizon are sent but not delivered.
+        recs = self.frames + ([self.inflight.record] if self.inflight else [])
+        g = np.array([r.g for r in recs], dtype=np.int64).reshape(len(recs), cfg.K)
+        sent_in = np.full(trace.flows.size, -1)
+        for k in range(cfg.K):
+            frames_k = np.repeat(np.arange(len(recs)), g[:, k])
+            # raises IndexError if the flow's frames hold more packets than arrived
+            sent_in[np.flatnonzero(trace.flows == k)[np.arange(frames_k.size)]] = frames_k
+        sent = sent_in >= 0
+        # the in-flight frame's index and -1 (unsent) both read the trailing nan
+        depart = np.array([r.depart for r in self.frames] + [math.nan])[sent_in]
         delivered = ~np.isnan(depart)
+
+        # delay gap vs the fluid reference, over the delivered packets
         gaps = depart[delivered] - trace.departures[delivered]
         dbound = (2 * m - 1) * per_packet
         obs = float(gaps.max()) if gaps.size else 0.0
@@ -561,8 +579,6 @@ class Engine:
 
         # tighter delay gap when no frame (the one in flight at the horizon
         # included) holds a fluid departure before the latest of an earlier frame
-        sent_in = np.asarray(self.sent_in, dtype=np.int64)
-        sent = sent_in >= 0
         first = np.full(self.frames_started, math.inf)
         last = np.full(self.frames_started, -math.inf)
         np.minimum.at(first, sent_in[sent], trace.departures[sent])
@@ -646,7 +662,9 @@ class Engine:
                 m.avg_power = energy / (span * cfg.T_sym)
             delivered_bits = self.n_delivered_events_m * cfg.L
             if delivered_bits and energy > 0 and not self.traffic.infinite_backlog:
-                m.eb_n0_db = 10.0 * math.log10(energy / (delivered_bits * cfg.N0))
+                ratio = energy / (delivered_bits * cfg.N0)      # 0 or inf when N0 is extreme
+                m.eb_n0_db = 10.0 * (math.log10(ratio) if 0 < ratio < math.inf else (
+                    math.log10(energy) - math.log10(delivered_bits) - math.log10(cfg.N0)))
 
         if self.verify or self.collect_fairness:
             curves = metrics_mod.service_curves(
@@ -660,9 +678,10 @@ class Engine:
         if self.collect_fairness:
             lo, hi = self.warmup_t, self.horizon
             busy = []
-            for k in range(cfg.K):
-                iv = metrics_mod.busy_intervals(self.fair_events[k], hi)
-                busy.append([(max(a, lo), min(b, hi)) for a, b in iv if min(b, hi) > max(a, lo)])
+            for edges in self.busy_edges:
+                ends = edges[1::2] + [hi] * (len(edges) % 2)      # close any open interval
+                busy.append([(max(a, lo), min(b, hi)) for a, b in zip(edges[0::2], ends)
+                             if min(b, hi) > max(a, lo)])
             m.fairness = metrics_mod.fairness_metric(
                 curves, cfg.weights, self.fairness_window_s / cfg.T_sym, busy)
 

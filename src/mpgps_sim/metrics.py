@@ -68,34 +68,6 @@ def service_curves(frames, n_flows: int, packet_bits: int):
     return curves
 
 
-def busy_intervals(events, end_time: float):
-    """Maximal intervals with positive in-system count from (+1/-1) events.
-
-    ``events`` is a list of (time, delta); simultaneous events merge, so a
-    packet handed over at one instant never opens a fake gap.
-    """
-    if not events:
-        return []
-    order = sorted(events, key=lambda e: e[0])
-    out = []
-    count = 0
-    open_t = None
-    i = 0
-    while i < len(order):
-        t = order[i][0]
-        while i < len(order) and order[i][0] == t:
-            count += order[i][1]
-            i += 1
-        if count > 0 and open_t is None:
-            open_t = t
-        elif count <= 0 and open_t is not None:
-            out.append((open_t, t))
-            open_t = None
-    if open_t is not None:
-        out.append((open_t, end_time))
-    return [(a, b) for a, b in out if b > a]
-
-
 def _intersect(iv_a, iv_b):
     out = []
     i = j = 0

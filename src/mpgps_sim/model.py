@@ -12,6 +12,11 @@ from collections import deque
 from dataclasses import dataclass
 
 
+# Fair-share weights: the fluid reference and the fairness gauge divide bits by
+# them, and within a 1e6 spread the reference's sum of weights keeps ~10 digits.
+WEIGHT_RANGE = (1e-3, 1e3)
+
+
 class NonIntegralFrame(ValueError):
     """A batch whose airtime does not come out as a whole number of symbols."""
 
@@ -71,8 +76,9 @@ class SystemConfig:
             self.weights = tuple(float(w) for w in self.weights)
         if len(self.weights) != self.K:
             raise ValueError("need one weight per flow")
-        if not all(math.isfinite(w) and w > 0 for w in self.weights):
-            raise ValueError("weights must be positive and finite")
+        lo, hi = WEIGHT_RANGE
+        if not all(lo <= w <= hi for w in self.weights):
+            raise ValueError(f"weights must lie in [{lo:g}, {hi:g}]")
         if not 0.0 < self.target_ber < 1.0:
             raise ValueError("target_ber must lie in (0, 1)")
         if self.B is None:
@@ -179,12 +185,11 @@ def group_size(airtime: int, g, n_subcarriers: int) -> int:
     """Smallest divisor of the frame airtime giving every flow an integral quota.
 
     The frame repeats one group assignment airtime/group times; the group must
-    split the N*group slots into whole per-flow quotas.
+    split the N*group slots into whole per-flow quotas: m_sel must divide
+    N*gcd(g)*group, so the group is q = m_sel / gcd(m_sel, N*gcd(g)) if q | airtime.
     """
     m_sel = sum(g)
-    for cand in range(1, airtime + 1):
-        if airtime % cand:
-            continue
-        if all((g_k * cand * n_subcarriers) % m_sel == 0 for g_k in g):
-            return cand
-    raise NonIntegralQuota(f"no divisor of {airtime} yields integral quotas for {tuple(g)}")
+    q = m_sel // math.gcd(m_sel, n_subcarriers * math.gcd(*g))
+    if airtime % q:
+        raise NonIntegralQuota(f"no divisor of {airtime} yields integral quotas for {tuple(g)}")
+    return q

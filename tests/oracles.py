@@ -3,6 +3,9 @@
 ``brute_force_ilp`` enumerates tiny transportation instances exhaustively,
 the reference for the exact solver's optimality (acceptance criterion 5).
 ``gps_simulate`` runs the online fluid reference over a whole arrival trace.
+``busy_intervals`` sweeps a flow's (+1/-1) in-system events after the run,
+the reference for the engine's busy-interval tracker, and ``group_size_search``
+tries every divisor of the airtime, the reference for ``model.group_size``.
 """
 from __future__ import annotations
 
@@ -10,7 +13,7 @@ import math
 
 import numpy as np
 
-from mpgps_sim import TransportInstance
+from mpgps_sim import NonIntegralQuota, TransportInstance
 from mpgps_sim.virtual_time import GpsReference, GpsTrace
 
 
@@ -71,3 +74,42 @@ def gps_simulate(arrivals, weights, rate: float) -> GpsTrace:
         ref.on_arrival(pkt)
     ref.drain()
     return ref.trace()
+
+
+def busy_intervals(events, end_time: float):
+    """Maximal intervals with positive in-system count from (+1/-1) events.
+
+    ``events`` is a list of (time, delta); simultaneous events merge, so a
+    packet handed over at one instant never opens a fake gap.
+    """
+    if not events:
+        return []
+    order = sorted(events, key=lambda e: e[0])
+    out = []
+    count = 0
+    open_t = None
+    i = 0
+    while i < len(order):
+        t = order[i][0]
+        while i < len(order) and order[i][0] == t:
+            count += order[i][1]
+            i += 1
+        if count > 0 and open_t is None:
+            open_t = t
+        elif count <= 0 and open_t is not None:
+            out.append((open_t, t))
+            open_t = None
+    if open_t is not None:
+        out.append((open_t, end_time))
+    return [(a, b) for a, b in out if b > a]
+
+
+def group_size_search(airtime: int, g, n_subcarriers: int) -> int:
+    """Smallest divisor of ``airtime`` giving every flow an integral quota, by search."""
+    m_sel = sum(g)
+    for cand in range(1, airtime + 1):
+        if airtime % cand:
+            continue
+        if all((g_k * cand * n_subcarriers) % m_sel == 0 for g_k in g):
+            return cand
+    raise NonIntegralQuota(f"no divisor of {airtime} yields integral quotas for {tuple(g)}")

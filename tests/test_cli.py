@@ -4,11 +4,14 @@ import json
 import logging
 import math
 import os
+import sys
+import tempfile
 from types import SimpleNamespace
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import mpgps_sim.cli as cli
 import mpgps_sim.engine as engine_mod
@@ -362,7 +365,10 @@ class TestRunCommand:
                          traffic={"rate_bps": 50000.0}, run={"horizon_symbols": 2000})
         with caplog.at_level(logging.WARNING, logger="mpgps_sim.engine"):
             assert cli.main(["run", path, "--out", str(tmp_path / "x")]) == 0
-        assert "the run expects 6.25e-294 arrivals" in caplog.text
+        warned = [r for r in caplog.records if "the run expects" in r.getMessage()]
+        # once per task, although the CLI builds the Engine to check it first
+        assert len(warned) == 1
+        assert "the run expects 6.25e-294 arrivals" in warned[0].getMessage()
 
     def test_engine_crash_exit_code(self, tmp_path, monkeypatch):
         class Boom:
@@ -411,6 +417,90 @@ class TestUnusableLinks:
         assert math.isfinite(float(row["per_bit_power"]))
 
 
+# the smallest and the largest positive float
+TINY, HUGE = 5e-324, sys.float_info.max
+
+
+def _edge_system(draw, k):
+    """System values at the edges of the schema's ranges, a few keys at a time."""
+    edges = {
+        "T_sym": [TINY, 1e-300, 1e-6], "B": [TINY, 15000.0, HUGE],
+        # the schema's extremes, then those of model.WEIGHT_RANGE
+        "weights": [[TINY] * k, [HUGE] * k, [1e-3] * k, [1e-3] + [1e3] * (k - 1)],
+        "target_ber": [TINY, 0.5, 1 - 1e-16], "N0": [TINY, 1e300, HUGE],
+        "pathloss_exp": [-200.0, 0.0, 200.0], "shadow_std_db": [0.0, 400.0],
+        "taps": [1, 64], "tap_decay": [TINY, HUGE], "time_corr": [0.0, 1 - 1e-16],
+        "cell_radius_m": [TINY, HUGE], "ref_distance_m": [TINY, HUGE],
+        "deadline": [TINY, HUGE, "inf"], "seed": [0, 2 ** 64, 10 ** 30],
+        "power_budget": [TINY, HUGE],
+    }
+    keys = draw(st.sets(st.sampled_from(sorted(edges)), max_size=4))
+    return {key: draw(st.sampled_from(edges[key])) for key in sorted(keys)}
+
+
+@st.composite
+def edge_scenarios(draw):
+    """A `run` or `check-bounds` invocation of a small schema-valid scenario."""
+    k, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    pick = lambda values: draw(st.sampled_from(values))     # noqa: E731
+    system = {"K": k, "N": pick([1, 2, 16]), "L": pick([16, 64]), "r": pick([1, 2]),
+              "M": m, "M_max": draw(st.integers(1, 4)), "U": pick([None, m, m + 3]),
+              **_edge_system(draw, k)}
+    if draw(st.booleans()):
+        traffic = {"infinite_backlog": True}
+        run = {"max_frames": draw(st.integers(1, 30))}
+    else:
+        # at most 5e4 b/s: the rate caps the arrivals a 2000-symbol horizon expects
+        traffic = {"rate_bps": pick([TINY, 1e-300, 2000.0, 5e4, [5e4] + [TINY] * (k - 1)])}
+        if draw(st.booleans()):
+            traffic["bucket"] = {"burst_bits": pick([64.0, HUGE]),
+                                 "rate_bps": pick([TINY, 5e4, HUGE])}
+        run = {"horizon_symbols": pick([TINY, 1.0, 2000])}
+    run.update(mode=pick(list(cli.MODES)), warmup_frac=pick([0.0, 1 - 1e-16]),
+               error_free=draw(st.booleans()), fairness=draw(st.booleans()),
+               fairness_window_s=pick([TINY, 0.1, HUGE]))
+    sections = {"system": system, "traffic": traffic, "run": run}
+    budget = pick([None, [4000], [-4000], [0]])
+    if budget is not None:
+        sections["sweep"] = {"power_budget_db": budget}
+    return pick(["run", "check-bounds"]), sections
+
+
+def _named(command="run", sweep=None, rate_bps=50000.0, **system):
+    sections = {"system": {"K": 4, "N": 16, "L": 64, "r": 2, "M": 2, **system},
+                "traffic": {"rate_bps": rate_bps}, "run": {"horizon_symbols": 2000}}
+    if sweep:
+        sections["sweep"] = sweep
+    return command, sections
+
+
+class TestSchemaEdges:
+    """No schema-valid scenario fails mid-run: each exits 0, 1 or 2, never 3."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(edge_scenarios())
+    @example(_named(pathloss_exp=200.0))
+    @example(_named(pathloss_exp=-200.0))
+    @example(_named(N0=1e300))
+    @example(_named(T_sym=1e-300, B=15000.0))
+    @example(_named("check-bounds", T_sym=1e-300, B=15000.0))
+    @example(_named(sweep={"power_budget_db": [4000]}))
+    # arrival gaps overflow; a path gain of 0.0 ** -200; N0 * bits overflows
+    # in Eb/N0; the tap profile overflows; weights 632 decades apart
+    @example(_named(rate_bps=1e-300))
+    @example(_named(ref_distance_m=TINY, cell_radius_m=HUGE, pathloss_exp=-200.0))
+    @example(_named(N0=HUGE, B=TINY))
+    @example(_named(tap_decay=TINY))
+    @example(_named("check-bounds", weights=[TINY, HUGE, HUGE, HUGE]))
+    def test_never_exits_3(self, case):
+        command, sections = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "scenario.json")
+            with open(path, "w") as fh:
+                json.dump(sections, fh)
+            assert cli.main([command, path, "--out", os.path.join(tmp, "out")]) in (0, 1, 2)
+
+
 class TestSweepCommand:
     def test_axis_flag_expands_grid(self, tmp_path):
         path = write_cfg(tmp_path, **tiny_sections())
@@ -453,6 +543,8 @@ class TestSweepCommand:
         # refused after the calibration, before any grid run
         ({}, "P=4000", ": point 0 mpgps"), ({}, "P=-4000", ": point 0 mpgps"),
         ({"power_budget_db": [4000]}, None, ": point 0 mpgps"),
+        # integer axes take integer-valued numbers only
+        ({"M": [1.5, 2.9]}, None, ""), ({"U": [2.0, 4.7]}, None, ""),
     ])
     def test_bad_axis_value_is_a_config_error(self, tmp_path, capsys, sweep, axis, err):
         path = write_cfg(tmp_path, **tiny_sections(sweep=sweep))

@@ -1,4 +1,5 @@
 """Frame arithmetic, config validation, and queue basics."""
+import itertools
 import math
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mpgps_sim as m
+from oracles import group_size_search
 
 
 def cfg64(**kw):
@@ -86,6 +88,26 @@ class TestQuotaAndGroup:
                 continue
             assert any((gk * d * n) % m_sel for gk in g)
 
+    def test_group_size_matches_the_divisor_search(self):
+        # the closed form against the search, raises included
+        cases = raised = 0
+        for k in range(1, 4):
+            for g in itertools.product(range(5), repeat=k):
+                if not sum(g):
+                    continue
+                for n, airtime in itertools.product((1, 2, 3, 4, 6, 8, 12, 16, 64),
+                                                    range(1, 41)):
+                    try:
+                        want = group_size_search(airtime, g, n)
+                    except m.NonIntegralQuota:
+                        with pytest.raises(m.NonIntegralQuota):
+                            m.group_size(airtime, g, n)
+                        raised += 1
+                    else:
+                        assert m.group_size(airtime, g, n) == want, (airtime, g, n)
+                    cases += 1
+        assert raised and cases - raised
+
 
 class TestSystemConfig:
     def test_window_defaults_to_server_ceiling(self):
@@ -121,6 +143,8 @@ class TestSystemConfig:
         {"time_corr": -0.1},
         {"power_budget": 0.0},
         {"T_sym": 0.0},
+        {"weights": (1e-4,) * 10},      # outside model.WEIGHT_RANGE
+        {"weights": (1.0,) * 9 + (1e4,)},
     ])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ValueError):

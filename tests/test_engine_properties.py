@@ -5,13 +5,15 @@ Each example builds a system of at most four flows with 64-bit packets over
 saturated traffic, and checks the invariants the event loop must keep:
 packet conservation, per-flow FIFO service, monotone stamps within a fluid
 busy period, the analytic bounds in verification mode (and the bound report
-against a per-packet loop), and that ``pgps`` is ``mpgps`` at one server.
+against a per-packet loop over the event log), the busy intervals the fairness
+gauge reads, and that ``pgps`` is ``mpgps`` at one server.
 """
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import mpgps_sim as m
+import oracles
 
 MODES = ("pgps", "mpgps", "ampgps", "ompgps")
 
@@ -136,16 +138,29 @@ def test_verification_passes_every_applicable_bound(system):
 @given(systems())
 def test_bound_report_matches_a_per_packet_loop(system):
     cfg, traffic, mode, run_kw = system
-    eng = m.Engine(cfg, traffic, mode, 1500.0, verify=True, **run_kw)
-    rep = eng.run().bounds
+    eng = m.Engine(cfg, traffic, mode, 1500.0, verify=True, collect_events=True, **run_kw)
+    res = eng.run()
+    rep = res.bounds
     eps = m.engine.BOUND_EPS
-    fluid, real = eng.gps.departures, eng.delivered_at
+    # each packet's real departure and frame, by arrival index, from the event
+    # log and the frame in flight at the horizon
+    arrivals = [(e.flow, e.seq) for e in res.events if e.kind == "arrive"]
+    index = {key: i for i, key in enumerate(arrivals)}
+    real, sent_in = [math.nan] * len(arrivals), [-1] * len(arrivals)
+    for e in res.events:
+        if e.kind == "deliver":
+            real[index[e.flow, e.seq]] = e.time
+            sent_in[index[e.flow, e.seq]] = e.frame
+    if eng.inflight:
+        for pkt in eng.inflight.members:
+            sent_in[pkt.index] = eng.inflight.record.index
+    fluid = eng.gps.departures
     gaps = [r - d for r, d in zip(real, fluid) if not math.isnan(r)]
     assert rep.entry("delay_gap").observed == max(gaps, default=0.0)
     assert rep.entry("delay_gap").note == f"{len(gaps)} packets"
 
     by_frame = {}
-    for i, frame in enumerate(eng.sent_in):
+    for i, frame in enumerate(sent_in):
         if frame >= 0:
             by_frame.setdefault(frame, []).append(fluid[i])
     assert sorted(by_frame) == list(range(eng.frames_started))
@@ -162,6 +177,25 @@ def test_bound_report_matches_a_per_packet_loop(system):
         for i, d in enumerate(gps_d, start=1):
             worst = max(worst, i - sum(r <= d + eps for r in sent))
     assert rep.entry("backlog_gap").observed == worst
+
+
+@settings(max_examples=60, deadline=None)
+@given(systems(), st.booleans())
+# one saturated flow empties at every frame end and refills at the same instant
+@example((m.SystemConfig(K=1, N=8, L=64, r=2, M=2, M_max=1, U=2, seed=3),
+          m.TrafficModel(infinite_backlog=True), "mpgps", {"max_frames": 6}), True)
+def test_busy_intervals_match_a_sweep_of_the_event_log(system, error_free):
+    cfg, traffic, mode, run_kw = system
+    eng = m.Engine(cfg, traffic, mode, 1500.0, error_free=error_free,
+                   collect_events=True, collect_fairness=True, **run_kw)
+    res = eng.run()
+    steps = [[] for _ in range(cfg.K)]
+    for e in res.events:
+        if e.kind in ("arrive", "drop", "deliver"):
+            steps[e.flow].append((e.time, 1 if e.kind == "arrive" else -1))
+    for k, edges in enumerate(eng.busy_edges):
+        ends = edges[1::2] + [eng.horizon] * (len(edges) % 2)
+        assert list(zip(edges[0::2], ends)) == oracles.busy_intervals(steps[k], eng.horizon)
 
 
 @settings(max_examples=40, deadline=None)

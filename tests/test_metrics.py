@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mpgps_sim as m
-from mpgps_sim.metrics import _window_extreme, busy_intervals
+from mpgps_sim.metrics import _window_extreme
+from oracles import busy_intervals
 
 
 class TestServiceCurves:
