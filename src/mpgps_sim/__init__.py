@@ -15,8 +15,8 @@ from .channel import (ChannelProcess, DomainError, LinkBudget, UserGeometry,
 from .engine import (BoundCheck, BoundReport, Engine, FrameRecord, RunResult,
                      TrafficModel, run, verify_bounds)
 from .metrics import Metrics, fairness_metric, service_curves
-from .model import (FlowQueue, NonIntegralFrame, NonIntegralQuota, Packet,
-                    SystemConfig, frame_length, group_size, subcarrier_quota)
+from .model import (NonIntegralFrame, NonIntegralQuota, Packet, SystemConfig,
+                    frame_length, group_size, subcarrier_quota)
 from .scheduling import (AMPGPS, MODES, MPGPS, OMPGPS, PGPS, BoundViolation,
                          LagLedger, ScheduleDecision, ampgps_schedule,
                          compositions, ompgps_schedule, select_mpgps)
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AMPGPS", "AllocationResult", "BoundCheck", "BoundReport", "BoundViolation",
-    "ChannelProcess", "DomainError", "Engine", "FlowQueue", "FrameRecord",
+    "ChannelProcess", "DomainError", "Engine", "FrameRecord",
     "GpsReference", "GpsTrace", "LagLedger", "LinkBudget", "MODES", "MPGPS",
     "Metrics", "NonIntegralFrame", "NonIntegralQuota", "OMPGPS", "PGPS",
     "Packet", "RunResult", "ScheduleDecision", "SystemConfig", "TrafficModel",

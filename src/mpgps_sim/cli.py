@@ -7,7 +7,7 @@ Three subcommands share one JSON config format:
                    analytic bound vs worst observation
 * ``sweep``        like run, with extra grid axes given as ``--axis M=1:6``
 
-Exit codes: 0 success, 1 config error, 2 bound violation, 3 runtime failure.
+Exit codes: 0 success, 1 config or usage error, 2 bound violation, 3 runtime failure.
 Flags beat the MPGPS_SIM_SEED / MPGPS_SIM_OUT environment variables, which
 beat the config file.  All CSV output is deterministic for a given resolved
 config: rows are ordered by grid index and replication, floats are written
@@ -26,6 +26,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
+from fractions import Fraction
 
 import jsonschema
 import numpy as np
@@ -93,6 +94,7 @@ _NUMBER = {"type": "number"}
 _POS_NUMBER = {"type": "number", "exclusiveMinimum": 0}
 _POS_INT = {"type": "integer", "minimum": 1}
 _BOOL = {"type": "boolean"}
+_SEED = {"type": "integer", "minimum": 0}
 # integer axes take integer-valued numbers only: 2.0 passes, 1.5 does not
 _INT_AXIS = {"oneOf": [{"type": "array", "items": {"type": "integer"}, "minItems": 1},
                        {"type": "string"}]}
@@ -178,7 +180,7 @@ SCHEMA = {
                 "deadline": {"oneOf": [_POS_NUMBER,
                                        {"type": "string", "enum": ["inf"]},
                                        {"type": "null"}]},
-                "seed": {"type": "integer", "minimum": 0},
+                "seed": _SEED,
                 "cell_radius_m": _POS_NUMBER, "ref_distance_m": _POS_NUMBER,
                 "pathloss_exp": _NUMBER, "shadow_std_db": {"type": "number", "minimum": 0},
                 "taps": _POS_INT, "tap_decay": _POS_NUMBER,
@@ -223,6 +225,13 @@ class ConfigError(Exception):
     pass
 
 
+def _check_override(name: str, value, schema: dict) -> None:
+    """Refuse a flag or environment value that the schema of its key refuses."""
+    error = jsonschema.exceptions.best_match(type(_VALIDATOR)(schema).iter_errors(value))
+    if error is not None:
+        raise ConfigError(f"{name}: {error.message}")
+
+
 @dataclass
 class Scenario:
     system: dict
@@ -265,14 +274,10 @@ def parse_axis_values(text: str, integer: bool = True) -> list:
         raise ConfigError(f"axis {text!r} needs finite numbers")
     if not ranged:
         return values
-    lo, hi, step = (*values, 1)[:3]
+    lo, hi, step = (*(Fraction(repr(v)) for v in values), 1)[:3]   # value i is lo + i*step
     if len(values) > 3 or step <= 0 or hi < lo or (hi - lo) / step >= MAX_AXIS_VALUES:
         raise ConfigError(f"bad axis range {text!r}")
-    out, v = [], lo
-    while v <= hi + (0 if integer else 1e-12):
-        out.append(cast(v))
-        v += step
-    return out
+    return [cast(lo + i * step) for i in range((hi - lo) // step + 1)]
 
 
 def _axis_list(raw, integer: bool = True) -> list | None:
@@ -321,7 +326,9 @@ def build_scenario(config: dict, args: argparse.Namespace) -> Scenario:
             system["seed"] = int(env_seed)
         except ValueError as exc:
             raise ConfigError("MPGPS_SIM_SEED must be an integer") from exc
+        _check_override("MPGPS_SIM_SEED", system["seed"], _SEED)
     if getattr(args, "seed", None) is not None:
+        _check_override("--seed", args.seed, _SEED)
         system["seed"] = args.seed
 
     run = {o.key: run_cfg.get(o.key, o.default) for o in RUN_OPTIONS}
@@ -329,6 +336,8 @@ def build_scenario(config: dict, args: argparse.Namespace) -> Scenario:
     for o in RUN_OPTIONS:
         # a command-line flag named like the key beats the config
         flag = getattr(args, o.key, None)
+        if flag is not None:
+            _check_override(f"--{o.key}", flag, o.schema)
         value = run[o.key] if flag is None else flag
         run[o.key] = _CAST.get(o.schema.get("type"), lambda v: v)(value)
     mode_list = ([run["mode"]] if getattr(args, "mode", None) is not None
@@ -722,7 +731,10 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = make_parser().parse_args(argv)
+    try:
+        args = make_parser().parse_args(argv)
+    except SystemExit as exc:       # argparse's usage errors exit 2, a config error here
+        return 1 if exc.code else 0
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s")

@@ -19,14 +19,16 @@ from __future__ import annotations
 import logging
 import math
 import numbers
+from collections import deque
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import allocation, metrics as metrics_mod, scheduling
 from .channel import (ChannelProcess, FrameStreams, LinkBudget, link_budget,
                       packet_error_rate)
-from .model import FlowQueue, Packet, SystemConfig, frame_length
+from .model import Packet, SystemConfig, frame_length
 from .scheduling import (AMPGPS, MPGPS, OMPGPS, PGPS, BoundViolation,
                          LagLedger, ScheduleDecision, select_mpgps)
 from .virtual_time import GpsReference
@@ -159,12 +161,9 @@ class RunResult:
     events: list[SimEvent] | None = None
 
 
-class _InFlight:
-    __slots__ = ("record", "members")
-
-    def __init__(self, record: FrameRecord, members: list[Packet]):
-        self.record = record
-        self.members = members
+class _InFlight(NamedTuple):
+    record: FrameRecord
+    members: list[Packet]
 
 
 class Engine:
@@ -228,8 +227,8 @@ class Engine:
             if not rho_bps > 0:
                 raise ValueError("bucket rate must be positive")
         self.need_channel = mode in (AMPGPS, OMPGPS) or not verify
-        self.queues = [FlowQueue(k) for k in range(cfg.K)]
-        self.gps = GpsReference(cfg.weights, cfg.bits_per_symbol, record=verify)
+        self.queues: list[deque[Packet]] = [deque() for _ in range(cfg.K)]
+        self.gps = GpsReference(cfg.weights, cfg.bits_per_symbol, cfg.L, record=verify)
         self.budget: LinkBudget = link_budget(cfg)
         self.channel = ChannelProcess(cfg) if self.need_channel else None
         if self.channel is not None:
@@ -264,7 +263,7 @@ class Engine:
         self.busy_edges: list[list[float]] = [[] for _ in range(cfg.K)]
 
         # shadow machinery for the opportunistic audit
-        self.shadow_queues = ([FlowQueue(k) for k in range(cfg.K)]
+        self.shadow_queues = ([deque() for _ in range(cfg.K)]
                               if (verify and mode == OMPGPS) else None)
         self.ledger = (LagLedger(bound=cfg.U - cfg.M)
                        if (verify and mode == OMPGPS) else None)
@@ -336,13 +335,11 @@ class Engine:
     # -- event handlers -------------------------------------------------------
 
     def _admit(self, t: float, flow: int) -> Packet:
-        pkt = Packet(flow=flow, seq=self.seq_next[flow], arrival=t, bits=self.cfg.L,
-                     deadline_at=t + self.cfg.deadline_symbols, index=self.n_arrivals)
+        pkt = Packet(self.gps.on_arrival(t, flow), flow, self.seq_next[flow], t)
         self.seq_next[flow] += 1
-        self.gps.on_arrival(pkt)
-        self.queues[flow].push(pkt)
+        self.queues[flow].append(pkt)
         if self.shadow_queues is not None:
-            self.shadow_queues[flow].push(pkt)
+            self.shadow_queues[flow].append(pkt)
         self.n_arrivals += 1
         if t >= self.warmup_t:
             self.n_arrivals_m += 1
@@ -364,14 +361,15 @@ class Engine:
 
     def _refill(self, t: float) -> None:
         target = max(self.cfg.U, self.cfg.M, self.cfg.M_max)
-        for q in self.queues:
+        for flow, q in enumerate(self.queues):
             while len(q) < target:
-                self._admit(t, q.flow)
+                self._admit(t, flow)
 
     def _drop_expired(self, t: float) -> None:
+        deadline = self.cfg.deadline_symbols
         for q in self.queues:
-            while q.fifo and q.fifo[0].deadline_at <= t:
-                pkt = q.pop_front()
+            while q and q[0].arrival + deadline <= t:
+                pkt = q.popleft()
                 self.n_dropped += 1
                 if pkt.arrival >= self.warmup_t:
                     self.n_dropped_m += 1
@@ -426,15 +424,13 @@ class Engine:
         shadow = select_mpgps(self.shadow_queues, self.m_eff)
         if shadow.m_sel != decision.m_sel:
             raise BoundViolation("shadow and opportunistic batch sizes diverged")
-        window_ids = {p.index for p in decision.window}
-        decision_ids = {p.index for p in decision.chosen}
-        shadow_ids = {p.index for p in shadow.chosen}
-        if decision_ids != shadow_ids:
+        chosen, shadow_chosen = set(decision.chosen), set(shadow.chosen)
+        if chosen != shadow_chosen:
             self.shadow_trace_equal = False
-        self.ledger.update(window_ids, decision_ids, shadow_ids)
-        for flow, cnt in enumerate(shadow.g):
+        self.ledger.update(set(decision.window), chosen, shadow_chosen)
+        for q, cnt in zip(self.shadow_queues, shadow.g):
             for _ in range(cnt):
-                self.shadow_queues[flow].pop_front()
+                q.popleft()
 
     def _instant(self, t: float) -> None:
         """Start a frame at t; the run enters only with a packet queued or refillable."""
@@ -462,11 +458,10 @@ class Engine:
                 if rec.mean_power > budget:
                     rec.scale = budget / rec.mean_power
                     rec.energy *= rec.scale
-        members = decision.chosen
-        for flow, cnt in enumerate(decision.g):
+        for q, cnt in zip(self.queues, decision.g):
             for _ in range(cnt):
-                self.queues[flow].pop_front()
-        self.inflight = _InFlight(rec, members)
+                q.popleft()
+        self.inflight = _InFlight(rec, decision.chosen)
         self.frames_started += 1
         if self.collect_events:
             self.events.append(SimEvent(t, "frame_start", -1, -1, rec.index))
@@ -505,7 +500,7 @@ class Engine:
                     self.events.append(SimEvent(t, "fail", pkt.flow, pkt.seq, rec.index))
         # each flow's members are a prefix of its queue, in seq order
         for pkt in reversed(failures):
-            self.queues[pkt.flow].requeue_front(pkt)
+            self.queues[pkt.flow].appendleft(pkt)
         if self.collect_events:
             self.events.append(SimEvent(t, "frame_end", -1, -1, rec.index))
 

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 # Fair-share weights: the fluid reference and the fairness gauge divide bits by
@@ -117,37 +117,13 @@ class SystemConfig:
         return self.deadline / self.T_sym
 
 
-@dataclass(slots=True)
-class Packet:
+class Packet(NamedTuple):
+    """A queued packet, stamped once on arrival; failures requeue it as it is."""
+
+    vfinish: float               # virtual finishing stamp
     flow: int
-    seq: int
+    seq: int                     # per-flow arrival number
     arrival: float               # symbols
-    bits: int
-    vstart: float = 0.0
-    vfinish: float = 0.0
-    deadline_at: float = math.inf   # symbols
-    index: int = -1              # arrival order within a run
-
-
-class FlowQueue:
-    """FIFO queue for one flow. Selection only ever takes head-consecutive packets."""
-
-    def __init__(self, flow: int):
-        self.flow = flow
-        self.fifo: deque[Packet] = deque()
-
-    def __len__(self) -> int:
-        return len(self.fifo)
-
-    def push(self, packet: Packet) -> None:
-        self.fifo.append(packet)
-
-    def requeue_front(self, packet: Packet) -> None:
-        # Failed transmissions go back as head-of-line, keeping their stamps.
-        self.fifo.appendleft(packet)
-
-    def pop_front(self) -> Packet:
-        return self.fifo.popleft()
 
 
 def frame_length(g, cfg: SystemConfig) -> int:

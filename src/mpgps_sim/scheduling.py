@@ -17,12 +17,13 @@ has sent but the real system has not can never exceed U - M.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import allocation
-from .model import FlowQueue, Packet, SystemConfig
+from .model import Packet, SystemConfig
 
 PGPS = "pgps"
 MPGPS = "mpgps"
@@ -37,7 +38,11 @@ class BoundViolation(RuntimeError):
 
 @dataclass
 class ScheduleDecision:
-    """Outcome of one scheduling instant."""
+    """Outcome of one scheduling instant.
+
+    ``chosen`` holds the queued packets themselves, each flow's ``g[k]`` of
+    them taken from the head of its queue; the caller pops them.
+    """
 
     g: tuple[int, ...]           # packets per flow
     chosen: list[Packet]
@@ -49,24 +54,22 @@ class ScheduleDecision:
         return len(self.chosen)
 
 
-def _smallest_stamps(queues: list[FlowQueue], count: int) -> list[Packet]:
+def _smallest_stamps(queues: list[deque[Packet]], count: int) -> list[Packet]:
     """The ``count`` queued packets with smallest stamps, per-flow FIFO respected.
 
-    Stamps strictly increase along each flow's queue, so a k-way merge over
-    queue heads is enough. Ties break by (stamp, flow index, queue position).
+    A hand-written k-way merge of the flow-indexed queues (``heapq.merge`` ran
+    slower): a packet enters the heap once the one ahead of it is taken.
+    Ties break by (stamp, flow index, queue position).
     """
-    heap: list[tuple[float, int, int]] = []
-    for q in queues:
-        if q.fifo:
-            heap.append((q.fifo[0].vfinish, q.flow, 0))
+    heap = [(q[0].vfinish, flow, 0) for flow, q in enumerate(queues) if q]
     heapq.heapify(heap)
     out: list[Packet] = []
     while heap and len(out) < count:
         _, flow, pos = heapq.heappop(heap)
-        fifo = queues[flow].fifo
-        out.append(fifo[pos])
-        if pos + 1 < len(fifo):
-            heapq.heappush(heap, (fifo[pos + 1].vfinish, flow, pos + 1))
+        q = queues[flow]
+        out.append(q[pos])
+        if pos + 1 < len(q):
+            heapq.heappush(heap, (q[pos + 1].vfinish, flow, pos + 1))
     return out
 
 
@@ -77,7 +80,7 @@ def _per_flow(packets: list[Packet], k: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def select_mpgps(queues: list[FlowQueue], m: int) -> ScheduleDecision:
+def select_mpgps(queues: list[deque[Packet]], m: int) -> ScheduleDecision:
     """Stamp-ordered batch of up to ``m`` packets."""
     if m < 1:
         raise ValueError("m must be positive")
@@ -102,15 +105,11 @@ def compositions(total: int, bounds) -> list[tuple[int, ...]]:
     return [g for g, left in level if left == 0]
 
 
-def _take_prefixes(queues: list[FlowQueue], g) -> list[Packet]:
-    out: list[Packet] = []
-    for q, cnt in zip(queues, g):
-        for pos in range(cnt):
-            out.append(q.fifo[pos])
-    return out
+def _take_prefixes(queues: list[deque[Packet]], g) -> list[Packet]:
+    return [q[pos] for q, cnt in zip(queues, g) for pos in range(cnt)]
 
 
-def ompgps_schedule(queues: list[FlowQueue], m: int, u: int,
+def ompgps_schedule(queues: list[deque[Packet]], m: int, u: int,
                     powers: np.ndarray, cfg: SystemConfig) -> ScheduleDecision:
     """Cheapest batch composition within the window of U earliest stamps.
 
@@ -138,7 +137,7 @@ def ompgps_schedule(queues: list[FlowQueue], m: int, u: int,
                             window=window, per_bit_power=float(values[best]))
 
 
-def ampgps_schedule(queues: list[FlowQueue], m_max: int,
+def ampgps_schedule(queues: list[deque[Packet]], m_max: int,
                     powers: np.ndarray, cfg: SystemConfig) -> ScheduleDecision:
     """Grow the batch while power per bit strictly improves.
 

@@ -2,11 +2,11 @@
 
 The clock measures progress of an ideal fluid system that serves all
 backlogged flows simultaneously, each at a rate proportional to its weight.
-Packets are stamped on arrival with virtual start and finishing times; a
-packet finishes in the fluid system exactly when the clock reaches its
-finishing stamp. Batch disciplines rank packets by these stamps, and the
-recorded fluid departure times double as the reference for every delay,
-service, and backlog gap check.
+Each arriving packet gets one virtual finishing stamp, and it finishes in
+the fluid system exactly when the clock reaches that stamp. Batch
+disciplines rank packets by these stamps, and the recorded fluid departure
+times double as the reference for every delay, service, and backlog gap
+check.
 """
 from __future__ import annotations
 
@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .model import Packet
 
 
 @dataclass
@@ -53,19 +51,20 @@ class GpsReference:
     Feeding arrivals in time order stamps each packet against the shared
     clock and tracks the fluid system exactly: flows join the backlogged set
     on arrival and leave when the clock passes their last finishing stamp.
-    With ``record`` on, it keeps every packet's fluid departure time, indexed
-    by arrival order, and the piecewise service rates. The whole reference
-    restarts (stamps included) whenever its backlog drains, so stamps are
-    only ever compared within one busy period.
+    Every packet is ``bits`` long. With ``record`` on, it keeps each
+    packet's fluid departure time, by arrival order, and the piecewise
+    service rates. The whole reference restarts (stamps included) whenever
+    its backlog drains, so stamps are only compared within one busy period.
 
     The clock ``V`` is piecewise linear: between events it grows at
     rate/weight_sum per symbol, so one unit of virtual time is one bit of
     service per unit weight, and it holds still while nothing is backlogged.
     """
 
-    def __init__(self, weights, rate: float, record: bool = False):
+    def __init__(self, weights, rate: float, bits: int, record: bool = False):
         self.weights = tuple(float(w) for w in weights)
         self.rate = float(rate)
+        self.lengths = [bits / w for w in self.weights]  # one packet in virtual time
         self.V = 0.0
         self.t_last = 0.0
         self.weight_sum = 0.0                       # weight of the backlogged flows
@@ -138,18 +137,15 @@ class GpsReference:
 
     # -- public interface ----------------------------------------------------
 
-    def on_arrival(self, packet: Packet) -> None:
-        """Stamp an arriving packet and add it to the fluid system."""
-        t = packet.arrival
+    def on_arrival(self, t: float, flow: int) -> float:
+        """Add a packet of ``flow`` arriving at ``t``; return its finishing stamp."""
         self._pop_departures_until(t)
         if self._mask == 0 and self.idle_since is not None and t > self.idle_since:
             self._restart(t)
         else:
             self._advance(t)
-        flow = packet.flow
-        packet.vstart = max(self.prev_finish[flow], self.V)
-        packet.vfinish = packet.vstart + packet.bits / self.weights[flow]
-        self.prev_finish[flow] = packet.vfinish
+        vfinish = max(self.prev_finish[flow], self.V) + self.lengths[flow]
+        self.prev_finish[flow] = vfinish
         if self.pending[flow] == 0:
             self.weight_sum += self.weights[flow]
             self._mask |= 1 << flow
@@ -158,9 +154,10 @@ class GpsReference:
         if self._record:
             self.departures.append(math.nan)
             self.flows.append(flow)
-        heapq.heappush(self._heap, (packet.vfinish, flow, self.arrived))
+        heapq.heappush(self._heap, (vfinish, flow, self.arrived))
         self.arrived += 1
         self._snapshot(t)
+        return vfinish
 
     def drain(self) -> None:
         """Run the fluid system to completion (no more arrivals)."""

@@ -61,19 +61,17 @@ def brute_force_ilp(instance: TransportInstance) -> tuple[np.ndarray, float]:
     return best, float(best_val)
 
 
-def gps_simulate(arrivals, weights, rate: float) -> GpsTrace:
-    """Run the fluid reference over a full arrival trace.
+def gps_simulate(arrivals, weights, rate: float, bits: int) -> tuple[list[float], GpsTrace]:
+    """Run the fluid reference over a full arrival trace of ``bits``-bit packets.
 
-    ``arrivals`` is an iterable of packets (anything with flow, arrival, bits,
-    and writable stamps) already sorted by arrival time. Stamps are written onto the packets
-    as a side effect, exactly as the online reference would. The trace's
-    departures follow the order of ``arrivals``.
+    ``arrivals`` is an iterable of (time, flow) pairs sorted by time. Returns
+    each packet's finishing stamp, exactly as the online reference gives it,
+    and the trace, both in the order of ``arrivals``.
     """
-    ref = GpsReference(weights, rate, record=True)
-    for pkt in arrivals:
-        ref.on_arrival(pkt)
+    ref = GpsReference(weights, rate, bits, record=True)
+    stamps = [ref.on_arrival(t, flow) for t, flow in arrivals]
     ref.drain()
-    return ref.trace()
+    return stamps, ref.trace()
 
 
 def busy_intervals(events, end_time: float):

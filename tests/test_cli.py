@@ -55,6 +55,13 @@ class TestAxisParsing:
     def test_float_axis(self):
         assert cli.parse_axis_values("-6,-3,0", integer=False) == [-6.0, -3.0, 0.0]
 
+    def test_float_range_holds_each_decimal_exactly(self):
+        # value i is lo + i * step, not a running float sum that drifts
+        values = cli.parse_axis_values("-6:0:0.1", integer=False)
+        assert len(values) == 61
+        assert values[-1] == 0.0 and -5.7 in values and values[3] == -5.7
+        assert cli.parse_axis_values("0:1:0.1", integer=False)[-1] == 1.0
+
     @pytest.mark.parametrize("bad", ["6:1", "1:2:0", "a,b", "::", "1:"])
     def test_rejects_malformed(self, bad):
         with pytest.raises(cli.ConfigError):
@@ -124,6 +131,49 @@ class TestConfigLoading:
 
 def parse_args(argv):
     return cli.make_parser().parse_args(argv)
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("extra", [["--workers", "abc"], ["--bogus"], None],
+                             ids=["bad-int", "unknown-flag", "no-command"])
+    def test_usage_error_is_a_config_error(self, tmp_path, capsys, extra):
+        path = write_cfg(tmp_path, **tiny_sections())
+        argv = [] if extra is None else ["run", path, "--out", str(tmp_path / "o"), *extra]
+        assert cli.main(argv) == 1
+        assert "usage: mpgps-sim" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_help_still_exits_0(self, capsys):
+        assert cli.main(["--help"]) == 0
+        assert "usage: mpgps-sim" in capsys.readouterr().out
+
+
+class TestOverrideChecks:
+    """A flag or environment value gets the schema check of the key it overrides."""
+
+    @pytest.mark.parametrize("name, value", [
+        ("--replications", "0"), ("--replications", "-2"), ("--workers", "0"),
+        ("--workers", "-1"), ("--seed", "-5"), ("MPGPS_SIM_SEED", "-5")])
+    def test_out_of_range_override_is_refused(self, tmp_path, monkeypatch, capsys,
+                                              name, value):
+        path = write_cfg(tmp_path, **tiny_sections())
+        out = tmp_path / "o"
+        argv = ["run", path, "--out", str(out)]
+        if name.startswith("--"):
+            argv += [name, value]
+        else:
+            monkeypatch.setenv(name, value)
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {name}: {value} is less than the minimum")
+        assert not out.exists()
+
+    def test_in_range_overrides_are_kept(self, tmp_path, monkeypatch):
+        path = write_cfg(tmp_path, **tiny_sections())
+        monkeypatch.setenv("MPGPS_SIM_SEED", "0")
+        scn = cli.build_scenario(cli.load_config(path), parse_args(
+            ["run", path, "--replications", "2", "--workers", "1"]))
+        assert (scn.system["seed"], scn.replications, scn.workers) == (0, 2, 1)
 
 
 class TestPrecedence:
@@ -596,12 +646,12 @@ class TestCheckBounds:
         # mutation: always serve the flow whose head stamp is LARGEST, which
         # starves earlier stamps and breaks the delay bound under backlog
         def worst_flow_select(queues, count):
-            backed = [q for q in queues if len(q)]
-            worst = max(backed, key=lambda q: q.fifo[0].vfinish)
-            take = min(count, len(worst))
+            worst = max((k for k, q in enumerate(queues) if q),
+                        key=lambda k: queues[k][0].vfinish)
+            take = min(count, len(queues[worst]))
             g = [0] * len(queues)
-            g[worst.flow] = take
-            chosen = [worst.fifo[i] for i in range(take)]
+            g[worst] = take
+            chosen = [queues[worst][i] for i in range(take)]
             return ScheduleDecision(g=tuple(g), chosen=chosen)
 
         monkeypatch.setattr(engine_mod, "select_mpgps", worst_flow_select)

@@ -183,27 +183,3 @@ def test_every_exported_name_resolves():
     exec("from mpgps_sim import *", namespace)
     assert len(set(m.__all__)) == len(m.__all__)
     assert set(m.__all__) <= namespace.keys()
-
-
-class TestFlowQueue:
-    def test_fifo_order(self):
-        q = m.FlowQueue(0)
-        a = m.Packet(flow=0, seq=0, arrival=0.0, bits=64)
-        b = m.Packet(flow=0, seq=1, arrival=1.0, bits=64)
-        q.push(a)
-        q.push(b)
-        assert q.fifo[0] is a
-        assert q.pop_front() is a
-        assert q.pop_front() is b
-        assert not q.fifo
-        assert len(q) == 0
-
-    def test_requeue_front_restores_head(self):
-        q = m.FlowQueue(0)
-        a = m.Packet(flow=0, seq=0, arrival=0.0, bits=64)
-        b = m.Packet(flow=0, seq=1, arrival=1.0, bits=64)
-        q.push(a)
-        q.push(b)
-        got = q.pop_front()
-        q.requeue_front(got)
-        assert q.fifo[0] is a

@@ -1,4 +1,6 @@
 """Batch selection disciplines and the reordering audit ledger."""
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -6,12 +8,9 @@ import mpgps_sim as m
 
 
 def make_queues(stamp_lists):
-    queues = [m.FlowQueue(k) for k in range(len(stamp_lists))]
-    for k, stamps in enumerate(stamp_lists):
-        for i, vf in enumerate(stamps):
-            p = m.Packet(flow=k, seq=i, arrival=0.0, bits=64, vfinish=float(vf))
-            queues[k].push(p)
-    return queues
+    return [deque(m.Packet(vfinish=float(vf), flow=k, seq=i, arrival=0.0)
+                  for i, vf in enumerate(stamps))
+            for k, stamps in enumerate(stamp_lists)]
 
 
 def keys(decision):
@@ -119,7 +118,7 @@ class TestOpportunisticSelection:
             powers = rng.integers(1, 4, size=(k, 64)).astype(float)
             cfg = m.SystemConfig(K=k, N=64, L=1024, r=2, M=mm, U=u)
             best_g, best_val, vals = None, float("inf"), []
-            earliest = sorted((p.vfinish, p.flow) for q in queues for p in q.fifo)[:u]
+            earliest = sorted((p.vfinish, p.flow) for q in queues for p in q)[:u]
             window = [sum(f == flow for _, f in earliest) for flow in range(k)]
             for g in m.compositions(min(mm, backlog), window):
                 g_arr = np.array(g)

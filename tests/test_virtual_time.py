@@ -10,29 +10,21 @@ from collections import deque
 import numpy as np
 import pytest
 
-import mpgps_sim as m
 from oracles import gps_simulate
-
-
-def pkt(flow, seq, arrival, bits):
-    return m.Packet(flow=flow, seq=seq, arrival=float(arrival), bits=bits)
 
 
 class TestHandTrace:
     """Two flows, 8-bit packets, rate 2 bits/symbol, worked by hand."""
 
     def make(self):
-        pkts = [pkt(0, 0, 0.0, 8), pkt(1, 0, 2.0, 8), pkt(0, 1, 2.0, 8)]
-        trace = gps_simulate(pkts, (1.0, 1.0), 2.0)
-        return pkts, trace
+        return gps_simulate([(0.0, 0), (2.0, 1), (2.0, 0)], (1.0, 1.0), 2.0, 8)
 
     def test_stamps(self):
-        pkts, _ = self.make()
-        assert (pkts[0].vstart, pkts[0].vfinish) == (0.0, 8.0)
-        # clock advanced alone at rate 2 for 2 symbols -> V = 4
-        assert (pkts[1].vstart, pkts[1].vfinish) == (4.0, 12.0)
-        # same flow queues behind its own previous finish, not the clock
-        assert (pkts[2].vstart, pkts[2].vfinish) == (8.0, 16.0)
+        stamps, _ = self.make()
+        # each stamp is its start plus 8 bits at weight 1: the first starts at 0,
+        # the second at V = 4 (the clock ran alone at rate 2 for 2 symbols), and
+        # the third queues behind its own flow's previous finish, not the clock
+        assert stamps == [8.0, 12.0, 16.0]
 
     def test_departure_times(self):
         _, trace = self.make()
@@ -53,32 +45,29 @@ class TestHandTrace:
 
 
 def test_busy_period_reset_restarts_stamps():
-    pkts = [pkt(0, 0, 0.0, 8), pkt(0, 1, 10.0, 8)]
-    trace = gps_simulate(pkts, (1.0, 1.0), 2.0)
+    stamps, trace = gps_simulate([(0.0, 0), (10.0, 0)], (1.0, 1.0), 2.0, 8)
     assert trace.departures.tolist() == [4.0, 14.0]
     # the second busy period stamps from scratch
-    assert (pkts[1].vstart, pkts[1].vfinish) == (0.0, 8.0)
+    assert stamps == [8.0, 8.0]
 
 
 def test_arrivals_out_of_time_order_are_refused():
-    pkts = [pkt(0, 0, 5.0, 8), pkt(1, 0, 4.0, 8)]
     with pytest.raises(ValueError, match="time order"):
-        gps_simulate(pkts, (1.0, 1.0), 2.0)
+        gps_simulate([(5.0, 0), (4.0, 1)], (1.0, 1.0), 2.0, 8)
 
 
 def test_weighted_share():
     # weight-2 flow finishes its packet twice as fast when both are busy
-    pkts = [pkt(0, 0, 0.0, 8), pkt(1, 0, 0.0, 8)]
-    trace = gps_simulate(pkts, (2.0, 1.0), 3.0)
+    _, trace = gps_simulate([(0.0, 0), (0.0, 1)], (2.0, 1.0), 3.0, 8)
     # flow0 served at 2 b/sym, flow1 at 1 b/sym while both busy; flow0 done
     # at t=4, then flow1 alone at 3 b/sym finishes its last 4 bits at t=16/3
     assert trace.departures[0] == pytest.approx(4.0)
     assert trace.departures[1] == pytest.approx(16.0 / 3.0)
 
 
-def _euler_departures(pkts, weights, rate, dt):
-    """Tiny-step fluid integration; departures resolved to within ~dt."""
-    order = sorted(pkts, key=lambda p: (p.arrival, p.flow, p.seq))
+def _euler_departures(arrivals, weights, rate, bits, dt):
+    """Tiny-step fluid integration; departures by arrival index, to within ~dt."""
+    order = sorted(range(len(arrivals)), key=lambda i: (*arrivals[i], i))
     queues = [deque() for _ in weights]
     out = {}
     t = 0.0
@@ -86,12 +75,11 @@ def _euler_departures(pkts, weights, rate, dt):
     n = len(order)
     while i < n or any(queues):
         if not any(queues):
-            t = order[i].arrival
-        while i < n and order[i].arrival <= t + 1e-12:
-            p = order[i]
-            queues[p.flow].append([(p.flow, p.seq), float(p.bits)])
+            t = arrivals[order[i]][0]
+        while i < n and arrivals[order[i]][0] <= t + 1e-12:
+            queues[arrivals[order[i]][1]].append([order[i], float(bits)])
             i += 1
-        next_arr = order[i].arrival if i < n else math.inf
+        next_arr = arrivals[order[i]][0] if i < n else math.inf
         step = min(dt, max(next_arr - t, 1e-12))
         w = sum(weights[k] for k, q in enumerate(queues) if q)
         for k, q in enumerate(queues):
@@ -114,34 +102,31 @@ def test_matches_euler_integration(seed):
     n_flows = int(rng.integers(2, 4))
     weights = tuple(float(w) for w in rng.uniform(0.5, 2.0, n_flows))
     rate = 1.5
-    pkts = []
-    seq = [0] * n_flows
+    bits = int(rng.integers(1, 17))
+    arrivals = []
     t = 0.0
     for _ in range(int(rng.integers(10, 21))):
         t += float(rng.exponential(5.0))
-        flow = int(rng.integers(n_flows))
-        pkts.append(pkt(flow, seq[flow], t, int(rng.integers(1, 17))))
-        seq[flow] += 1
-    oracle = _euler_departures(pkts, weights, rate, dt=0.001)
-    trace = gps_simulate(pkts, weights, rate)
-    departures = dict(zip(((p.flow, p.seq) for p in pkts), trace.departures))
-    assert set(departures) == set(oracle)
-    for key, d in departures.items():
-        assert abs(d - oracle[key]) < 0.2, key
+        arrivals.append((t, int(rng.integers(n_flows))))
+    oracle = _euler_departures(arrivals, weights, rate, bits, dt=0.001)
+    _, trace = gps_simulate(arrivals, weights, rate, bits)
+    assert set(oracle) == set(range(len(arrivals)))
+    for i, d in enumerate(trace.departures):
+        assert abs(d - oracle[i]) < 0.2, i
 
 
 @pytest.mark.parametrize("seed", [11, 12])
 def test_fluid_serves_every_arrived_bit(seed):
     rng = np.random.default_rng(seed)
-    pkts = []
+    arrivals = []
     t = 0.0
-    for s in range(25):
+    for _ in range(25):
         t += float(rng.exponential(3.0))
-        pkts.append(pkt(int(rng.integers(3)), s, t, 8))
+        arrivals.append((t, int(rng.integers(3))))
     totals = [0.0, 0.0, 0.0]
-    for p in pkts:
-        totals[p.flow] += p.bits
-    trace = gps_simulate(pkts, (1.0, 1.0, 1.0), 2.0)
+    for _, flow in arrivals:
+        totals[flow] += 8
+    _, trace = gps_simulate(arrivals, (1.0, 1.0, 1.0), 2.0, 8)
     for k in range(3):
         served = trace.service_at(k, trace.seg_t[-1:])
         assert served[0] == pytest.approx(totals[k], abs=1e-9)
