@@ -95,6 +95,7 @@ _POS_NUMBER = {"type": "number", "exclusiveMinimum": 0}
 _POS_INT = {"type": "integer", "minimum": 1}
 _BOOL = {"type": "boolean"}
 _SEED = {"type": "integer", "minimum": 0}
+_OUT = {"type": "string", "minLength": 1}
 # integer axes take integer-valued numbers only: 2.0 passes, 1.5 does not
 _INT_AXIS = {"oneOf": [{"type": "array", "items": {"type": "integer"}, "minItems": 1},
                        {"type": "string"}]}
@@ -123,7 +124,7 @@ RUN_OPTIONS = (
     RunOption("collect_events", _BOOL, False, "collect_events"),
     RunOption("fairness", _BOOL, False, "collect_fairness"),
     RunOption("fairness_window_s", _POS_NUMBER, 0.100, "fairness_window_s"),
-    RunOption("out", {"type": "string"}, "results"),
+    RunOption("out", _OUT, "results"),
     RunOption("workers", _POS_INT, 1),
     RunOption("gnuplot", _BOOL, False),
 )
@@ -332,7 +333,9 @@ def build_scenario(config: dict, args: argparse.Namespace) -> Scenario:
         system["seed"] = args.seed
 
     run = {o.key: run_cfg.get(o.key, o.default) for o in RUN_OPTIONS}
-    run["out"] = os.environ.get("MPGPS_SIM_OUT", run["out"])
+    if "MPGPS_SIM_OUT" in os.environ:
+        run["out"] = os.environ["MPGPS_SIM_OUT"]
+        _check_override("MPGPS_SIM_OUT", run["out"], _OUT)
     for o in RUN_OPTIONS:
         # a command-line flag named like the key beats the config
         flag = getattr(args, o.key, None)

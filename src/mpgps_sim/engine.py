@@ -1,13 +1,14 @@
 """Discrete-event downlink simulator tying disciplines, channel, and audits together.
 
-Only two event kinds exist: packet arrivals and frame completions. Arriving
-packets are stamped against the shared virtual clock immediately but become
-eligible for service at frame boundaries; when the servers fall idle and
-backlog exists, the configured discipline picks the next batch. Frame ends
-outrank arrivals at equal times. Deadline-expired packets are shed before
-every selection, and failed packets rejoin their queue head with stamps
-intact. Saturated traffic runs through the same loop with no arrivals: each
-selection tops every queue up, and the run stops at its frame cap.
+Only two event kinds exist: packet arrivals, pre-drawn for the whole run and
+read ARRIVAL_CHUNK at a time, and frame completions. Arriving packets are
+stamped against the shared virtual clock immediately but become eligible for
+service at frame boundaries; when the servers fall idle and backlog exists,
+the configured discipline picks the next batch. Frame ends outrank arrivals
+at equal times. Deadline-expired packets are shed before every selection,
+and failed packets rejoin their queue head with stamps intact. Saturated
+traffic runs through the same loop with no arrivals: each selection tops
+every queue up, and the run stops at its frame cap.
 
 Verification mode runs error free with deadlines disabled and audits the run
 against the fluid reference (and, for the opportunistic discipline, against
@@ -16,11 +17,13 @@ versus worst observation.
 """
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import numbers
 from collections import deque
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -45,6 +48,10 @@ BOUND_EPS = 1e-6
 # draws no frame past its cap. Blocks of 8 and 16 ran equally fast on the
 # power benchmark, and 32 cost more memory for no gain.
 CHANNEL_BLOCK = 16
+
+# Arrivals the run converts to Python floats and ints at a time: it holds one
+# chunk of its pre-drawn trace as Python objects and indexes no numpy scalar.
+ARRIVAL_CHUNK = 4096
 
 # Largest expected arrival count of a Poisson run. The run pre-draws every
 # arrival time: 16 B per arrival (time and flow) before the sort's
@@ -227,6 +234,7 @@ class Engine:
             if not rho_bps > 0:
                 raise ValueError("bucket rate must be positive")
         self.need_channel = mode in (AMPGPS, OMPGPS) or not verify
+        self.deadline_symbols = cfg.deadline_symbols
         self.queues: list[deque[Packet]] = [deque() for _ in range(cfg.K)]
         self.gps = GpsReference(cfg.weights, cfg.bits_per_symbol, cfg.L, record=verify)
         self.budget: LinkBudget = link_budget(cfg)
@@ -366,7 +374,7 @@ class Engine:
                 self._admit(t, flow)
 
     def _drop_expired(self, t: float) -> None:
-        deadline = self.cfg.deadline_symbols
+        deadline = self.deadline_symbols
         for q in self.queues:
             while q and q[0].arrival + deadline <= t:
                 pkt = q.popleft()
@@ -428,26 +436,24 @@ class Engine:
         if chosen != shadow_chosen:
             self.shadow_trace_equal = False
         self.ledger.update(set(decision.window), chosen, shadow_chosen)
-        for q, cnt in zip(self.shadow_queues, shadow.g):
-            for _ in range(cnt):
-                q.popleft()
+        for pkt in shadow.chosen:          # each flow's chosen packets head its queue
+            self.shadow_queues[pkt.flow].popleft()
 
     def _instant(self, t: float) -> None:
         """Start a frame at t; the run enters only with a packet queued or refillable."""
         if self.traffic.infinite_backlog:
             self._refill(t)
-        if math.isfinite(self.cfg.deadline_symbols):
+        if math.isfinite(self.deadline_symbols):
             self._drop_expired(t)
             if not any(self.queues):
                 return
         decision = self._decide(t)
         if self.shadow_queues is not None:
             self._shadow_step(t, decision)
-        rec = FrameRecord(index=self.frames_started, start=t,
-                          depart=t + self._layout(decision.g).airtime,
-                          g=decision.g, m_sel=decision.m_sel,
-                          per_bit_power=decision.per_bit_power, mean_power=None,
-                          scale=1.0, energy=0.0)
+        # positional, as keywords cost ~0.5 us more a frame: index, start, depart,
+        # g, m_sel, per_bit_power, mean_power, scale, energy
+        rec = FrameRecord(self.frames_started, t, t + self._layout(decision.g).airtime,
+                          decision.g, decision.m_sel, decision.per_bit_power, None, 1.0, 0.0)
         if not self.verify:
             self.unplanned.append(rec)
             budget = self.cfg.power_budget
@@ -458,9 +464,8 @@ class Engine:
                 if rec.mean_power > budget:
                     rec.scale = budget / rec.mean_power
                     rec.energy *= rec.scale
-        for q, cnt in zip(self.queues, decision.g):
-            for _ in range(cnt):
-                q.popleft()
+        for pkt in decision.chosen:        # each flow's chosen packets head its queue
+            self.queues[pkt.flow].popleft()
         self.inflight = _InFlight(rec, decision.chosen)
         self.frames_started += 1
         if self.collect_events:
@@ -507,11 +512,15 @@ class Engine:
     # -- main loop ------------------------------------------------------------
 
     def run(self) -> RunResult:
+        """Run to the horizon (or frame cap), reading the arrival trace in chunks."""
         saturated = self.traffic.infinite_backlog
         if not saturated and self.expected_arrivals < 1:
             log.warning("the run expects %.3g arrivals within its horizon", self.expected_arrivals)
         times, flows = self._generate_arrivals()
-        i, n = 0, len(times)
+        arrivals = itertools.chain.from_iterable(
+            zip(times[lo:lo + ARRIVAL_CHUNK].tolist(), flows[lo:lo + ARRIVAL_CHUNK].tolist())
+            for lo in range(0, len(times), ARRIVAL_CHUNK))
+        next_arr, next_flow = next(arrivals, (math.inf, -1))
         t = 0.0
         while True:
             # with no frame in flight, every packet neither delivered nor
@@ -519,7 +528,6 @@ class Engine:
             if (self.inflight is None and self.frames_started < self.frame_cap
                     and (saturated or self.n_arrivals > self.n_delivered + self.n_dropped)):
                 self._instant(t)
-            next_arr = float(times[i]) if i < n else math.inf
             next_dep = self.inflight.record.depart if self.inflight else math.inf
             t = min(next_arr, next_dep)
             if t == math.inf or t > self.horizon:
@@ -527,9 +535,9 @@ class Engine:
             if next_dep <= next_arr:
                 self._finish_frame(t)
             else:
-                while i < n and float(times[i]) == t:
-                    self._admit(t, int(flows[i]))
-                    i += 1
+                while next_arr == t:
+                    self._admit(t, next_flow)
+                    next_arr, next_flow = next(arrivals, (math.inf, -1))
         self._solve_unplanned()
         if saturated:
             self.horizon = self.frames[-1].depart if self.frames else 0.0
@@ -552,7 +560,8 @@ class Engine:
         # running sum of g_k passes j. Packets of the frame in flight at the
         # horizon are sent but not delivered.
         recs = self.frames + ([self.inflight.record] if self.inflight else [])
-        g = np.array([r.g for r in recs], dtype=np.int64).reshape(len(recs), cfg.K)
+        g = np.fromiter(itertools.chain.from_iterable(map(attrgetter("g"), recs)), np.int64,
+                        len(recs) * cfg.K).reshape(len(recs), cfg.K)
         sent_in = np.full(trace.flows.size, -1)
         for k in range(cfg.K):
             frames_k = np.repeat(np.arange(len(recs)), g[:, k])
@@ -560,7 +569,8 @@ class Engine:
             sent_in[np.flatnonzero(trace.flows == k)[np.arange(frames_k.size)]] = frames_k
         sent = sent_in >= 0
         # the in-flight frame's index and -1 (unsent) both read the trailing nan
-        depart = np.array([r.depart for r in self.frames] + [math.nan])[sent_in]
+        edges = curves[0][0]              # each frame's start and departure
+        depart = np.append(edges[1::2], math.nan)[sent_in]
         delivered = ~np.isnan(depart)
 
         # delay gap vs the fluid reference, over the delivered packets
@@ -593,10 +603,11 @@ class Engine:
         sbound, qbound = (2 * m - 1) * cfg.L, 2 * m - 1
         worst_s, viol_s, worst_q, viol_q = 0.0, 0, 0, 0
         fluid_done = trace.departures <= t_stop
+        # every flow's curve breaks at the same frame edges, so one grid serves all
+        grid = np.unique(np.concatenate((
+            trace.seg_t[trace.seg_t <= t_stop], edges[edges <= t_stop], [t_stop])))
         for k in range(cfg.K):
             tk, bk = curves[k]
-            grid = np.unique(np.concatenate((
-                trace.seg_t[trace.seg_t <= t_stop], tk[tk <= t_stop], [t_stop])))
             gap = trace.service_at(k, grid) - np.interp(grid, tk, bk)
             worst_s = max(worst_s, float(gap.max()))
             viol_s += int((gap > sbound + BOUND_EPS).sum())
@@ -643,11 +654,10 @@ class Engine:
         if span > 0:
             m.throughput = self.n_delivered_events_m / span
 
-        if self.traffic.infinite_backlog:
-            frames_m = [f for f in self.frames if f.index >= self.warmup_frames]
-        else:
-            frames_m = [f for f in self.frames if f.start >= self.warmup_t]
-        powered = [f for f in frames_m if f.per_bit_power is not None]
+        # the planned frames (none in a verify run) counted after warmup
+        saturated = self.traffic.infinite_backlog
+        powered = [f for f in self.frames if f.per_bit_power is not None and (
+            f.index >= self.warmup_frames if saturated else f.start >= self.warmup_t)]
         if powered:
             bits = sum(f.m_sel for f in powered) * cfg.L
             m.per_bit_power = sum(f.per_bit_power * f.scale * f.m_sel * cfg.L
@@ -663,7 +673,7 @@ class Engine:
 
         if self.verify or self.collect_fairness:
             curves = metrics_mod.service_curves(
-                ((f.start, f.depart, f.g) for f in self.frames), cfg.K, cfg.L)
+                map(attrgetter("start", "depart", "g"), self.frames), cfg.K, cfg.L)
         bounds = None
         if self.verify:
             bounds = self._bound_report(curves)

@@ -9,6 +9,7 @@ linear service curves.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,28 +45,22 @@ def service_curves(frames, n_flows: int, packet_bits: int):
 
     ``frames`` yields (start, depart, g) with non-overlapping spans in order.
     Within a frame each flow accrues g_k * packet_bits uniformly. Returns a
-    list of (times, bits) breakpoint arrays, one per flow.
+    list of (times, bits) breakpoint arrays, one per flow; every flow shares
+    one ``times`` array.
     """
-    starts, departs, gs = [], [], []
-    for start, depart, g in frames:
-        starts.append(start)
-        departs.append(depart)
-        gs.append(g)
-    if not starts:
+    frames = list(frames)
+    if not frames:
         zero = np.zeros(1)
         return [(zero, zero.copy()) for _ in range(n_flows)]
-    g_mat = np.asarray(gs, dtype=float)           # (F, K)
-    times = np.empty(2 * len(starts))
-    times[0::2] = starts
-    times[1::2] = departs
-    curves = []
-    for k in range(n_flows):
-        inc = g_mat[:, k] * packet_bits
-        bits = np.zeros_like(times)
-        bits[1::2] = np.cumsum(inc)
-        bits[2::2] = bits[1:-1:2]                 # flat across idle gaps
-        curves.append((times, bits))
-    return curves
+    starts, departs, gs = zip(*frames)
+    times = np.array((starts, departs)).T.ravel()      # start, depart, start, ...
+    g_mat = np.fromiter(itertools.chain.from_iterable(gs), np.int64,
+                        len(frames) * n_flows).reshape(len(frames), n_flows)
+    cum = (np.cumsum(g_mat, axis=0) * packet_bits).T     # (K, F), exact in float
+    bits = np.zeros((n_flows, len(times)))
+    bits[:, 1::2] = cum
+    bits[:, 2::2] = cum[:, :-1]                       # flat across idle gaps
+    return [(times, b) for b in bits]
 
 
 def _intersect(iv_a, iv_b):

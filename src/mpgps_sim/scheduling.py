@@ -87,7 +87,7 @@ def select_mpgps(queues: list[deque[Packet]], m: int) -> ScheduleDecision:
     chosen = _smallest_stamps(queues, m)
     if not chosen:
         raise ValueError("nothing queued")
-    return ScheduleDecision(g=_per_flow(chosen, len(queues)), chosen=chosen)
+    return ScheduleDecision(_per_flow(chosen, len(queues)), chosen)
 
 
 def compositions(total: int, bounds) -> list[tuple[int, ...]]:

@@ -51,10 +51,12 @@ class GpsReference:
     Feeding arrivals in time order stamps each packet against the shared
     clock and tracks the fluid system exactly: flows join the backlogged set
     on arrival and leave when the clock passes their last finishing stamp.
-    Every packet is ``bits`` long. With ``record`` on, it keeps each
-    packet's fluid departure time, by arrival order, and the piecewise
-    service rates. The whole reference restarts (stamps included) whenever
-    its backlog drains, so stamps are only compared within one busy period.
+    An arrival first settles the fluid departures due by its time, then
+    moves the clock to it. Every packet is ``bits`` long. With ``record`` on,
+    it keeps each packet's fluid departure time, by arrival order, and the
+    piecewise service rates. The whole reference restarts (stamps included)
+    whenever its backlog drains, so stamps are only compared within one busy
+    period.
 
     The clock ``V`` is piecewise linear: between events it grows at
     rate/weight_sum per symbol, so one unit of virtual time is one bit of
@@ -83,67 +85,69 @@ class GpsReference:
 
     # -- internal bookkeeping ------------------------------------------------
 
-    def _advance(self, now: float) -> None:
-        """Move the clock forward to real time ``now`` (no event in between)."""
-        if now < self.t_last:
-            raise ValueError("arrivals must come in time order")
-        if self.weight_sum > 0.0:
-            self.V += self.rate * (now - self.t_last) / self.weight_sum
-        self.t_last = now
-
     def _restart(self, t: float) -> None:
         """Start a busy period at ``t``, stamps from zero; weight_sum is already 0."""
         self.V = 0.0
         self.t_last = t
         self.prev_finish = [0.0] * len(self.weights)
 
-    def _snapshot(self, t: float) -> None:
-        if not self._record:
-            return
+    def _snapshot(self, t: float, mask: int, weight_sum: float) -> None:
+        """Record the service rates from ``t`` on; called only when recording."""
         if self._seg_t and self._seg_t[-1] == t:
             # collapse zero-length segments in place
-            self._seg_mask[-1] = self._mask
-            self._seg_phi[-1] = self.weight_sum
+            self._seg_mask[-1] = mask
+            self._seg_phi[-1] = weight_sum
             return
         self._seg_t.append(t)
-        self._seg_mask.append(self._mask)
-        self._seg_phi.append(self.weight_sum)
+        self._seg_mask.append(mask)
+        self._seg_phi.append(weight_sum)
 
     def _pop_departures_until(self, t: float) -> None:
         """Process every fluid departure not later than real time ``t``."""
-        while self._heap:
-            f_min = self._heap[0][0]
+        heap, rate = self._heap, self.rate
+        V, t_last, weight_sum, mask = self.V, self.t_last, self.weight_sum, self._mask
+        while heap:
+            f_min = heap[0][0]
             # a queued packet keeps its flow's weight in weight_sum, so the
-            # clock is running here and reaches f_min at t_dep
-            t_dep = max(self.t_last + (f_min - self.V) * self.weight_sum / self.rate,
-                        self.t_last)
+            # clock is running here and reaches f_min at t_dep >= t_last
+            t_dep = max(t_last + (f_min - V) * weight_sum / rate, t_last)
             if t_dep > t:
                 break
-            self._advance(t_dep)
-            # the clock provably reaches f_min here; clamp out roundoff
-            self.V = max(self.V, f_min)
-            while self._heap and self._heap[0][0] <= self.V:
-                _, flow, index = heapq.heappop(self._heap)
+            # advance the clock to t_dep, where it provably reaches f_min: clamp out roundoff
+            if weight_sum > 0.0:
+                V += rate * (t_dep - t_last) / weight_sum
+            t_last = t_dep
+            V = max(V, f_min)
+            while heap and heap[0][0] <= V:
+                _, flow, index = heapq.heappop(heap)
                 if self._record:
                     self.departures[index] = t_dep
                 self.pending[flow] -= 1
                 if self.pending[flow] == 0:
-                    self.weight_sum -= self.weights[flow]
-                    self._mask &= ~(1 << flow)
-            if self._mask == 0:
-                self.weight_sum = 0.0
+                    weight_sum -= self.weights[flow]
+                    mask &= ~(1 << flow)
+            if mask == 0:
+                weight_sum = 0.0
                 self.idle_since = t_dep
-            self._snapshot(t_dep)
+            if self._record:
+                self._snapshot(t_dep, mask, weight_sum)
+        self.V, self.t_last, self.weight_sum, self._mask = V, t_last, weight_sum, mask
 
     # -- public interface ----------------------------------------------------
 
     def on_arrival(self, t: float, flow: int) -> float:
         """Add a packet of ``flow`` arriving at ``t``; return its finishing stamp."""
-        self._pop_departures_until(t)
+        if self._heap:
+            self._pop_departures_until(t)
         if self._mask == 0 and self.idle_since is not None and t > self.idle_since:
             self._restart(t)
         else:
-            self._advance(t)
+            # advance the clock to t, with no event in between
+            if t < self.t_last:
+                raise ValueError("arrivals must come in time order")
+            if self.weight_sum > 0.0:
+                self.V += self.rate * (t - self.t_last) / self.weight_sum
+            self.t_last = t
         vfinish = max(self.prev_finish[flow], self.V) + self.lengths[flow]
         self.prev_finish[flow] = vfinish
         if self.pending[flow] == 0:
@@ -151,12 +155,12 @@ class GpsReference:
             self._mask |= 1 << flow
         self.pending[flow] += 1
         self.idle_since = None
+        heapq.heappush(self._heap, (vfinish, flow, self.arrived))
+        self.arrived += 1
         if self._record:
             self.departures.append(math.nan)
             self.flows.append(flow)
-        heapq.heappush(self._heap, (vfinish, flow, self.arrived))
-        self.arrived += 1
-        self._snapshot(t)
+            self._snapshot(t, self._mask, self.weight_sum)
         return vfinish
 
     def drain(self) -> None:

@@ -111,3 +111,45 @@ def group_size_search(airtime: int, g, n_subcarriers: int) -> int:
         if all((g_k * cand * n_subcarriers) % m_sel == 0 for g_k in g):
             return cand
     raise NonIntegralQuota(f"no divisor of {airtime} yields integral quotas for {tuple(g)}")
+
+
+
+def service_gap(events, trace: GpsTrace, packet_bits: int, t_stop: float,
+                bound: float, eps: float) -> tuple[float, int]:
+    """Worst fluid-minus-transmitted service of any flow, in bits, and its violations.
+
+    The transmitted service is rebuilt from the event log: each frame's span
+    from its ``frame_start`` and ``frame_end`` rows and its packets per flow
+    from its ``deliver`` and ``fail`` rows. A frame accrues its bits uniformly
+    over its span; the frame in flight at the horizon has no ``frame_end`` row
+    and counts no bits, as in the bound report. The fluid service sums the
+    trace's segments one at a time. Each flow's gap is taken on its own grid
+    up to ``t_stop``: the breakpoints of its transmitted curve (every frame
+    edge), those of its fluid curve (every segment start) and ``t_stop``. A
+    violation is a grid point whose gap passes ``bound + eps``.
+    """
+    spans, sent = {}, {}
+    for e in events:
+        if e.kind == "frame_start":
+            spans[e.frame] = (e.time, math.nan)
+        elif e.kind == "frame_end":
+            spans[e.frame] = (spans[e.frame][0], e.time)
+        elif e.kind in ("deliver", "fail"):
+            sent.setdefault(e.frame, []).append(e.flow)
+    done = [(start, end, sent[f]) for f, (start, end) in spans.items() if not math.isnan(end)]
+    seg_t = trace.seg_t.tolist()
+    worst, violations = 0.0, 0
+    for k, weight in enumerate(trace.weights):
+        rates = [trace.rate * weight / phi if (mask >> k) & 1 else 0.0
+                 for mask, phi in zip(trace.seg_mask.tolist(), trace.seg_phi.tolist())]
+        grid = {t for start, end, _ in done for t in (start, end)}
+        grid.update(seg_t)
+        for t in sorted(x for x in grid | {t_stop} if x <= t_stop):
+            fluid = sum(rate * (min(t, seg_t[i + 1]) - seg_t[i])
+                        for i, rate in enumerate(rates) if seg_t[i] < t)
+            sent_bits = sum(packet_bits * flows.count(k) * min(1.0, (t - start) / (end - start))
+                            for start, end, flows in done if start < t)
+            gap = fluid - sent_bits
+            worst = max(worst, gap)
+            violations += gap > bound + eps
+    return worst, violations

@@ -168,6 +168,24 @@ class TestOverrideChecks:
         assert err.startswith(f"config error: {name}: {value} is less than the minimum")
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["flag", "env", "config"])
+    def test_empty_output_directory_is_refused(self, tmp_path, monkeypatch, capsys, source):
+        # a budget sweep, so a late refusal would come after its calibrations
+        sections = tiny_sections(sweep={"power_budget_db": [-3.0]})
+        if source == "config":
+            sections["run"]["out"] = ""
+        path = write_cfg(tmp_path, **sections)
+        argv = ["run", path] + (["--out", ""] if source == "flag" else [])
+        if source == "env":
+            monkeypatch.setenv("MPGPS_SIM_OUT", "")
+        monkeypatch.chdir(tmp_path)
+        calls = []
+        monkeypatch.setattr(cli, "_run_task", calls.append)
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert calls == []
+        assert sorted(os.listdir(tmp_path)) == ["scenario.json"]
+
     def test_in_range_overrides_are_kept(self, tmp_path, monkeypatch):
         path = write_cfg(tmp_path, **tiny_sections())
         monkeypatch.setenv("MPGPS_SIM_SEED", "0")

@@ -11,6 +11,7 @@ gauge reads, and that ``pgps`` is ``mpgps`` at one server.
 """
 import math
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import mpgps_sim as m
@@ -141,6 +142,9 @@ def test_verification_passes_every_applicable_bound(system):
 
 @settings(max_examples=60, deadline=None)
 @given(systems())
+# the worst service gap falls on a fluid breakpoint inside a frame
+@example((m.SystemConfig(K=2, N=8, L=64, r=2, M=3, U=3, seed=39),
+          m.TrafficModel(rate_bps=5000.0), "mpgps", {}))
 def test_bound_report_matches_a_per_packet_loop(system):
     cfg, traffic, mode, run_kw = system
     eng = m.Engine(cfg, traffic, mode, 1500.0, verify=True, collect_events=True, **run_kw)
@@ -182,6 +186,13 @@ def test_bound_report_matches_a_per_packet_loop(system):
         for i, d in enumerate(gps_d, start=1):
             worst = max(worst, i - sum(r <= d + eps for r in sent))
     assert rep.entry("backlog_gap").observed == worst
+
+    service = rep.entry("service_gap")
+    worst, violations = oracles.service_gap(res.events, eng.gps.trace(), cfg.L, eng.horizon,
+                                            service.bound, eps)
+    # the oracle sums in another order: equal up to roundoff on ~1e4-bit totals
+    assert service.observed == pytest.approx(worst, rel=0, abs=1e-9)
+    assert service.violations == violations
 
 
 @settings(max_examples=60, deadline=None)

@@ -12,9 +12,17 @@ deadline drops and packet failures) pins the event logs, the only output that
 carries each packet's seq and its drop and fail rows; its ``run`` output is
 stored under ``tests/golden/events/``.
 
+``tests/golden/audit.json`` is the benchmark's audit working point (K=10,
+N=64, L=1024; pgps and mpgps at M=2 and 4, 80k-symbol horizon, error free),
+about 7,800 arrivals a run, so the event loop reads its arrival trace over
+more than one chunk; its ``check-bounds`` output is stored under
+``tests/golden/audit/``.
+
 To re-record after an intended output change, run each command with
 ``--out tests/golden/<command>`` (``run tests/golden/events.json --out
-tests/golden/events`` for the event logs) and commit the diff with its reason.
+tests/golden/events`` for the event logs, ``check-bounds
+tests/golden/audit.json --out tests/golden/audit`` for the audit) and commit
+the diff with its reason.
 """
 from pathlib import Path
 
@@ -29,19 +37,26 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 def test_artifacts_match_golden(tmp_path, command):
     out = tmp_path / command
     assert cli.main([command, str(GOLDEN / "scenario.json"), "--out", str(out)]) == 0
-    want = GOLDEN / command
+    _assert_same_files(out, GOLDEN / command)
+
+
+def test_audit_at_benchmark_point_matches_golden(tmp_path):
+    out = tmp_path / "audit"
+    assert cli.main(["check-bounds", str(GOLDEN / "audit.json"), "--out", str(out)]) == 0
+    names = _assert_same_files(out, GOLDEN / "audit")
+    assert names == ["aggregate.csv", "bounds.csv", "runs.csv"]
+
+
+def _assert_same_files(out: Path, want: Path) -> list[str]:
     names = sorted(p.name for p in want.iterdir())
     assert sorted(p.name for p in out.iterdir()) == names
     for name in names:
         assert (out / name).read_bytes() == (want / name).read_bytes(), name
+    return names
 
 
 def test_event_logs_match_golden(tmp_path):
     out = tmp_path / "events"
     assert cli.main(["run", str(GOLDEN / "events.json"), "--out", str(out)]) == 0
-    want = GOLDEN / "events"
-    names = sorted(p.name for p in want.iterdir())
+    names = _assert_same_files(out, GOLDEN / "events")
     assert names == ["aggregate.csv", "events_p0_r0.csv", "events_p1_r0.csv", "runs.csv"]
-    assert sorted(p.name for p in out.iterdir()) == names
-    for name in names:
-        assert (out / name).read_bytes() == (want / name).read_bytes(), name

@@ -130,6 +130,27 @@ def test_event_log_is_time_ordered_with_departures_first():
     assert at_four == ["deliver", "frame_end", "arrive", "frame_start"]
 
 
+def test_arrivals_are_read_once_in_order_across_chunks():
+    chunk = m.engine.ARRIVAL_CHUNK
+    rng = np.random.default_rng(5)
+    times = np.cumsum(rng.exponential(3.0, 2 * chunk + 100))
+    # one instant straddles the first chunk edge, after the servers fall idle
+    times[chunk - 1:] += 1000.0
+    times[chunk] = times[chunk - 1]
+    flows = rng.integers(0, 3, times.size)
+    assert times.size > 2 * chunk and times[chunk - 1] == times[chunk]
+    assert np.all(np.diff(times) >= 0)
+    eng = m.Engine(compact(K=3, M=2, seed=1), m.TrafficModel(rate_bps=1000.0), "mpgps",
+                   float(times[-1]) + 1.0, error_free=True, collect_events=True)
+    eng._generate_arrivals = lambda: (times, flows)
+    res = eng.run()
+    arrived = [(e.time, e.flow) for e in res.events if e.kind == "arrive"]
+    assert arrived == list(zip(times.tolist(), flows.tolist()))
+    # both packets of the straddling instant are queued before its frame starts
+    at_edge = [e.kind for e in res.events if e.time == times[chunk]]
+    assert at_edge == ["arrive", "arrive", "frame_start"]
+
+
 class TestDeadlines:
     def test_expired_heads_are_shed(self):
         cfg = compact(K=3, M=1, deadline=0.0008, seed=9)   # 4 symbols
