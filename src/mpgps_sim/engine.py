@@ -44,9 +44,10 @@ BOUND_EPS = 1e-6
 # Frames whose channel and power matrix are built in one pass. Drawing stays
 # per frame (channel.STREAM_CHUNK sets how many frames' seeds are hashed at
 # once); the FFT, the |H|^2 scaling and the inversion run once per block. A
-# Poisson run draws at most the block's unused tail in vain; a capped run
-# draws no frame past its cap. Blocks of 8 and 16 ran equally fast on the
-# power benchmark, and 32 cost more memory for no gain.
+# block holds no frame that cannot start: none past a capped run's cap, and
+# none that a Poisson run's horizon leaves no room for at one-packet airtime.
+# Blocks of 8 and 16 ran equally fast on the power benchmark, and 32 cost
+# more memory for no gain.
 CHANNEL_BLOCK = 16
 
 # Arrivals the run converts to Python floats and ints at a time: it holds one
@@ -224,6 +225,8 @@ class Engine:
             sizes = range(1, (cfg.M_max if mode == AMPGPS else self.m_eff) + 1)
         for size in sizes:
             frame_length((size,), cfg)
+        # a Poisson run's one-packet frame, its shortest
+        self.shortest_frame = None if saturated else frame_length((1,), cfg)
         if saturated != (max_frames is not None):
             raise ValueError("max_frames is required by infinite_backlog traffic "
                              "and applies to nothing else")
@@ -390,7 +393,7 @@ class Engine:
         cfg = self.cfg
         powers = None
         if self.need_channel:
-            powers = self._frame_powers()
+            powers = self._frame_powers(t)
         if self.mode in (PGPS, MPGPS):
             return select_mpgps(self.queues, self.m_eff)
         if self.mode == AMPGPS:
@@ -418,12 +421,16 @@ class Engine:
             rec.mean_power = w
         self.unplanned.clear()
 
-    def _frame_powers(self) -> np.ndarray:
-        """The (K, N) power matrix of the frame about to start."""
+    def _frame_powers(self, t: float) -> np.ndarray:
+        """The (K, N) power matrix of the frame about to start at t."""
         f = self.frames_started
         if f - self.block_lo >= len(self.block_powers):
             self._solve_unplanned()
-            gains = self.channel.block(f, min(CHANNEL_BLOCK, self.frame_cap - f))
+            size = min(CHANNEL_BLOCK, self.frame_cap - f)
+            if self.horizon < math.inf:
+                # frames start no later than the horizon, one shortest airtime apart at least
+                size = min(size, int((self.horizon - t) // self.shortest_frame) + 1)
+            gains = self.channel.block(f, size)
             self.block_powers = allocation.frame_powers(gains, self.budget)
             self.block_lo = f
         return self.block_powers[f - self.block_lo]

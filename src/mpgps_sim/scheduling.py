@@ -16,6 +16,7 @@ has sent but the real system has not can never exceed U - M.
 """
 from __future__ import annotations
 
+import functools
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
@@ -24,6 +25,12 @@ import numpy as np
 
 from . import allocation
 from .model import Packet, SystemConfig
+
+# Sub-composition tables ompgps_schedule keeps, one per (batch size, window
+# occupancy of the flows holding slots). Windows of up to U slots, over any
+# number of flows, have 2**U - 1 occupancy shapes: the cache holds every
+# shape up to U = 10.
+COMPOSITION_CACHE = 1024
 
 PGPS = "pgps"
 MPGPS = "mpgps"
@@ -105,6 +112,14 @@ def compositions(total: int, bounds) -> list[tuple[int, ...]]:
     return [g for g, left in level if left == 0]
 
 
+@functools.lru_cache(maxsize=COMPOSITION_CACHE)
+def _composition_table(total: int, bounds: tuple[int, ...]) -> np.ndarray:
+    """``compositions(total, bounds)`` as a read-only (C, len(bounds)) int64 array."""
+    table = np.array(compositions(total, bounds), dtype=np.int64).reshape(-1, len(bounds))
+    table.flags.writeable = False
+    return table
+
+
 def _take_prefixes(queues: list[deque[Packet]], g) -> list[Packet]:
     return [q[pos] for q, cnt in zip(queues, g) for pos in range(cnt)]
 
@@ -115,9 +130,10 @@ def ompgps_schedule(queues: list[deque[Packet]], m: int, u: int,
 
     ``powers`` is the (K, N) matrix of per-slot transmit powers meeting each
     user's SNR target this frame. Compositions range over the flows holding
-    window slots only, in lexicographic order, and are all ranked in one call
-    of the exact ``composition_value``; ties keep the first (lexicographically
-    smallest) composition.
+    window slots only, in lexicographic order, come from a bounded cache of
+    composition tables, and are all ranked in one call of the exact
+    ``composition_value``; ties keep the first (lexicographically smallest)
+    composition.
     """
     if u < m:
         raise ValueError("window must be at least the batch size")
@@ -127,12 +143,12 @@ def ompgps_schedule(queues: list[deque[Packet]], m: int, u: int,
     if m_sel < 1:
         raise ValueError("nothing queued")
     held = [k for k, occ in enumerate(occupancy) if occ]
-    sub = compositions(m_sel, [occupancy[k] for k in held])
+    sub = _composition_table(m_sel, tuple(occupancy[k] for k in held))
     gs = np.zeros((len(sub), len(queues)), dtype=np.int64)
     gs[:, held] = sub
     values = allocation.composition_value(powers, gs, cfg.N, cfg.r)
-    best = int(np.argmin(values))
-    best_g = tuple(int(v) for v in gs[best])
+    best = values.argmin()
+    best_g = tuple(gs[best].tolist())
     return ScheduleDecision(g=best_g, chosen=_take_prefixes(queues, best_g),
                             window=window, per_bit_power=float(values[best]))
 

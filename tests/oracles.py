@@ -6,6 +6,9 @@ the reference for the exact solver's optimality (acceptance criterion 5).
 ``busy_intervals`` sweeps a flow's (+1/-1) in-system events after the run,
 the reference for the engine's busy-interval tracker, and ``group_size_search``
 tries every divisor of the airtime, the reference for ``model.group_size``.
+``fairness_pairwise`` takes the fairness gauge one flow pair and one
+jointly-backlogged interval at a time, the reference for the grouped and
+stacked ``metrics.fairness_metric``.
 """
 from __future__ import annotations
 
@@ -14,6 +17,7 @@ import math
 import numpy as np
 
 from mpgps_sim import NonIntegralQuota, TransportInstance
+from mpgps_sim.metrics import _intersect, _window_extreme
 from mpgps_sim.virtual_time import GpsReference, GpsTrace
 
 
@@ -112,6 +116,29 @@ def group_size_search(airtime: int, g, n_subcarriers: int) -> int:
             return cand
     raise NonIntegralQuota(f"no divisor of {airtime} yields integral quotas for {tuple(g)}")
 
+
+def fairness_pairwise(curves, weights, window: float, flow_busy) -> float:
+    """Worst weight-normalised service gap, one flow pair and one interval at a time.
+
+    Each pair builds its own grid over each jointly-backlogged interval from
+    both flows' breakpoints and runs its own single-row sparse table, so the
+    curves need not share a ``times`` array.
+    """
+    n = len(curves)
+    worst = 0.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            t_i, b_i = curves[i]
+            t_j, b_j = curves[j]
+            for lo, hi in _intersect(flow_busy[i], flow_busy[j]):
+                grid = np.unique(np.concatenate((
+                    t_i[(t_i > lo) & (t_i < hi)],
+                    t_j[(t_j > lo) & (t_j < hi)],
+                    [lo, hi])))
+                f = (np.interp(grid, t_i, b_i) / weights[i]
+                     - np.interp(grid, t_j, b_j) / weights[j])
+                worst = max(worst, _window_extreme(grid, f, window))
+    return worst
 
 
 def service_gap(events, trace: GpsTrace, packet_bits: int, t_stop: float,

@@ -525,6 +525,26 @@ class TestDeferredPlans:
         assert any(np.count_nonzero(f.g) >= 3 for f in res.frames)
         self.check_plans(res, powers)
 
+    def test_poisson_blocks_hold_no_frame_past_the_horizon(self, monkeypatch):
+        # frames start by the horizon, at least one one-packet airtime apart,
+        # so a block drawn at t holds at most (horizon - t) // shortest + 1
+        cfg = m.SystemConfig(K=10, N=64, L=1024, r=2, M=4, seed=4)
+        eng = m.Engine(cfg, m.TrafficModel(rate_bps=50000.0), "mpgps", 1500.0)
+        drawn = []
+        real = eng.channel.block
+        monkeypatch.setattr(eng.channel, "block",
+                            lambda lo, count: drawn.append((lo, count)) or real(lo, count))
+        res, powers = self.run_capturing_powers(monkeypatch, eng)
+        started = res.frames + [eng.inflight.record] * (eng.inflight is not None)
+        assert [f.index for f in started] == list(range(eng.frames_started))
+        shortest = m.frame_length((1,), cfg)
+        for lo, count in drawn:
+            assert count <= (1500.0 - started[lo].start) // shortest + 1, lo
+        # the horizon cut the last block short
+        assert drawn[-1][1] < m.engine.CHANNEL_BLOCK
+        assert sum(count for _, count in drawn) == len(powers) >= eng.frames_started
+        self.check_plans(res, powers)
+
     def test_frame_cap_not_a_multiple_of_the_block(self, monkeypatch):
         cfg = m.SystemConfig(K=6, N=64, L=1024, r=2, M=3, seed=2)
         eng = m.Engine(cfg, m.TrafficModel(infinite_backlog=True), "mpgps", 1.0,
@@ -580,6 +600,38 @@ def window_stack(seed):
     else:
         powers = rng.integers(1, 5, size=(k, 64)).astype(float)
     return powers, gs
+
+
+class TestSplitRows:
+    """The stacked two-row closed form against a per-row greedy fill."""
+
+    @staticmethod
+    def greedy_first_row(first, last, quota, demand):
+        # columns in stable order of the first row's cost advantage; the
+        # first row takes up to `demand` slots a column until its quota runs out
+        out = [0] * len(first)
+        left = quota
+        for col in sorted(range(len(first)), key=lambda n: (first[n] - last[n], n)):
+            out[col] = min(left, demand)
+            left -= out[col]
+        return out
+
+    @pytest.mark.parametrize("c", range(1, 9))
+    def test_matches_greedy_fill_with_ties(self, c):
+        rng = np.random.default_rng(c)
+        for n in (1, 2, 3, 7, 16, 33, 64):
+            # few integer cost levels force ties in the cost advantage
+            first = rng.integers(0, 4, size=(c, n)).astype(float)
+            last = rng.integers(0, 4, size=(c, n)).astype(float)
+            demand = rng.integers(1, 5, size=(c, 1))
+            # every quota from none to all of each instance's n * demand slots
+            for step in range(4 * n + 1):
+                quota = (np.arange(c)[:, None] * 7 + step) % (demand * n + 1)
+                got = allocation._split_rows(first, last, quota, demand)
+                want = [self.greedy_first_row(first[i].tolist(), last[i].tolist(),
+                                              int(quota[i, 0]), int(demand[i, 0]))
+                        for i in range(c)]
+                assert got.tolist() == want, (n, quota.ravel().tolist())
 
 
 class TestCompositionRanking:

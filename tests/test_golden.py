@@ -18,11 +18,18 @@ about 7,800 arrivals a run, so the event loop reads its arrival trace over
 more than one chunk; its ``check-bounds`` output is stored under
 ``tests/golden/audit/``.
 
+``tests/golden/saturated.json`` (K=4, N=16, L=64, unequal weights; ompgps at
+M=2 and U=2, 4, infinite backlog, 400 frames, fairness gauge on) pins the
+saturated shape, in which every flow pair is backlogged over one shared
+interval, and the saturated ``avg_power``; its ``run`` output is stored under
+``tests/golden/saturated/``.
+
 To re-record after an intended output change, run each command with
 ``--out tests/golden/<command>`` (``run tests/golden/events.json --out
 tests/golden/events`` for the event logs, ``check-bounds
-tests/golden/audit.json --out tests/golden/audit`` for the audit) and commit
-the diff with its reason.
+tests/golden/audit.json --out tests/golden/audit`` for the audit, ``run
+tests/golden/saturated.json --out tests/golden/saturated`` for the saturated
+run) and commit the diff with its reason.
 """
 from pathlib import Path
 
@@ -60,3 +67,10 @@ def test_event_logs_match_golden(tmp_path):
     assert cli.main(["run", str(GOLDEN / "events.json"), "--out", str(out)]) == 0
     names = _assert_same_files(out, GOLDEN / "events")
     assert names == ["aggregate.csv", "events_p0_r0.csv", "events_p1_r0.csv", "runs.csv"]
+
+
+def test_saturated_fairness_run_matches_golden(tmp_path):
+    out = tmp_path / "saturated"
+    assert cli.main(["run", str(GOLDEN / "saturated.json"), "--out", str(out)]) == 0
+    names = _assert_same_files(out, GOLDEN / "saturated")
+    assert names == ["aggregate.csv", "runs.csv"]

@@ -1,5 +1,6 @@
 """Service curves, busy intervals, and the pairwise fairness gauge."""
 from collections import deque
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mpgps_sim as m
+from mpgps_sim import metrics
 from mpgps_sim.metrics import _window_extreme
-from oracles import busy_intervals
+from mpgps_sim.model import WEIGHT_RANGE
+from oracles import busy_intervals, fairness_pairwise
 
 
 class TestServiceCurves:
@@ -143,6 +146,66 @@ class TestWindowExtreme:
         times = np.array([0.0, 1.0, 2.0])
         values = np.array([4.0, -1.0, 2.0])
         assert _window_extreme(times, values, 1e9) == 5.0
+
+
+def interval_list(draw, edges):
+    """Sorted disjoint (start, end) intervals with ends drawn from ``edges``."""
+    cut = sorted(set(draw(st.lists(st.sampled_from(edges), min_size=2, max_size=8))))
+    return [(a, b) for a, b in zip(cut[0::2], cut[1::2])]
+
+
+@st.composite
+def fairness_inputs(draw):
+    k = draw(st.integers(2, 6))
+    n = draw(st.integers(1, 60))
+    scale = draw(st.sampled_from([1.0, 0.1, 1e-4]))
+    # repeated times are common, as where one frame ends and the next starts
+    times = np.cumsum(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))) * scale
+    curves = [(times, np.cumsum(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+               * draw(st.sampled_from([8.0, 1.5, 0.3])))
+              for _ in range(k)]
+    weights = draw(st.lists(st.floats(*WEIGHT_RANGE), min_size=k, max_size=k))
+    span = float(times[-1] - times[0])
+    # edges on breakpoints, between them and past the last one
+    edges = sorted(set(times.tolist()) | {float(times[-1]) + 2.5 * scale,
+                                          float(times[0]) + 0.5 * scale})
+    shape = draw(st.sampled_from(["identical", "disjoint", "overlapping"]))
+    if shape == "identical":                     # the saturated shape: one shared busy set
+        busy = [interval_list(draw, edges)] * k
+    elif shape == "disjoint":                    # each flow busy in its own stretch
+        share = max(1, len(edges) // k)
+        busy = [interval_list(draw, edges[f * share:(f + 1) * share]) if f * share < len(edges)
+                else [] for f in range(k)]
+    else:                                        # own busy sets on shared edges
+        busy = [interval_list(draw, edges) for _ in range(k)]
+    window = draw(st.sampled_from([0.0, scale, 2.5 * scale, span, 2.0 * span + 1.0]))
+    return curves, weights, window, busy
+
+
+class TestFairnessMatchesPairwise:
+    """The grouped, stacked gauge equals the pair-at-a-time loop exactly."""
+
+    @pytest.mark.parametrize("block", [None, 1])
+    @settings(max_examples=300, deadline=None)
+    @given(case=fairness_inputs())
+    def test_equals_pairwise_loop(self, block, case):
+        curves, weights, window, busy = case
+        with mock.patch.object(metrics, "GAUGE_BLOCK", block or metrics.GAUGE_BLOCK):
+            got = m.fairness_metric(curves, weights, window, busy)
+        assert got == fairness_pairwise(curves, weights, window, busy)
+
+    def test_saturated_pairs_share_one_table(self, monkeypatch):
+        # every pair of a saturated run shares one interval: one table for all
+        cfg = m.SystemConfig(K=6, N=16, L=64, r=2, M=2, U=4, seed=2)
+        calls = []
+        real = metrics._window_extreme
+        monkeypatch.setattr(metrics, "_window_extreme",
+                            lambda t, v, w: calls.append(v.shape) or real(t, v, w))
+        res = m.run(cfg, m.TrafficModel(infinite_backlog=True), "ompgps", 1.0,
+                    max_frames=60, collect_fairness=True, fairness_window_s=0.01)
+        # 15 pairs over the run's back-to-back frame edges
+        assert calls == [(15, res.metrics.frames + 1)]
+        assert res.metrics.fairness > 0
 
 
 def test_metrics_as_dict_totals_violations():

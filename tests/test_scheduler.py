@@ -1,10 +1,12 @@
 """Batch selection disciplines and the reordering audit ledger."""
+import itertools
 from collections import deque
 
 import numpy as np
 import pytest
 
 import mpgps_sim as m
+from mpgps_sim import scheduling
 
 
 def make_queues(stamp_lists):
@@ -64,6 +66,24 @@ class TestCompositions:
 
     def test_infeasible_total_is_empty(self):
         assert list(m.compositions(5, (1, 1))) == []
+
+    def test_cached_tables_equal_compositions(self):
+        # every window occupancy of up to 8 slots (positive parts, cut at
+        # `cuts`), and every batch size
+        shapes = {tuple(np.diff((0, *cuts, size)).tolist()) for size in range(1, 9)
+                  for r in range(size) for cuts in itertools.combinations(range(1, size), r)}
+        assert len(shapes) == 2 ** 8 - 1
+        for bounds in shapes:
+            for total in range(1, 9):
+                table = scheduling._composition_table(total, bounds)
+                assert table.dtype == np.int64 and table.shape[1] == len(bounds)
+                assert table.tolist() == [list(g) for g in m.compositions(total, bounds)]
+
+    def test_cached_table_is_read_only(self):
+        table = scheduling._composition_table(2, (2, 1))
+        with pytest.raises(ValueError):
+            table[0, 0] = 5
+        assert scheduling._composition_table(2, (2, 1)).tolist() == [[1, 1], [2, 0]]
 
 
 def sched_cfg(k=2, n=4):
