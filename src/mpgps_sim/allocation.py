@@ -31,8 +31,10 @@ is the one-frame form.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -51,6 +53,13 @@ PRICE_ROUNDS = 2
 # Compositions ranked per block by composition_value. Caps its (block, K, N)
 # count stack at ~1.3 MB for K=10, N=64, however many compositions a window has.
 RANK_BLOCK = 256
+
+# Frame layouts kept per (g, L, N, r), shared by every run in a process, in
+# least-recently-used order. An entry takes ~400 B at K=10. The power
+# benchmark's 80 drops (mpgps, M=4, K=10) form ~650 compositions; 256 entries
+# serve 89 % of their lookups, and 1,024 entries served 98 % but held ~0.3 MB
+# more peak memory.
+LAYOUT_CACHE = 256
 
 
 class ZeroGain(ValueError):
@@ -110,25 +119,34 @@ def _split_rows(first: np.ndarray, last: np.ndarray, quota: np.ndarray,
 def _price_start(costs: np.ndarray, quotas: np.ndarray, demand: int) -> np.ndarray:
     """Row of each column under Gauss-Seidel row prices; whole columns only.
 
-    Row i should win ``quotas[i] // demand`` columns. Given the other rows'
-    prices, row i wins column n exactly when its price u_i exceeds
-    c_in - min_{j != i}(c_jn - u_j), so each update sets u_i midway between
-    the target count's threshold and the next one. The sorted thresholds are
-    padded by their spread on both ends, which clamps the price of a row that
-    should win no column or every column.
+    The price rule is the Gauss-Seidel one of Bertsekas & Castanon (1989) for
+    transportation problems. Row i should win ``quotas[i] // demand``
+    columns. Given the other rows' prices, row i wins column n exactly when
+    its price u_i exceeds c_in - min_{j != i}(c_jn - u_j), so each update sets
+    u_i midway between the target count's threshold and the next one, read
+    straight from the sorted thresholds. A row that should win no column or
+    every column has its missing end taken one spread (largest minus smallest
+    threshold) past the last threshold, which clamps its price.
     """
-    k = costs.shape[0]
-    target = quotas // demand
+    n = costs.shape[1]
     reduced = costs.copy()                       # costs - u[:, None], u = 0
+    rows = list(zip(costs, reduced, (quotas // demand).tolist()))
+    cuts = np.empty(n)
     for _ in range(PRICE_ROUNDS):
-        for i in range(k):
-            reduced[i] = np.inf
-            cuts = np.sort(costs[i] - reduced.min(axis=0))
-            spread = cuts[-1] - cuts[0]
-            edges = np.concatenate(([cuts[0] - spread], cuts, [cuts[-1] + spread]))
-            q = int(target[i])
-            reduced[i] = costs[i] - 0.5 * (edges[q] + edges[q + 1])
-    return np.argmin(reduced, axis=0)
+        for row, red, q in rows:
+            red.fill(np.inf)
+            np.subtract(row, reduced.min(axis=0), out=cuts)
+            cuts.sort()
+            if q == 0:
+                lo = cuts.item(0)
+                mid = 0.5 * ((lo - (cuts.item(-1) - lo)) + lo)
+            elif q == n:
+                hi = cuts.item(-1)
+                mid = 0.5 * (hi + (hi + (hi - cuts.item(0))))
+            else:
+                mid = 0.5 * (cuts.item(q - 1) + cuts.item(q))
+            np.subtract(row, mid, out=red)
+    return reduced.argmin(axis=0)
 
 
 def _solve_exchange(costs: np.ndarray, quotas: np.ndarray, demand: int) -> np.ndarray:
@@ -325,13 +343,25 @@ class FrameLayout(NamedTuple):
 
 
 def frame_layout(g, cfg: SystemConfig) -> FrameLayout:
-    """Airtime, group size and quotas of composition ``g``."""
-    g = tuple(int(x) for x in g)
+    """Airtime, group size and quotas of composition ``g``.
+
+    A layout depends on g, L, N and r alone, so it is computed once per
+    process for each (g, L, N, r) and shared by every run; a composition
+    whose frame or quotas are not integral raises each time it is asked for.
+    """
+    return _frame_layout(g if type(g) is tuple else tuple(g), cfg.L, cfg.N, cfg.r)
+
+
+@functools.lru_cache(maxsize=LAYOUT_CACHE)
+def _frame_layout(g: tuple, L: int, N: int, r: int) -> FrameLayout:
+    # equal keys hash alike whatever their integer type; the layout holds ints
+    g = tuple(map(int, g))
     m_sel = sum(g)
-    airtime = frame_length(g, cfg)
-    grp = group_size(airtime, g, cfg.N)
+    # frame_length reads the packet size and the bits a symbol carries
+    airtime = frame_length(g, SimpleNamespace(L=L, bits_per_symbol=N * r))
+    grp = group_size(airtime, g, N)
     return FrameLayout(m_sel, airtime, grp,
-                       tuple(subcarrier_quota(g_k, grp, cfg.N, m_sel) for g_k in g))
+                       tuple(subcarrier_quota(g_k, grp, N, m_sel) for g_k in g))
 
 
 def solve_frames(layouts, powers: np.ndarray, cfg: SystemConfig

@@ -242,7 +242,11 @@ class ChannelProcess:
                 self._walk(start, min(STREAM_CHUNK, lo - start))
             taps = self._walk(lo, count)
         h = np.fft.fft(taps, n=self.cfg.N, axis=2)
-        return (h.real ** 2 + h.imag ** 2) * self.path_gains[:, None]
+        # |H|^2 scaled by the path gains, in place: one (count, K, N) buffer
+        gains = h.real ** 2
+        gains += h.imag ** 2
+        gains *= self.path_gains[:, None]
+        return gains
 
     def state(self, frame: int) -> np.ndarray:
         """Power gains |H|^2 of one frame, shape (K, N)."""

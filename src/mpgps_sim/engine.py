@@ -5,8 +5,9 @@ read ARRIVAL_CHUNK at a time, and frame completions. Arriving packets are
 stamped against the shared virtual clock immediately but become eligible for
 service at frame boundaries; when the servers fall idle and backlog exists,
 the configured discipline picks the next batch. Frame ends outrank arrivals
-at equal times. Deadline-expired packets are shed before every selection,
-and failed packets rejoin their queue head with stamps intact. Saturated
+at equal times. Deadline-expired packets are shed before every selection
+(the scan waits for the earliest deadline at a queue head), and failed
+packets rejoin their queue head with stamps intact. Saturated
 traffic runs through the same loop with no arrivals: each selection tops
 every queue up, and the run stops at its frame cap.
 
@@ -53,6 +54,15 @@ CHANNEL_BLOCK = 16
 # Arrivals the run converts to Python floats and ints at a time: it holds one
 # chunk of its pre-drawn trace as Python objects and indexes no numpy scalar.
 ARRIVAL_CHUNK = 4096
+
+# Exponential gaps a flow's arrival trace is drawn in: the trace is the
+# cumulative sum of GAP_CHUNK-gap chunks, each continuing from the last time
+# of the one before. A run's first draw is sized from its expected count lam:
+# lam + ARRIVAL_MARGIN * (sqrt(lam) + 4) gaps, 8 standard deviations and 32
+# gaps past the mean, at most FIRST_GAP_CAP (<= GAP_CHUNK).
+GAP_CHUNK = 4096
+FIRST_GAP_CAP = 2048
+ARRIVAL_MARGIN = 8
 
 # Largest expected arrival count of a Poisson run. The run pre-draws every
 # arrival time: 16 B per arrival (time and flow) before the sort's
@@ -239,6 +249,12 @@ class Engine:
         self.need_channel = mode in (AMPGPS, OMPGPS) or not verify
         self.deadline_symbols = cfg.deadline_symbols
         self.queues: list[deque[Packet]] = [deque() for _ in range(cfg.K)]
+        # no queued packet expires before this time, the smallest arrival +
+        # deadline_symbols over the queue heads as of the last expiry scan,
+        # lowered by each arrival since. A frame's members left their queues
+        # after the scan before it, so failures rejoining their heads never
+        # undercut it.
+        self.next_expiry = math.inf
         self.gps = GpsReference(cfg.weights, cfg.bits_per_symbol, cfg.L, record=verify)
         self.budget: LinkBudget = link_budget(cfg)
         self.channel = ChannelProcess(cfg) if self.need_channel else None
@@ -258,10 +274,9 @@ class Engine:
         # packet error rate at power scale per_scale
         self.per_scale = math.nan
         self.per = math.nan
-        # frame arithmetic per composition, and the started frames of the
-        # current channel block whose plans are not solved yet
-        self.layouts: dict[tuple[int, ...], allocation.FrameLayout] = {}
-        self.unplanned: list[FrameRecord] = []
+        # the started frames of the current channel block whose plans are not
+        # solved yet, each with its layout
+        self.unplanned: list[tuple[FrameRecord, allocation.FrameLayout]] = []
 
         self.inflight: _InFlight | None = None
         self.frames_started = 0
@@ -293,15 +308,27 @@ class Engine:
     # -- traffic -------------------------------------------------------------
 
     def _poisson_times(self, flow: int, rate_sym: float) -> np.ndarray:
-        rng = np.random.default_rng([self.cfg.seed, 23, flow])
+        """Flow's Poisson arrival times before the horizon, in symbols.
+
+        The first draw is sized from the expected count (see ARRIVAL_MARGIN).
+        When it crosses the horizon, its times are the first chunk's prefix
+        bit for bit: the generator draws the same leading gaps, the cumulative
+        sum runs in order, and the chunk adds them to 0.0. Otherwise the
+        stream is reseeded and drawn in GAP_CHUNK chunks from its start.
+        """
         if rate_sym <= 0:
             return np.empty(0)
-        # draw in chunks until the horizon is crossed
+        rng = np.random.default_rng([self.cfg.seed, 23, flow])
+        lam = rate_sym * self.horizon
+        size = min(lam + ARRIVAL_MARGIN * (math.sqrt(lam) + 4), FIRST_GAP_CAP)
+        cum = np.cumsum(rng.exponential(1.0 / rate_sym, math.ceil(size)))
+        if cum[-1] >= self.horizon:
+            return cum[cum < self.horizon]
+        rng = np.random.default_rng([self.cfg.seed, 23, flow])
         out = []
         t = 0.0
         while t < self.horizon:
-            gaps = rng.exponential(1.0 / rate_sym, 4096)
-            cum = t + np.cumsum(gaps)
+            cum = t + np.cumsum(rng.exponential(1.0 / rate_sym, GAP_CHUNK))
             out.append(cum)
             t = cum[-1]
         times = np.concatenate(out)
@@ -349,6 +376,9 @@ class Engine:
         pkt = Packet(self.gps.on_arrival(t, flow), flow, self.seq_next[flow], t)
         self.seq_next[flow] += 1
         self.queues[flow].append(pkt)
+        expiry = t + self.deadline_symbols
+        if expiry < self.next_expiry:
+            self.next_expiry = expiry
         if self.shadow_queues is not None:
             self.shadow_queues[flow].append(pkt)
         self.n_arrivals += 1
@@ -377,7 +407,10 @@ class Engine:
                 self._admit(t, flow)
 
     def _drop_expired(self, t: float) -> None:
+        """Shed every queued packet whose deadline has passed by t, and reset
+        ``next_expiry`` to the earliest deadline left at the queue heads."""
         deadline = self.deadline_symbols
+        next_expiry = math.inf
         for q in self.queues:
             while q and q[0].arrival + deadline <= t:
                 pkt = q.popleft()
@@ -388,6 +421,9 @@ class Engine:
                     self._count(t, pkt.flow, -1)
                 if self.collect_events:
                     self.events.append(SimEvent(t, "drop", pkt.flow, pkt.seq, -1))
+            if q:
+                next_expiry = min(next_expiry, q[0].arrival + deadline)
+        self.next_expiry = next_expiry
 
     def _decide(self, t: float) -> ScheduleDecision:
         cfg = self.cfg
@@ -400,22 +436,15 @@ class Engine:
             return scheduling.ampgps_schedule(self.queues, cfg.M_max, powers, cfg)
         return scheduling.ompgps_schedule(self.queues, cfg.M, cfg.U, powers, cfg)
 
-    def _layout(self, g: tuple[int, ...]) -> allocation.FrameLayout:
-        lay = self.layouts.get(g)
-        if lay is None:
-            lay = self.layouts[g] = allocation.frame_layout(g, self.cfg)
-        return lay
-
     def _solve_unplanned(self) -> None:
         """Solve the plans of the waiting frames, which are consecutive frames of one block."""
         if not self.unplanned:
             return
-        lo = self.unplanned[0].index - self.block_lo
+        recs, layouts = zip(*self.unplanned)
+        lo = recs[0].index - self.block_lo
         _, per_bit, energy, mean_power = allocation.solve_frames(
-            [self.layouts[rec.g] for rec in self.unplanned],
-            self.block_powers[lo:lo + len(self.unplanned)], self.cfg)
-        for rec, p, e, w in zip(self.unplanned, per_bit.tolist(), energy.tolist(),
-                                mean_power.tolist()):
+            layouts, self.block_powers[lo:lo + len(recs)], self.cfg)
+        for rec, p, e, w in zip(recs, per_bit.tolist(), energy.tolist(), mean_power.tolist()):
             rec.per_bit_power = p
             rec.energy = e
             rec.mean_power = w
@@ -450,7 +479,7 @@ class Engine:
         """Start a frame at t; the run enters only with a packet queued or refillable."""
         if self.traffic.infinite_backlog:
             self._refill(t)
-        if math.isfinite(self.deadline_symbols):
+        if t >= self.next_expiry:     # never true without deadlines
             self._drop_expired(t)
             if not any(self.queues):
                 return
@@ -459,10 +488,11 @@ class Engine:
             self._shadow_step(t, decision)
         # positional, as keywords cost ~0.5 us more a frame: index, start, depart,
         # g, m_sel, per_bit_power, mean_power, scale, energy
-        rec = FrameRecord(self.frames_started, t, t + self._layout(decision.g).airtime,
-                          decision.g, decision.m_sel, decision.per_bit_power, None, 1.0, 0.0)
+        lay = allocation.frame_layout(decision.g, self.cfg)
+        rec = FrameRecord(self.frames_started, t, t + lay.airtime, decision.g, decision.m_sel,
+                          decision.per_bit_power, None, 1.0, 0.0)
         if not self.verify:
-            self.unplanned.append(rec)
+            self.unplanned.append((rec, lay))
             budget = self.cfg.power_budget
             if budget is not None:
                 # a budgeted frame is planned now: its mean power sets the

@@ -8,7 +8,12 @@ the reference for the engine's busy-interval tracker, and ``group_size_search``
 tries every divisor of the airtime, the reference for ``model.group_size``.
 ``fairness_pairwise`` takes the fairness gauge one flow pair and one
 jointly-backlogged interval at a time, the reference for the grouped and
-stacked ``metrics.fairness_metric``.
+stacked ``metrics.fairness_metric``. ``poisson_times_chunked`` draws an
+arrival trace in whole ``GAP_CHUNK`` chunks, the reference for the engine's
+sized first draw; ``price_start_padded`` reads the price bracket from padded
+thresholds, the reference for ``allocation._price_start``; and
+``ScanEveryInstant`` is the engine with the expiry scan run at every
+instant, the reference for the skip on ``Engine.next_expiry``.
 """
 from __future__ import annotations
 
@@ -16,7 +21,9 @@ import math
 
 import numpy as np
 
-from mpgps_sim import NonIntegralQuota, TransportInstance
+from mpgps_sim import Engine, NonIntegralQuota, TransportInstance
+from mpgps_sim.allocation import PRICE_ROUNDS
+from mpgps_sim.engine import GAP_CHUNK, SimEvent
 from mpgps_sim.metrics import _intersect, _window_extreme
 from mpgps_sim.virtual_time import GpsReference, GpsTrace
 
@@ -180,3 +187,61 @@ def service_gap(events, trace: GpsTrace, packet_bits: int, t_stop: float,
             worst = max(worst, gap)
             violations += gap > bound + eps
     return worst, violations
+
+
+def price_start_padded(costs: np.ndarray, quotas: np.ndarray, demand: int) -> np.ndarray:
+    """``allocation._price_start`` with its sorted thresholds padded by their
+    spread on both ends and the bracketing pair read at the target count."""
+    k = costs.shape[0]
+    target = quotas // demand
+    reduced = costs.copy()
+    for _ in range(PRICE_ROUNDS):
+        for i in range(k):
+            reduced[i] = np.inf
+            cuts = np.sort(costs[i] - reduced.min(axis=0))
+            spread = cuts[-1] - cuts[0]
+            edges = np.concatenate(([cuts[0] - spread], cuts, [cuts[-1] + spread]))
+            q = int(target[i])
+            reduced[i] = costs[i] - 0.5 * (edges[q] + edges[q + 1])
+    return np.argmin(reduced, axis=0)
+
+
+def poisson_times_chunked(seed: int, flow: int, rate_sym: float, horizon: float) -> np.ndarray:
+    """A flow's arrival times before ``horizon``: exponential gaps drawn
+    ``GAP_CHUNK`` at a time from ``default_rng([seed, 23, flow])``, each chunk's
+    cumulative sum continuing from the last time of the one before."""
+    rng = np.random.default_rng([seed, 23, flow])
+    if rate_sym <= 0:
+        return np.empty(0)
+    out = []
+    t = 0.0
+    while t < horizon:
+        gaps = rng.exponential(1.0 / rate_sym, GAP_CHUNK)
+        cum = t + np.cumsum(gaps)
+        out.append(cum)
+        t = cum[-1]
+    times = np.concatenate(out)
+    return times[times < horizon]
+
+
+class ScanEveryInstant(Engine):
+    """The engine with every instant of a run scanning all queues for
+    expired heads, whatever ``next_expiry`` says; with deadlines disabled the
+    scan finds nothing."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.next_expiry = -math.inf         # arrivals only lower it
+
+    def _drop_expired(self, t: float) -> None:
+        deadline = self.deadline_symbols
+        for q in self.queues:
+            while q and q[0].arrival + deadline <= t:
+                pkt = q.popleft()
+                self.n_dropped += 1
+                if pkt.arrival >= self.warmup_t:
+                    self.n_dropped_m += 1
+                if self.collect_fairness:
+                    self._count(t, pkt.flow, -1)
+                if self.collect_events:
+                    self.events.append(SimEvent(t, "drop", pkt.flow, pkt.seq, -1))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import mpgps_sim as m
 from mpgps_sim import allocation
 from mpgps_sim.allocation import _price_start, _solve_exchange
-from oracles import InstanceTooLarge, brute_force_ilp
+from oracles import InstanceTooLarge, brute_force_ilp, price_start_padded
 
 
 def check_feasible(counts, instance):
@@ -264,6 +264,44 @@ def test_exchange_matches_row_loop(integer):
     assert empty_after_pricing > 0
 
 
+class TestPriceStart:
+    """The bracketing thresholds read directly against the padded array."""
+
+    @staticmethod
+    def instance(rng, k, integer):
+        n = int(rng.integers(4, 65))
+        demand = int(rng.integers(1, 5))
+        if integer:
+            costs = rng.integers(1, 4, size=(k, n)).astype(float)
+        else:
+            costs = 10.0 ** rng.uniform(-2, 2, size=(k, 1)) * rng.exponential(size=(k, n))
+        shape = rng.integers(3)
+        if shape == 0:
+            # one row owed every column (target N), the others nothing
+            quotas = np.zeros(k, dtype=np.int64)
+            quotas[rng.integers(k)] = demand * n
+        else:
+            # a random split; with demand > 1 some rows are owed less than a
+            # column (target 0)
+            cuts = np.sort(rng.integers(0, demand * n + 1, size=k - 1))
+            quotas = np.diff(np.concatenate(([0], cuts, [demand * n])))
+        return costs, quotas, demand
+
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_owners_equal_padded_thresholds(self, k):
+        rng = np.random.default_rng(70 + k)
+        owed_none = owed_some = owed_all = 0
+        for case in range(300):
+            costs, quotas, demand = self.instance(rng, k, integer=case % 2 == 1)
+            got = _price_start(costs, quotas, demand)
+            assert got.tolist() == price_start_padded(costs, quotas, demand).tolist(), case
+            targets = quotas // demand
+            owed_none += int((targets == 0).sum())
+            owed_some += int(((0 < targets) & (targets < costs.shape[1])).sum())
+            owed_all += int((targets == costs.shape[1]).sum())
+        assert min(owed_none, owed_some, owed_all) > 0
+
+
 def padded_stack(members, k):
     """One stacked instance of (costs, quotas, demand) members sharing N; each
     member is padded to k rows with zero-quota rows of unit cost."""
@@ -490,6 +528,56 @@ class TestStackedPlans:
         stack = rng.uniform(1e-10, 1e-6, size=(16, 10, 64)) * rng.integers(0, 5, size=(16, 10, 64))
         assert stack.flags.c_contiguous
         assert stack.sum(axis=(1, 2)).tolist() == [float(f.sum()) for f in stack]
+
+
+class TestFrameLayoutCache:
+    """Layouts are cached per (g, L, N, r) and shared across configs."""
+
+    @staticmethod
+    def fresh_layout(g, cfg):
+        m_sel = sum(g)
+        airtime = m.frame_length(g, cfg)
+        grp = m.group_size(airtime, g, cfg.N)
+        return allocation.FrameLayout(m_sel, airtime, grp, tuple(
+            m.subcarrier_quota(g_k, grp, cfg.N, m_sel) for g_k in g))
+
+    @pytest.mark.parametrize("shape", [dict(L=64, N=8, r=2), dict(L=1024, N=64, r=2)])
+    def test_cached_layouts_equal_a_fresh_computation(self, shape):
+        cfg = m.SystemConfig(K=4, M=6, **shape)
+        allocation._frame_layout.cache_clear()
+        gs = [g for total in range(1, 7)
+              for g in m.compositions(total, (total,) * cfg.K)]
+        assert len(gs) == 209
+        for _ in range(2):                       # computed, then read from the cache
+            for g in gs:
+                got = allocation.frame_layout(np.array(g), cfg)
+                assert got == self.fresh_layout(g, cfg)
+                assert allocation.frame_layout(list(g), cfg) is got
+                assert all(type(x) is int for x in (*got[:3], *got.quotas))
+        assert allocation._frame_layout.cache_info().hits > 0
+
+    def test_configs_differing_in_L_N_or_r_get_their_own_entries(self):
+        allocation._frame_layout.cache_clear()
+        g = (2, 0, 2)
+        base = m.SystemConfig(K=3, N=8, L=64, r=2, M=4, seed=1)
+        lays = [allocation.frame_layout(g, replace(base, **kw))
+                for kw in ({}, {"L": 128}, {"N": 16}, {"r": 4})]
+        assert allocation._frame_layout.cache_info().currsize == 4
+        assert len(set(lays)) == 4
+        assert lays[0] == self.fresh_layout(g, base)
+        # the seed, weights and deadline play no part
+        other = replace(base, seed=9, weights=(1.0, 2.0, 0.5), deadline=0.01)
+        assert allocation.frame_layout(g, other) is lays[0]
+        assert allocation._frame_layout.cache_info().currsize == 4
+
+    def test_non_integral_composition_raises_and_is_not_cached(self):
+        allocation._frame_layout.cache_clear()
+        cfg = m.SystemConfig(K=3, N=64, L=64, r=2)      # a packet is half a symbol
+        for _ in range(2):
+            with pytest.raises(m.NonIntegralFrame):
+                allocation.frame_layout((1, 0, 0), cfg)
+        assert allocation._frame_layout.cache_info().currsize == 0
+        assert allocation.frame_layout((1, 1, 0), cfg).airtime == 1
 
 
 class TestDeferredPlans:

@@ -225,3 +225,31 @@ def test_pgps_is_single_server_mpgps(system, error_free):
                  collect_events=True, **run_kw).run()
     assert a.frames == b.frames
     assert a.events == b.events
+
+
+class ExpiryChecked(m.Engine):
+    """Checks at every instant that no queued packet expires before ``next_expiry``;
+    failures rejoining their heads must not break it either."""
+
+    def _instant(self, t):
+        heads = [q[0].arrival + self.deadline_symbols for q in self.queues if q]
+        assert self.next_expiry <= min(heads, default=math.inf)
+        super()._instant(t)
+
+
+@settings(max_examples=80, deadline=None)
+@given(systems(), st.sampled_from([None, 30000.0, 60000.0]), st.booleans())
+# the packets queued at 0 expire at 16 symbols, exactly at the fifth instant
+@example((m.SystemConfig(K=4, N=8, L=64, r=2, M=1, U=4, deadline=0.0032, seed=1),
+          m.TrafficModel(infinite_backlog=True), "mpgps", {"max_frames": 12}), None, True)
+def test_expiry_skip_matches_a_scan_at_every_instant(system, rate, error_free):
+    cfg, traffic, mode, run_kw = system
+    if rate is not None and not traffic.infinite_backlog:
+        # past the link's 80 kb/s once a few flows send: heads expire
+        traffic = m.TrafficModel(rate_bps=rate)
+    kw = dict(error_free=error_free, collect_events=True, collect_fairness=True, **run_kw)
+    got = ExpiryChecked(cfg, traffic, mode, 1500.0, **kw).run()
+    want = oracles.ScanEveryInstant(cfg, traffic, mode, 1500.0, **kw).run()
+    assert got.events == want.events
+    assert got.frames == want.frames
+    assert repr(got.metrics) == repr(want.metrics)

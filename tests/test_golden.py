@@ -24,11 +24,19 @@ saturated shape, in which every flow pair is backlogged over one shared
 interval, and the saturated ``avg_power``; its ``run`` output is stored under
 ``tests/golden/saturated/``.
 
+``tests/golden/power.json`` is the power benchmark's working point (K=10,
+N=64, L=1024; mpgps at M=2 and 4, 50 kb/s, 2,000-symbol horizon, default
+deadline, four replications) with event logs on. It pins a short power run's
+arrival trace, frame schedule and power figures byte for byte, where the
+benchmark compares floats to 1e-9 only; its ``run`` output is stored under
+``tests/golden/power/``.
+
 To re-record after an intended output change, run each command with
 ``--out tests/golden/<command>`` (``run tests/golden/events.json --out
 tests/golden/events`` for the event logs, ``check-bounds
 tests/golden/audit.json --out tests/golden/audit`` for the audit, ``run
 tests/golden/saturated.json --out tests/golden/saturated`` for the saturated
+run, ``run tests/golden/power.json --out tests/golden/power`` for the power
 run) and commit the diff with its reason.
 """
 from pathlib import Path
@@ -74,3 +82,11 @@ def test_saturated_fairness_run_matches_golden(tmp_path):
     assert cli.main(["run", str(GOLDEN / "saturated.json"), "--out", str(out)]) == 0
     names = _assert_same_files(out, GOLDEN / "saturated")
     assert names == ["aggregate.csv", "runs.csv"]
+
+
+def test_power_run_matches_golden(tmp_path):
+    out = tmp_path / "power"
+    assert cli.main(["run", str(GOLDEN / "power.json"), "--out", str(out)]) == 0
+    names = _assert_same_files(out, GOLDEN / "power")
+    assert names == ["aggregate.csv", *(f"events_p{p}_r{r}.csv" for p in range(2)
+                                        for r in range(4)), "runs.csv"]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import mpgps_sim as m
+import oracles
 
 
 def compact(**kw):
@@ -149,6 +150,70 @@ def test_arrivals_are_read_once_in_order_across_chunks():
     # both packets of the straddling instant are queued before its frame starts
     at_edge = [e.kind for e in res.events if e.time == times[chunk]]
     assert at_edge == ["arrive", "arrive", "frame_start"]
+
+
+class TestArrivalTrace:
+    """The sized first draw gives the trace of whole GAP_CHUNK chunks bit for bit."""
+
+    HORIZON = 5000.0
+    # expected arrivals per flow, from ~0 to past the first draw's cap and
+    # past one chunk
+    EXPECTED = (0.0, 1e-3, 0.4, 3.0, 20.0, 150.0, 1000.0, 1700.0, 2100.0, 9000.0)
+
+    def engine(self, expected, bucket=None):
+        cfg = compact(K=len(expected), M=2, seed=17)
+        rates = [n * cfg.L / (cfg.T_sym * self.HORIZON) for n in expected]
+        return m.Engine(cfg, m.TrafficModel(rate_bps=tuple(rates), bucket=bucket),
+                        "mpgps", self.HORIZON)
+
+    def chunked(self, eng):
+        """Every flow's trace from the chunk oracle, shaped and merged as the engine does."""
+        rates = eng.rates_bps * eng.cfg.T_sym / eng.cfg.L
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            per_flow = [eng._shape(oracles.poisson_times_chunked(eng.cfg.seed, k, rates[k],
+                                                                 eng.horizon))
+                        for k in range(eng.cfg.K)]
+        times = np.concatenate(per_flow)
+        flows = np.repeat(np.arange(eng.cfg.K), [len(p) for p in per_flow])
+        order = np.lexsort((flows, times))
+        return times[order].tolist(), flows[order].tolist()
+
+    @pytest.mark.parametrize("margin", [None, 0], ids=["sized", "no-margin"])
+    def test_trace_equals_whole_chunks(self, monkeypatch, margin):
+        if margin is not None:
+            # the first draw holds about the expected count, so about half
+            # the flows fall back to drawing whole chunks
+            monkeypatch.setattr(m.engine, "ARRIVAL_MARGIN", margin)
+        eng = self.engine(self.EXPECTED)
+        want = self.chunked(eng)
+        reseeds = []
+        real_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: reseeds.append(seed[2]) or real_rng(seed))
+        times, flows = eng._generate_arrivals()
+        assert (times.tolist(), flows.tolist()) == want
+        fell_back = {k for k in reseeds if reseeds.count(k) == 2}
+        beyond_cap = {k for k, n in enumerate(self.EXPECTED) if n > m.engine.FIRST_GAP_CAP}
+        if margin is None:
+            assert fell_back == beyond_cap
+        else:
+            assert fell_back - beyond_cap
+        counts = np.bincount(flows, minlength=len(self.EXPECTED))
+        assert counts[0] == 0 and counts[-1] > m.engine.GAP_CHUNK
+
+    def test_token_bucket_shapes_the_same_trace(self):
+        eng = self.engine((3.0, 150.0, 2100.0), bucket=(2048.0, 40000.0))
+        times, flows = eng._generate_arrivals()
+        assert (times.tolist(), flows.tolist()) == self.chunked(eng)
+
+    def test_rate_near_the_float_range(self):
+        # the mean gap overflows to inf, past any horizon
+        eng = self.engine((1e-305, 20.0))
+        rate = float(eng.rates_bps[0])
+        assert rate > 0 and eng.cfg.L / (rate * eng.cfg.T_sym) > np.finfo(float).max
+        times, flows = eng._generate_arrivals()
+        assert (times.tolist(), flows.tolist()) == self.chunked(eng)
+        assert set(flows.tolist()) == {1}
 
 
 class TestDeadlines:
