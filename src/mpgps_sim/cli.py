@@ -662,7 +662,11 @@ def execute(scenario: Scenario, check_bounds: bool = False) -> int:
                     tasks[(p.index, rep)]["system"]["power_budget"] = watts
         os.makedirs(scenario.out, exist_ok=True)
         try:
-            _run_tasks(pool, tasks, results)
+            # replication-major: the points of one replication share a seed,
+            # so each run after the first finds its stamped arrival trace
+            # cached (engine.arrival_trace)
+            _run_tasks(pool, {key: tasks[key] for key in sorted(tasks, key=lambda k: k[::-1])},
+                       results)
         except KeyboardInterrupt:
             interrupted = True
             log.warning("interrupted: flushing %d completed runs", len(results))

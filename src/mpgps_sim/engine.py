@@ -1,15 +1,19 @@
 """Discrete-event downlink simulator tying disciplines, channel, and audits together.
 
 Only two event kinds exist: packet arrivals, pre-drawn for the whole run and
-read ARRIVAL_CHUNK at a time, and frame completions. Arriving packets are
-stamped against the shared virtual clock immediately but become eligible for
-service at frame boundaries; when the servers fall idle and backlog exists,
-the configured discipline picks the next batch. Frame ends outrank arrivals
-at equal times. Deadline-expired packets are shed before every selection
-(the scan waits for the earliest deadline at a queue head), and failed
-packets rejoin their queue head with stamps intact. Saturated
-traffic runs through the same loop with no arrivals: each selection tops
-every queue up, and the run stops at its frame cap.
+read ARRIVAL_CHUNK at a time, and frame completions. A Poisson run's packets
+are stamped against the shared virtual clock before the run starts: one
+pass of the fluid reference over the drawn trace stamps them all
+(``arrival_trace``). The stamps depend on the arrivals alone, never on the
+schedule, so the runs of one sweep replication read one cached trace.
+Arriving packets become eligible for service at frame boundaries; when the
+servers fall idle and backlog exists, the configured discipline picks the
+next batch. Frame ends outrank arrivals at equal times. Deadline-expired
+packets are shed before every selection (the scan waits for the earliest
+deadline at a queue head), and failed packets rejoin their queue head with
+stamps intact. Saturated traffic runs through the same loop with no
+arrivals: each selection tops every queue up, stamping the refills as they
+are queued, and the run stops at its frame cap.
 
 Verification mode runs error free with deadlines disabled and audits the run
 against the fluid reference (and, for the opportunistic discipline, against
@@ -18,6 +22,7 @@ versus worst observation.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
@@ -35,7 +40,7 @@ from .channel import (ChannelProcess, FrameStreams, LinkBudget, link_budget,
 from .model import Packet, SystemConfig, frame_length
 from .scheduling import (AMPGPS, MPGPS, OMPGPS, PGPS, BoundViolation,
                          LagLedger, ScheduleDecision, select_mpgps)
-from .virtual_time import GpsReference
+from .virtual_time import GpsReference, GpsTrace
 
 log = logging.getLogger(__name__)
 
@@ -64,10 +69,11 @@ GAP_CHUNK = 4096
 FIRST_GAP_CAP = 2048
 ARRIVAL_MARGIN = 8
 
-# Largest expected arrival count of a Poisson run. The run pre-draws every
-# arrival time: 16 B per arrival (time and flow) before the sort's
-# temporaries, so the cap holds that trace near 1.6 GB. A CLI run at the
-# README working point with the default horizon draws ~1.2e5 arrivals.
+# Largest expected arrival count of a Poisson run. The run pre-draws and
+# stamps every arrival: 24 B per arrival (time, flow and stamp) before the
+# sort's and the stamping's temporaries, so the cap holds that trace near
+# 2.4 GB. A CLI run at the README working point with the default horizon
+# draws ~1.2e5 arrivals.
 MAX_EXPECTED_ARRIVALS = 10 ** 8
 
 # A run that draws a channel is refused unless gamma * noise_power / path gain
@@ -184,6 +190,102 @@ class _InFlight(NamedTuple):
     members: list[Packet]
 
 
+class ArrivalTrace(NamedTuple):
+    """A Poisson run's arrivals in time order, as read-only arrays: times in
+    symbols, flows, and each packet's virtual finishing stamp, plus the
+    drained fluid reference when it was recorded."""
+
+    times: np.ndarray
+    flows: np.ndarray
+    stamps: np.ndarray
+    gps: GpsTrace | None
+
+
+def _poisson_times(seed: int, flow: int, rate_sym: float, horizon: float) -> np.ndarray:
+    """Flow's Poisson arrival times before the horizon, in symbols.
+
+    The first draw is sized from the expected count (see ARRIVAL_MARGIN).
+    When it crosses the horizon, its times are the first chunk's prefix
+    bit for bit: the generator draws the same leading gaps, the cumulative
+    sum runs in order, and the chunk adds them to 0.0. Otherwise the
+    stream is reseeded and drawn in GAP_CHUNK chunks from its start.
+    """
+    if rate_sym <= 0:
+        return np.empty(0)
+    rng = np.random.default_rng([seed, 23, flow])
+    lam = rate_sym * horizon
+    size = min(lam + ARRIVAL_MARGIN * (math.sqrt(lam) + 4), FIRST_GAP_CAP)
+    cum = np.cumsum(rng.exponential(1.0 / rate_sym, math.ceil(size)))
+    if cum[-1] >= horizon:
+        return cum[cum < horizon]
+    rng = np.random.default_rng([seed, 23, flow])
+    out = []
+    t = 0.0
+    while t < horizon:
+        cum = t + np.cumsum(rng.exponential(1.0 / rate_sym, GAP_CHUNK))
+        out.append(cum)
+        t = cum[-1]
+    times = np.concatenate(out)
+    return times[times < horizon]
+
+
+def _shape(times: np.ndarray, bucket: tuple[float, float] | None, bits: int) -> np.ndarray:
+    """Release times of ``bits``-bit packets through a (burst bits, bits per
+    symbol) token bucket, full at the first arrival."""
+    if bucket is None or times.size == 0:
+        return times
+    sigma, rho = bucket
+    tokens = sigma
+    t_prev = 0.0
+    out = np.empty_like(times)
+    for i, a in enumerate(times):
+        release = a if i == 0 else max(a, out[i - 1])
+        tokens = min(sigma, tokens + rho * (release - t_prev))
+        if tokens < bits:
+            release += (bits - tokens) / rho
+            tokens = float(bits)
+        tokens -= bits
+        t_prev = release
+        out[i] = release
+    return out
+
+
+@functools.lru_cache(maxsize=1)
+def arrival_trace(seed: int, rates: tuple[float, ...], bucket: tuple[float, float] | None,
+                  bits: int, horizon: float, weights: tuple[float, ...], bits_per_symbol: int,
+                  record: bool) -> ArrivalTrace:
+    """The stamped arrival trace of a Poisson run, from its inputs alone.
+
+    ``rates`` are packets per symbol per flow and ``bucket`` is (burst bits,
+    bits per symbol). Neither the discipline nor the channel enters, so the
+    runs of one sweep replication (same seed and traffic) share the trace:
+    the last one built stays cached until another is asked for, or until
+    ``arrival_trace.cache_clear()``. Each packet is stamped by one pass of a
+    ``GpsReference`` over the trace; with ``record`` on, it is then drained
+    and its ``GpsTrace`` kept for the bound audit.
+    """
+    # rates near the float range overflow gaps and release times to inf,
+    # past any horizon as the true values are; later releases stay inf
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        per_flow = [_shape(_poisson_times(seed, k, rate_sym, horizon), bucket, bits)
+                    for k, rate_sym in enumerate(np.asarray(rates, dtype=float))]
+    times = np.concatenate(per_flow)
+    flows = np.repeat(np.arange(len(rates), dtype=np.int64), [len(p) for p in per_flow])
+    order = np.lexsort((flows, times))
+    times, flows = times[order], flows[order]
+    # a token bucket can release packets past the horizon; the run admits none of them
+    end = np.searchsorted(times, horizon, side="right")
+    times, flows = times[:end], flows[:end]
+    ref = GpsReference(weights, bits_per_symbol, bits, record=record)
+    stamps = np.fromiter(map(ref.on_arrival, times.tolist(), flows.tolist()), float, times.size)
+    for a in (times, flows, stamps):
+        a.flags.writeable = False
+    if not record:
+        return ArrivalTrace(times, flows, stamps, None)
+    ref.drain()
+    return ArrivalTrace(times, flows, stamps, ref.trace())
+
+
 class Engine:
     """One simulation run; build, call run(), read the result."""
 
@@ -255,7 +357,21 @@ class Engine:
         # after the scan before it, so failures rejoining their heads never
         # undercut it.
         self.next_expiry = math.inf
-        self.gps = GpsReference(cfg.weights, cfg.bits_per_symbol, cfg.L, record=verify)
+        # a Poisson run's packets come stamped in its arrival trace, which
+        # run() fetches from arrival_trace(*trace_args); a saturated run
+        # stamps its refills online, at decision times
+        if saturated:
+            self.gps = GpsReference(cfg.weights, cfg.bits_per_symbol, cfg.L, record=verify)
+            self.trace_args = None
+        else:
+            self.gps = None
+            bucket = self.traffic.bucket
+            if bucket is not None:
+                bucket = (bucket[0], bucket[1] * cfg.T_sym)       # bits per symbol
+            self.trace_args = (cfg.seed, tuple((self.rates_bps * cfg.T_sym / cfg.L).tolist()),
+                               bucket, cfg.L, self.horizon, cfg.weights, cfg.bits_per_symbol,
+                               verify)
+        self.arrivals: ArrivalTrace | None = None
         self.budget: LinkBudget = link_budget(cfg)
         self.channel = ChannelProcess(cfg) if self.need_channel else None
         if self.channel is not None:
@@ -305,75 +421,10 @@ class Engine:
         self.n_dropped_m = 0
         self.delay_sum_m = 0.0
 
-    # -- traffic -------------------------------------------------------------
-
-    def _poisson_times(self, flow: int, rate_sym: float) -> np.ndarray:
-        """Flow's Poisson arrival times before the horizon, in symbols.
-
-        The first draw is sized from the expected count (see ARRIVAL_MARGIN).
-        When it crosses the horizon, its times are the first chunk's prefix
-        bit for bit: the generator draws the same leading gaps, the cumulative
-        sum runs in order, and the chunk adds them to 0.0. Otherwise the
-        stream is reseeded and drawn in GAP_CHUNK chunks from its start.
-        """
-        if rate_sym <= 0:
-            return np.empty(0)
-        rng = np.random.default_rng([self.cfg.seed, 23, flow])
-        lam = rate_sym * self.horizon
-        size = min(lam + ARRIVAL_MARGIN * (math.sqrt(lam) + 4), FIRST_GAP_CAP)
-        cum = np.cumsum(rng.exponential(1.0 / rate_sym, math.ceil(size)))
-        if cum[-1] >= self.horizon:
-            return cum[cum < self.horizon]
-        rng = np.random.default_rng([self.cfg.seed, 23, flow])
-        out = []
-        t = 0.0
-        while t < self.horizon:
-            cum = t + np.cumsum(rng.exponential(1.0 / rate_sym, GAP_CHUNK))
-            out.append(cum)
-            t = cum[-1]
-        times = np.concatenate(out)
-        return times[times < self.horizon]
-
-    def _shape(self, times: np.ndarray) -> np.ndarray:
-        if self.traffic.bucket is None or times.size == 0:
-            return times
-        sigma, rho_bps = self.traffic.bucket
-        rho = rho_bps * self.cfg.T_sym          # bits per symbol
-        tokens = sigma
-        t_prev = 0.0
-        out = np.empty_like(times)
-        for i, a in enumerate(times):
-            release = a if i == 0 else max(a, out[i - 1])
-            tokens = min(sigma, tokens + rho * (release - t_prev))
-            if tokens < self.cfg.L:
-                release += (self.cfg.L - tokens) / rho
-                tokens = float(self.cfg.L)
-            tokens -= self.cfg.L
-            t_prev = release
-            out[i] = release
-        return out
-
-    def _generate_arrivals(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.traffic.infinite_backlog:
-            return np.empty(0), np.empty(0, dtype=np.int64)      # _refill supplies them
-        rates = self.rates_bps * self.cfg.T_sym / self.cfg.L
-        if self.traffic.bucket is not None:
-            rho_bps = self.traffic.bucket[1]
-            if np.any(rho_bps < self.rates_bps):
-                log.warning("bucket rate below mean offered rate; shaping is unstable")
-        # rates near the float range overflow gaps and release times to inf,
-        # past any horizon as the true values are; later releases stay inf
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            per_flow = [self._shape(self._poisson_times(k, rates[k])) for k in range(self.cfg.K)]
-        times = np.concatenate(per_flow)
-        flows = np.repeat(np.arange(self.cfg.K, dtype=np.int64), [len(p) for p in per_flow])
-        order = np.lexsort((flows, times))
-        return times[order], flows[order]
-
     # -- event handlers -------------------------------------------------------
 
-    def _admit(self, t: float, flow: int) -> Packet:
-        pkt = Packet(self.gps.on_arrival(t, flow), flow, self.seq_next[flow], t)
+    def _admit(self, t: float, flow: int, stamp: float) -> Packet:
+        pkt = Packet(stamp, flow, self.seq_next[flow], t)
         self.seq_next[flow] += 1
         self.queues[flow].append(pkt)
         expiry = t + self.deadline_symbols
@@ -404,7 +455,7 @@ class Engine:
         target = max(self.cfg.U, self.cfg.M, self.cfg.M_max)
         for flow, q in enumerate(self.queues):
             while len(q) < target:
-                self._admit(t, flow)
+                self._admit(t, flow, self.gps.on_arrival(t, flow))
 
     def _drop_expired(self, t: float) -> None:
         """Shed every queued packet whose deadline has passed by t, and reset
@@ -551,13 +602,21 @@ class Engine:
     def run(self) -> RunResult:
         """Run to the horizon (or frame cap), reading the arrival trace in chunks."""
         saturated = self.traffic.infinite_backlog
-        if not saturated and self.expected_arrivals < 1:
-            log.warning("the run expects %.3g arrivals within its horizon", self.expected_arrivals)
-        times, flows = self._generate_arrivals()
-        arrivals = itertools.chain.from_iterable(
-            zip(times[lo:lo + ARRIVAL_CHUNK].tolist(), flows[lo:lo + ARRIVAL_CHUNK].tolist())
-            for lo in range(0, len(times), ARRIVAL_CHUNK))
-        next_arr, next_flow = next(arrivals, (math.inf, -1))
+        if saturated:
+            arrivals = iter(())                 # _refill supplies them
+        else:
+            if self.expected_arrivals < 1:
+                log.warning("the run expects %.3g arrivals within its horizon",
+                            self.expected_arrivals)
+            if self.traffic.bucket is not None and np.any(self.traffic.bucket[1] < self.rates_bps):
+                log.warning("bucket rate below mean offered rate; shaping is unstable")
+            trace = self.arrivals = arrival_trace(*self.trace_args)
+            arrivals = itertools.chain.from_iterable(
+                zip(trace.times[lo:lo + ARRIVAL_CHUNK].tolist(),
+                    trace.flows[lo:lo + ARRIVAL_CHUNK].tolist(),
+                    trace.stamps[lo:lo + ARRIVAL_CHUNK].tolist())
+                for lo in range(0, len(trace.times), ARRIVAL_CHUNK))
+        next_arr, next_flow, next_stamp = next(arrivals, (math.inf, -1, 0.0))
         t = 0.0
         while True:
             # with no frame in flight, every packet neither delivered nor
@@ -573,8 +632,8 @@ class Engine:
                 self._finish_frame(t)
             else:
                 while next_arr == t:
-                    self._admit(t, next_flow)
-                    next_arr, next_flow = next(arrivals, (math.inf, -1))
+                    self._admit(t, next_flow, next_stamp)
+                    next_arr, next_flow, next_stamp = next(arrivals, (math.inf, -1, 0.0))
         self._solve_unplanned()
         if saturated:
             self.horizon = self.frames[-1].depart if self.frames else 0.0
@@ -582,9 +641,16 @@ class Engine:
 
     # -- reporting ------------------------------------------------------------
 
-    def _bound_report(self, curves) -> BoundReport:
+    def fluid_trace(self) -> GpsTrace:
+        """The fluid reference's record of a finished verify run: a Poisson
+        run's shared arrival trace holds it, a saturated run drains its own."""
+        if self.gps is None:
+            return self.arrivals.gps
         self.gps.drain()
-        trace = self.gps.trace()
+        return self.gps.trace()
+
+    def _bound_report(self, curves) -> BoundReport:
+        trace = self.fluid_trace()
         cfg = self.cfg
         t_stop = self.horizon             # a saturated run ends it at its last departure
         per_packet = cfg.L / cfg.bits_per_symbol          # symbols per packet

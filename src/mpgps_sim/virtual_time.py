@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass
+@dataclass(frozen=True)
 class GpsTrace:
-    """Recorded behaviour of the fluid reference over one run.
+    """Recorded behaviour of the fluid reference over one run, in read-only arrays.
 
     ``departures`` holds each packet's fluid departure time in symbols and
     ``flows`` its flow, both in arrival order. Segment arrays describe the
@@ -168,13 +168,14 @@ class GpsReference:
         self._pop_departures_until(math.inf)
 
     def trace(self) -> GpsTrace:
-        tr = GpsTrace(weights=self.weights, rate=self.rate,
-                      departures=np.asarray(self.departures, dtype=float),
-                      flows=np.asarray(self.flows, dtype=np.int64))
+        arrays = {"departures": np.asarray(self.departures, dtype=float),
+                  "flows": np.asarray(self.flows, dtype=np.int64)}
         if self._record:
             end = self._seg_t[-1] if self._seg_t else 0.0
-            tr.seg_t = np.asarray(self._seg_t + [end], dtype=float)
-            tr.seg_mask = np.asarray(self._seg_mask, dtype=np.int64)
-            tr.seg_phi = np.asarray(self._seg_phi, dtype=float)
-        return tr
+            arrays.update(seg_t=np.asarray(self._seg_t + [end], dtype=float),
+                          seg_mask=np.asarray(self._seg_mask, dtype=np.int64),
+                          seg_phi=np.asarray(self._seg_phi, dtype=float))
+        for a in arrays.values():
+            a.flags.writeable = False
+        return GpsTrace(self.weights, self.rate, **arrays)
 

@@ -43,22 +43,36 @@ def systems(draw):
 
 
 class Recording(m.Engine):
-    """Keeps every admitted packet, in arrival order, with its fluid busy period."""
+    """Keeps every admitted packet, in arrival order, with its fluid busy period.
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.admitted = []
-        self.busy_period = 0
-        restart = self.gps._restart
+    The run stamps its arrivals afresh, so every packet's stamp comes from one
+    ``GpsReference.on_arrival`` call, in arrival order: a Poisson run makes them
+    all before its first admission, a saturated run as it refills. The class
+    hooks count the restarts and note the busy period of each call.
+    """
 
-        def counted_restart(t):
-            self.busy_period += 1
-            restart(t)
-        self.gps._restart = counted_restart
+    def run(self):
+        self.admitted, self.periods, restarts = [], [], [0]
+        restart, on_arrival = m.GpsReference._restart, m.GpsReference.on_arrival
 
-    def _admit(self, t, flow):
-        pkt = super()._admit(t, flow)
-        self.admitted.append((self.busy_period, pkt))
+        def counted_restart(gps, t):
+            restarts[0] += 1
+            restart(gps, t)
+
+        def noted_on_arrival(gps, t, flow):
+            stamp = on_arrival(gps, t, flow)
+            self.periods.append(restarts[0])
+            return stamp
+
+        m.engine.arrival_trace.cache_clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(m.GpsReference, "_restart", counted_restart)
+            mp.setattr(m.GpsReference, "on_arrival", noted_on_arrival)
+            return super().run()
+
+    def _admit(self, t, flow, stamp):
+        pkt = super()._admit(t, flow, stamp)
+        self.admitted.append((self.periods[len(self.admitted)], pkt))
         return pkt
 
 
@@ -163,7 +177,8 @@ def test_bound_report_matches_a_per_packet_loop(system):
     if eng.inflight:
         for pkt in eng.inflight.members:
             sent_in[index[pkt.flow, pkt.seq]] = eng.inflight.record.index
-    fluid = eng.gps.departures
+    trace = eng.fluid_trace()
+    fluid, fluid_flows = trace.departures.tolist(), trace.flows.tolist()
     gaps = [r - d for r, d in zip(real, fluid) if not math.isnan(r)]
     assert rep.entry("delay_gap").observed == max(gaps, default=0.0)
     assert rep.entry("delay_gap").note == f"{len(gaps)} packets"
@@ -181,14 +196,14 @@ def test_bound_report_matches_a_per_packet_loop(system):
 
     worst = 0
     for k in range(cfg.K):
-        gps_d = sorted(d for d, f in zip(fluid, eng.gps.flows) if f == k and d <= eng.horizon)
-        sent = [r for r, f in zip(real, eng.gps.flows) if f == k and not math.isnan(r)]
+        gps_d = sorted(d for d, f in zip(fluid, fluid_flows) if f == k and d <= eng.horizon)
+        sent = [r for r, f in zip(real, fluid_flows) if f == k and not math.isnan(r)]
         for i, d in enumerate(gps_d, start=1):
             worst = max(worst, i - sum(r <= d + eps for r in sent))
     assert rep.entry("backlog_gap").observed == worst
 
     service = rep.entry("service_gap")
-    worst, violations = oracles.service_gap(res.events, eng.gps.trace(), cfg.L, eng.horizon,
+    worst, violations = oracles.service_gap(res.events, trace, cfg.L, eng.horizon,
                                             service.bound, eps)
     # the oracle sums in another order: equal up to roundoff on ~1e4-bit totals
     assert service.observed == pytest.approx(worst, rel=0, abs=1e-9)

@@ -44,6 +44,8 @@ from pathlib import Path
 import pytest
 
 import mpgps_sim.cli as cli
+from mpgps_sim import GpsReference
+from mpgps_sim.engine import arrival_trace
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -55,11 +57,24 @@ def test_artifacts_match_golden(tmp_path, command):
     _assert_same_files(out, GOLDEN / command)
 
 
-def test_audit_at_benchmark_point_matches_golden(tmp_path):
+def test_audit_at_benchmark_point_matches_golden(tmp_path, monkeypatch):
+    stamped = []
+    on_arrival = GpsReference.on_arrival
+    monkeypatch.setattr(GpsReference, "on_arrival",
+                        lambda gps, t, flow: stamped.append(t) or on_arrival(gps, t, flow))
+    arrival_trace.cache_clear()
     out = tmp_path / "audit"
-    assert cli.main(["check-bounds", str(GOLDEN / "audit.json"), "--out", str(out)]) == 0
+    args = ["check-bounds", str(GOLDEN / "audit.json"), "--out", str(out)]
+    assert cli.main(args) == 0
     names = _assert_same_files(out, GOLDEN / "audit")
     assert names == ["aggregate.csv", "bounds.csv", "runs.csv"]
+    # its three runs share a seed and traffic, so one run's worth of stamping
+    # serves them all
+    scenario = cli.build_scenario(cli.load_config(args[1]), cli.make_parser().parse_args(args))
+    points = cli.grid_points(scenario)
+    engines = [cli._build_engine(cli._make_task(scenario, p, 0, verify=True)) for p in points]
+    assert len(points) == 3 and all(e.trace_args == engines[0].trace_args for e in engines)
+    assert stamped == arrival_trace(*engines[0].trace_args).times.tolist()
 
 
 def _assert_same_files(out: Path, want: Path) -> list[str]:

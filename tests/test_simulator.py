@@ -21,6 +21,16 @@ def by_kind(events, kind):
     return [e for e in events if e.kind == kind]
 
 
+def feed(monkeypatch, times, flows):
+    """Give the runs that follow this arrival trace, stamped by the oracle fluid
+    reference, in place of their drawn one; the shared cache is left alone."""
+    def trace(seed, rates, bucket, bits, horizon, weights, bits_per_symbol, record):
+        stamps, gps = oracles.gps_simulate(zip(times.tolist(), flows.tolist()), weights,
+                                           bits_per_symbol, bits)
+        return m.engine.ArrivalTrace(times, flows, np.array(stamps), gps if record else None)
+    monkeypatch.setattr(m.engine, "arrival_trace", trace)
+
+
 class TestSinglePacketTiming:
     def test_unqueued_packet_departs_one_frame_later(self):
         # 1024 bits over 128 bits/symbol: exactly 8 symbols on air
@@ -116,14 +126,13 @@ class TestConservation:
             assert nxt.start >= prev.depart
 
 
-def test_event_log_is_time_ordered_with_departures_first():
+def test_event_log_is_time_ordered_with_departures_first(monkeypatch):
     eng = m.Engine(m.SystemConfig(K=1, N=8, L=64, r=2, seed=1),
                    m.TrafficModel(rate_bps=1000.0), "mpgps", 50.0,
                    error_free=True, collect_events=True)
     # force an arrival exactly on a frame boundary: frame [0, 4) ends as the
     # second packet lands
-    eng._generate_arrivals = lambda: (np.array([0.0, 4.0]),
-                                      np.array([0, 0], dtype=np.int64))
+    feed(monkeypatch, np.array([0.0, 4.0]), np.array([0, 0], dtype=np.int64))
     res = eng.run()
     times = [e.time for e in res.events]
     assert times == sorted(times)
@@ -131,7 +140,7 @@ def test_event_log_is_time_ordered_with_departures_first():
     assert at_four == ["deliver", "frame_end", "arrive", "frame_start"]
 
 
-def test_arrivals_are_read_once_in_order_across_chunks():
+def test_arrivals_are_read_once_in_order_across_chunks(monkeypatch):
     chunk = m.engine.ARRIVAL_CHUNK
     rng = np.random.default_rng(5)
     times = np.cumsum(rng.exponential(3.0, 2 * chunk + 100))
@@ -143,13 +152,28 @@ def test_arrivals_are_read_once_in_order_across_chunks():
     assert np.all(np.diff(times) >= 0)
     eng = m.Engine(compact(K=3, M=2, seed=1), m.TrafficModel(rate_bps=1000.0), "mpgps",
                    float(times[-1]) + 1.0, error_free=True, collect_events=True)
-    eng._generate_arrivals = lambda: (times, flows)
+    feed(monkeypatch, times, flows)
     res = eng.run()
     arrived = [(e.time, e.flow) for e in res.events if e.kind == "arrive"]
     assert arrived == list(zip(times.tolist(), flows.tolist()))
     # both packets of the straddling instant are queued before its frame starts
     at_edge = [e.kind for e in res.events if e.time == times[chunk]]
     assert at_edge == ["arrive", "arrive", "frame_start"]
+
+
+def chunked_arrivals(eng):
+    """An engine's arrival times and flows from the chunk oracle, shaped and
+    merged as the engine does, up to the horizon."""
+    seed, rates, bucket, bits, horizon = eng.trace_args[:5]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        per_flow = [m.engine._shape(oracles.poisson_times_chunked(seed, k, rate, horizon),
+                                    bucket, bits)
+                    for k, rate in enumerate(np.asarray(rates))]
+    times = np.concatenate(per_flow)
+    flows = np.repeat(np.arange(eng.cfg.K), [len(p) for p in per_flow])
+    order = np.lexsort((flows, times))
+    admitted = times[order] <= horizon
+    return times[order][admitted], flows[order][admitted]
 
 
 class TestArrivalTrace:
@@ -168,15 +192,15 @@ class TestArrivalTrace:
 
     def chunked(self, eng):
         """Every flow's trace from the chunk oracle, shaped and merged as the engine does."""
-        rates = eng.rates_bps * eng.cfg.T_sym / eng.cfg.L
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            per_flow = [eng._shape(oracles.poisson_times_chunked(eng.cfg.seed, k, rates[k],
-                                                                 eng.horizon))
-                        for k in range(eng.cfg.K)]
-        times = np.concatenate(per_flow)
-        flows = np.repeat(np.arange(eng.cfg.K), [len(p) for p in per_flow])
-        order = np.lexsort((flows, times))
-        return times[order].tolist(), flows[order].tolist()
+        times, flows = chunked_arrivals(eng)
+        return times.tolist(), flows.tolist()
+
+    @staticmethod
+    def drawn(eng):
+        """The engine's arrival trace, drawn afresh."""
+        m.engine.arrival_trace.cache_clear()
+        trace = m.engine.arrival_trace(*eng.trace_args)
+        return trace.times, trace.flows
 
     @pytest.mark.parametrize("margin", [None, 0], ids=["sized", "no-margin"])
     def test_trace_equals_whole_chunks(self, monkeypatch, margin):
@@ -190,7 +214,7 @@ class TestArrivalTrace:
         real_rng = np.random.default_rng
         monkeypatch.setattr(np.random, "default_rng",
                             lambda seed: reseeds.append(seed[2]) or real_rng(seed))
-        times, flows = eng._generate_arrivals()
+        times, flows = self.drawn(eng)
         assert (times.tolist(), flows.tolist()) == want
         fell_back = {k for k in reseeds if reseeds.count(k) == 2}
         beyond_cap = {k for k, n in enumerate(self.EXPECTED) if n > m.engine.FIRST_GAP_CAP}
@@ -203,7 +227,7 @@ class TestArrivalTrace:
 
     def test_token_bucket_shapes_the_same_trace(self):
         eng = self.engine((3.0, 150.0, 2100.0), bucket=(2048.0, 40000.0))
-        times, flows = eng._generate_arrivals()
+        times, flows = self.drawn(eng)
         assert (times.tolist(), flows.tolist()) == self.chunked(eng)
 
     def test_rate_near_the_float_range(self):
@@ -211,9 +235,114 @@ class TestArrivalTrace:
         eng = self.engine((1e-305, 20.0))
         rate = float(eng.rates_bps[0])
         assert rate > 0 and eng.cfg.L / (rate * eng.cfg.T_sym) > np.finfo(float).max
-        times, flows = eng._generate_arrivals()
+        times, flows = self.drawn(eng)
         assert (times.tolist(), flows.tolist()) == self.chunked(eng)
         assert set(flows.tolist()) == {1}
+
+
+class TestSharedTrace:
+    """A Poisson run's stamped arrival trace depends on its arrival inputs
+    alone, and the runs that share those share one trace object."""
+
+    HORIZON = 5_000.0
+    MODES = ("pgps", "mpgps", "ampgps", "ompgps")
+    CASES = {
+        "bucket": (compact(M=2, U=3, M_max=3, seed=21),
+                   m.TrafficModel(rate_bps=6000.0, bucket=(256.0, 7000.0)), HORIZON),
+        "zero-rate flow": (compact(M=2, U=3, M_max=3, seed=22),
+                           m.TrafficModel(rate_bps=(6000.0, 0.0, 3000.0)), HORIZON),
+        "no arrival": (compact(M=2, U=3, M_max=3, seed=23), m.TrafficModel(rate_bps=6000.0), 1.0),
+        "unequal weights": (compact(M=2, U=3, M_max=3, weights=(0.5, 1.0, 2.0), seed=24),
+                            m.TrafficModel(rate_bps=6000.0), HORIZON),
+    }
+
+    @pytest.mark.parametrize("verify", [False, True], ids=["plain", "verify"])
+    @pytest.mark.parametrize("case", CASES)
+    def test_trace_equals_the_chunked_draw_and_the_fluid_oracle(self, case, verify):
+        cfg, traffic, horizon = self.CASES[case]
+        eng = m.Engine(cfg, traffic, "mpgps", horizon, verify=verify)
+        eng.run()
+        got = eng.arrivals
+        times, flows = chunked_arrivals(eng)
+        stamps, gps = oracles.gps_simulate(zip(times.tolist(), flows.tolist()), cfg.weights,
+                                           cfg.bits_per_symbol, cfg.L)
+        assert got.times.tolist() == times.tolist()
+        assert got.flows.tolist() == flows.tolist()
+        assert got.stamps.tolist() == stamps
+        # the run admits the whole trace; the bucket releases one packet past the horizon
+        assert got.times.size == eng.n_arrivals
+        if verify:
+            assert (got.gps.weights, got.gps.rate) == (gps.weights, gps.rate)
+            for name in ("departures", "flows", "seg_t", "seg_mask", "seg_phi"):
+                assert getattr(got.gps, name).tolist() == getattr(gps, name).tolist(), name
+        else:
+            assert got.gps is None
+        if case == "no arrival":
+            assert times.size == 0
+        elif case == "zero-rate flow":
+            assert times.size > 0 and 1 not in flows.tolist()
+
+    @pytest.mark.parametrize("verify", [False, True], ids=["plain", "verify"])
+    @pytest.mark.parametrize("case", CASES)
+    def test_modes_run_alike_on_a_cached_and_a_fresh_trace(self, case, verify):
+        cfg, traffic, horizon = self.CASES[case]
+
+        def run(mode):
+            return repr(m.Engine(cfg, traffic, mode, horizon, verify=verify).run())
+
+        m.engine.arrival_trace.cache_clear()
+        back_to_back = [run(mode) for mode in self.MODES]
+        info = m.engine.arrival_trace.cache_info()
+        assert (info.hits, info.misses) == (len(self.MODES) - 1, 1)
+        fresh = []
+        for mode in self.MODES:
+            m.engine.arrival_trace.cache_clear()
+            fresh.append(run(mode))
+        assert back_to_back == fresh
+
+    def engine(self, mode="mpgps", horizon=HORIZON, verify=False, traffic=None, **system):
+        cfg = replace(compact(M=2, U=3, M_max=3, seed=31), **system)
+        return m.Engine(cfg, traffic or m.TrafficModel(rate_bps=6000.0), mode, horizon,
+                        verify=verify)
+
+    def test_runs_that_differ_off_the_arrivals_share_one_trace(self):
+        base = self.engine()
+        base.run()
+        for mode, change in [("pgps", {}), ("ampgps", {}), ("ompgps", {}), ("mpgps", {"M": 3}),
+                             ("ompgps", {"U": 4}), ("ampgps", {"M_max": 2}),
+                             ("mpgps", {"power_budget": 1e-9}), ("mpgps", {"deadline": 0.01}),
+                             ("mpgps", {"target_ber": 1e-3})]:
+            eng = self.engine(mode, **change)
+            eng.run()
+            assert eng.arrivals is base.arrivals, (mode, change)
+
+    @pytest.mark.parametrize("change", [
+        {"seed": 32}, {"traffic": m.TrafficModel(rate_bps=(6000.0, 6000.5, 6000.0))},
+        {"traffic": m.TrafficModel(rate_bps=6000.0, bucket=(256.0, 7000.0))},
+        {"horizon": 5001.0}, {"L": 128}, {"T_sym": 100e-6}, {"N": 16}, {"r": 1},
+        {"weights": (1.0, 2.0, 1.0)}, {"verify": True},
+    ], ids=["seed", "one rate", "bucket", "horizon", "L", "T_sym", "N", "r", "weights",
+            "verify"])
+    def test_a_change_to_the_arrivals_builds_a_new_trace(self, change):
+        base = self.engine()
+        base.run()
+        eng = self.engine(**change)
+        eng.run()
+        assert eng.arrivals is not base.arrivals
+
+    def test_shared_arrays_are_read_only(self):
+        eng = self.engine(verify=True)
+        eng.run()
+        trace = eng.arrivals
+        arrays = [trace.times, trace.flows, trace.stamps] + [
+            getattr(trace.gps, name) for name in ("departures", "flows", "seg_t", "seg_mask",
+                                                  "seg_phi")]
+        for a in arrays:
+            assert a.size
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[0]
+        with pytest.raises(AttributeError):
+            trace.gps.seg_t = None
 
 
 class TestDeadlines:
@@ -520,14 +649,16 @@ class TestPerPacketRecords:
         eng = self.engine(verify=False)
         eng.run()
         assert eng.n_arrivals > 0
-        assert eng.gps.departures == [] and eng.gps.flows == []
+        assert eng.gps is None and eng.arrivals.gps is None
 
     def test_verify_runs_keep_one_entry_per_arrival(self):
         eng = self.engine(verify=True)
         rep = eng.run().bounds
         n = eng.n_arrivals
         assert n > 0
-        assert len(eng.gps.departures) == len(eng.gps.flows) == n
+        fluid = eng.arrivals.gps
+        assert eng.fluid_trace() is fluid
+        assert len(fluid.departures) == len(fluid.flows) == n
         # the audit derives one departure per delivered packet from the frames
         assert rep.entry("delay_gap").note == f"{eng.n_delivered} packets"
 
