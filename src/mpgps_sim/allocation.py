@@ -9,12 +9,14 @@ style solver recovers the true integer optimum. With three or more active
 rows the solver prices the rows first (a few Gauss-Seidel rounds of dual
 ascent, after Bertsekas' auction method for transportation problems), starts
 from the assignment those prices make cheapest, and finishes with shortest
-exchange paths. Each exchange round builds every row-to-row edge in one
-array operation and relaxes the paths over the few active rows in plain
-Python. One private stacked solve serves both the ranking of compositions
-and the frame plans. The tests check exactness against a brute-force
-enumerator on tiny instances and the HiGHS LP optimum on larger ones; both
-oracles live in ``tests/``, not in the package.
+exchange paths. The instances of a stack with the same number of active
+rows are solved in lockstep: each price update moves one row of every
+instance, and each exchange round builds every unfinished instance's
+row-to-row edges and relaxes its shortest paths as stacked arrays, walking
+each path in plain Python. One private stacked solve serves both the
+ranking of compositions and the frame plans. The tests check exactness
+against a brute-force enumerator on tiny instances and the HiGHS LP optimum
+on larger ones; both oracles live in ``tests/``, not in the package.
 
 The frame repeats one group of ``group`` symbols airtime/group times, so all
 arithmetic happens on the compressed K x N group matrix: column n stands for
@@ -22,12 +24,14 @@ arithmetic happens on the compressed K x N group matrix: column n stands for
 
 ``solve_frames`` plans a stack of frames with one validated
 ``solve_transport`` call: every frame with one or two active rows goes
-through one stacked closed-form split, each frame with three or more through
-the exchange solver, and the call's objective is each frame's power per bit.
-The engine solves the plans of an unbudgeted run once per channel block,
-since nothing reads them before the run ends, and a budgeted run's plan at
-frame start, where its mean power sets the power scale; ``allocate_frame``
-is the one-frame form.
+through one stacked closed-form split, the frames with three or more through
+the lockstep exchange solver, and the call's objective is each frame's power
+per bit. The engine plans a channel-blind run (pgps or mpgps without a power
+budget) once its event loop has ended, ``engine.PLAN_STACK`` frames a call,
+since no decision reads its channel; an unbudgeted ampgps or ompgps run
+once per channel block; and a budgeted run at each frame's start, where the
+plan's mean power sets the power scale. ``allocate_frame`` is the one-frame
+form.
 """
 from __future__ import annotations
 
@@ -51,8 +55,13 @@ GAIN_FLOOR_REL = 1e-12
 PRICE_ROUNDS = 2
 
 # Compositions ranked per block by composition_value. Caps its (block, K, N)
-# count stack at ~1.3 MB for K=10, N=64, however many compositions a window has.
+# count stack at ~1.3 MB for K=10, N=64, however many compositions a window
+# has; engine.PLAN_STACK caps a channel-blind run's plan stacks alike.
 RANK_BLOCK = 256
+
+# Instances whose costs times counts solve_transport multiplies and sums in
+# one pass, so a stack of frame plans holds no product of its own size.
+SUM_BLOCK = 16
 
 # Frame layouts kept per (g, L, N, r), shared by every run in a process, in
 # least-recently-used order. An entry takes ~400 B at K=10. The power
@@ -116,113 +125,140 @@ def _split_rows(first: np.ndarray, last: np.ndarray, quota: np.ndarray,
     return np.minimum(np.maximum(quota - demand * rank, 0), demand)
 
 
-def _price_start(costs: np.ndarray, quotas: np.ndarray, demand: int) -> np.ndarray:
-    """Row of each column under Gauss-Seidel row prices; whole columns only.
+def _price_start(costs: np.ndarray, quotas: np.ndarray, demand: np.ndarray) -> np.ndarray:
+    """Row of each column under Gauss-Seidel row prices, for a stack of instances.
 
-    The price rule is the Gauss-Seidel one of Bertsekas & Castanon (1989) for
-    transportation problems. Row i should win ``quotas[i] // demand``
-    columns. Given the other rows' prices, row i wins column n exactly when
-    its price u_i exceeds c_in - min_{j != i}(c_jn - u_j), so each update sets
-    u_i midway between the target count's threshold and the next one, read
-    straight from the sorted thresholds. A row that should win no column or
-    every column has its missing end taken one spread (largest minus smallest
-    threshold) past the last threshold, which clamps its price.
+    ``costs`` is a (C, k, N) stack, ``quotas`` its (C, k) row supplies and
+    ``demand`` its (C,) column demands; returns the (C, N) owning rows. The
+    price rule is the Gauss-Seidel one of Bertsekas & Castanon (1989) for
+    transportation problems, run on every instance of the stack at once.
+    Row i should win ``quotas[i] // demand`` columns. Given the other rows'
+    prices, row i wins column n exactly when its price u_i exceeds
+    c_in - min_{j != i}(c_jn - u_j), so each update sets u_i midway between
+    the target count's threshold and the next one, read from the sorted
+    thresholds. A row that should win no column or every column has its
+    missing end taken one spread (largest minus smallest threshold) past the
+    last threshold, which clamps its price. Each instance's prices come out
+    as if it were priced alone, bit for bit.
     """
-    n = costs.shape[1]
-    reduced = costs.copy()                       # costs - u[:, None], u = 0
-    rows = list(zip(costs, reduced, (quotas // demand).tolist()))
-    cuts = np.empty(n)
+    c, k, n = costs.shape
+    # row-major copies, [row, instance, column]: a row of every instance is
+    # one contiguous block, and the minimum over rows runs down the first axis
+    by_row = np.ascontiguousarray(costs.transpose(1, 0, 2))
+    reduced = by_row.copy()                      # costs - u, u = 0
+    targets = quotas // demand[:, None]
+    # each row's sorted thresholds, padded by their spread on both ends when
+    # some target is 0 or N, and the flat position of the threshold just
+    # below each target
+    cuts = np.empty((c, n + 2))
+    flat, inner = cuts.ravel(), cuts[:, 1:-1]
+    lo, hi, below, above = cuts[:, 1], cuts[:, n], cuts[:, 0], cuts[:, -1]
+    padded = not (targets % n).all()
+    at = targets + np.arange(0, c * (n + 2), n + 2)[:, None]
+    rows = [(by_row[i], reduced[i], at[:, i], at[:, i] + 1) for i in range(k)]
     for _ in range(PRICE_ROUNDS):
-        for row, red, q in rows:
+        for row, red, left, right in rows:
             red.fill(np.inf)
-            np.subtract(row, reduced.min(axis=0), out=cuts)
-            cuts.sort()
-            if q == 0:
-                lo = cuts.item(0)
-                mid = 0.5 * ((lo - (cuts.item(-1) - lo)) + lo)
-            elif q == n:
-                hi = cuts.item(-1)
-                mid = 0.5 * (hi + (hi + (hi - cuts.item(0))))
-            else:
-                mid = 0.5 * (cuts.item(q - 1) + cuts.item(q))
-            np.subtract(row, mid, out=red)
+            np.subtract(row, reduced.min(axis=0), out=inner)
+            inner.sort(axis=1)
+            if padded:
+                spread = hi - lo
+                np.subtract(lo, spread, out=below)
+                np.add(hi, spread, out=above)
+            mid = flat.take(left) + flat.take(right)
+            mid *= 0.5
+            np.subtract(row, mid[:, None], out=red)
     return reduced.argmin(axis=0)
 
 
-def _solve_exchange(costs: np.ndarray, quotas: np.ndarray, demand: int) -> np.ndarray:
-    """Min-cost assignment: price-initialised start, shortest exchange paths.
+def _exchange(costs: np.ndarray, quotas: np.ndarray, demand: np.ndarray) -> np.ndarray:
+    """Min-cost (C, k, N) counts of a stack of instances of k rows each.
 
-    Start with every column fully on its cheapest row under the row prices u
-    of ``_price_start``. That start is optimal for its own row totals: with
-    v_n = min_k(c_kn - u_k) every reduced cost c_kn - u_k - v_n is
-    nonnegative and every used slot has reduced cost zero, so complementary
-    slackness holds. Then repeatedly move units from over-quota rows to
-    under-quota rows along cheapest exchange paths. Each correction is a
-    shortest path in the residual graph, so the invariant "optimal for
-    current totals" holds to the end. Good prices leave few units to move;
-    they never affect exactness.
+    Each instance starts with every column fully on its cheapest row under
+    the row prices u of ``_price_start``. That start is optimal for its own
+    row totals: with v_n = min_k(c_kn - u_k) every reduced cost
+    c_kn - u_k - v_n is nonnegative and every used slot has reduced cost
+    zero, so complementary slackness holds. Then units move from over-quota
+    rows to under-quota rows along cheapest exchange paths (successive
+    shortest paths). Each correction is a shortest path in the residual
+    graph, so the invariant "optimal for current totals" holds to the end.
+    Good prices leave few units to move; they never affect exactness.
+
+    The instances run in lockstep, one exchange path each a round, until
+    none has a surplus row left; one already balanced after pricing never
+    enters a round. A round builds every instance's row-to-row edges and
+    relaxes their paths as stacked arrays; the walk along each path and
+    the move stay per instance. ``_solve_stack`` passes active rows only.
     """
-    k, n = costs.shape
-    rows = range(k)
-    counts = np.zeros((k, n), dtype=np.int64)
-    counts[_price_start(costs, quotas, demand), np.arange(n)] = demand
-    delta = (counts.sum(axis=1) - quotas).tolist()     # + surplus, - deficit
-    # moving a slot of column n from row src to row dst costs
-    # costs[dst, n] - costs[src, n]; src can only give columns it holds
-    shift = costs[None, :, :] - costs[:, None, :]       # [src, dst, n]
-    shift[rows, rows] = np.inf                          # no edge from a row to itself
-    while max(delta) > 0:
-        held = np.where(counts[:, None, :] > 0, shift, np.inf)
-        edge_col = held.argmin(axis=2).tolist()         # first cheapest column
-        edge_cost = held.min(axis=2).tolist()
+    c, k, n = costs.shape
+    counts = np.zeros((c, k, n), dtype=np.int64)
+    counts[np.arange(c)[:, None], _price_start(costs, quotas, demand),
+           np.arange(n)] = demand[:, None]
+    delta = (counts.sum(axis=2) - quotas).tolist()     # + surplus, - deficit
+    live = [ci for ci, gap in enumerate(delta) if max(gap) > 0]
+    diag = np.arange(k)
+    while live:
+        own = costs[live]
+        # moving a slot of column n from row src to row dst costs
+        # own[dst, n] - own[src, n]; src can only give columns it holds
+        held = own[:, None, :, :] - own[:, :, None, :]   # [c, src, dst, n]
+        np.copyto(held, np.inf, where=counts[live, :, None, :] == 0)
+        held[:, diag, diag] = np.inf                     # no edge from a row to itself
+        edge_col = held.argmin(axis=3)                   # first cheapest column
+        edge_cost = held.min(axis=3)
         # shortest paths from all surplus rows, unrolled by path length so the
         # parent chain can never cycle (simultaneous relaxations with zero- or
-        # negative-cost edges would let a single parent array do exactly that);
-        # k <= M, so plain lists beat numpy calls. Ties go to the first source.
-        level_dist = [0.0 if d > 0 else math.inf for d in delta]
-        parents: list[list[int]] = []
-        best_dist = level_dist[:]
-        best_len = [0] * k
-        for lvl in range(1, k):
-            via = [min((level_dist[src] + edge_cost[src][dst], src) for src in rows)
-                   for dst in rows]
-            level_dist = [dist for dist, _ in via]
-            parents.append([src for _, src in via])
-            for dst in rows:
-                if level_dist[dst] < best_dist[dst]:
-                    best_dist[dst], best_len[dst] = level_dist[dst], lvl
-        reach = [s for s in rows if delta[s] < 0 and best_dist[s] < math.inf]
-        if not reach:
-            raise UnbalancedInstance("no exchange path between surplus and deficit rows")
-        sink = min(reach, key=best_dist.__getitem__)     # first cheapest sink
-        node, lvl = sink, best_len[sink]
-        path = []
-        while lvl > 0:
-            prev = parents[lvl - 1][node]
-            path.append((prev, node))
-            node, lvl = prev, lvl - 1
-        path.reverse()
-        # splice out any repeated node (possible only through float ties)
-        seen = {path[0][0]: 0}
-        i = 0
-        while i < len(path):
-            dst = path[i][1]
-            if dst in seen:
-                del path[seen[dst]:i + 1]
-                i = seen[dst]
-                seen = {v: j for v, j in seen.items() if j <= i}
-            else:
-                i += 1
-                seen[dst] = i
-        move = min(delta[node], -delta[sink])
-        for src, dst in path:
-            move = min(move, int(counts[src, edge_col[src][dst]]))
-        for src, dst in path:
-            col = edge_col[src][dst]
-            counts[src, col] -= move
-            counts[dst, col] += move
-        delta[node] -= move
-        delta[sink] += move
+        # negative-cost edges would let a single parent array do exactly that).
+        # argmin keeps the first minimum: ties go to the first source, and a
+        # row's path is the shortest of those at its least distance.
+        level = np.array([[0.0 if d > 0 else math.inf for d in delta[ci]] for ci in live])
+        dist, parents = [level], []
+        for _ in range(1, k):
+            via = level[:, :, None] + edge_cost          # [c, src, dst]
+            parents.append(via.argmin(axis=1))
+            level = via.min(axis=1)
+            dist.append(level)
+        dist = np.array(dist)                            # [length, c, row]
+        up = np.array(parents).tolist()                  # [length - 1][c][row]
+        for pos, (ci, cols, lens, best) in enumerate(zip(
+                live, edge_col.tolist(), dist.argmin(axis=0).tolist(),
+                dist.min(axis=0).tolist())):
+            gap = delta[ci]
+            # the first cheapest deficit row
+            cost, sink = min(((d, row) for row, d in enumerate(best) if gap[row] < 0),
+                             default=(math.inf, 0))
+            if cost == math.inf:
+                raise UnbalancedInstance("no exchange path between surplus and deficit rows")
+            node, lvl = sink, lens[sink]
+            path = []
+            while lvl > 0:
+                prev = up[lvl - 1][pos][node]
+                path.append((prev, node))
+                node, lvl = prev, lvl - 1
+            path.reverse()
+            # splice out any repeated node (possible only through float ties)
+            seen = {path[0][0]: 0}
+            i = 0
+            while i < len(path):
+                dst = path[i][1]
+                if dst in seen:
+                    del path[seen[dst]:i + 1]
+                    i = seen[dst]
+                    seen = {v: j for v, j in seen.items() if j <= i}
+                else:
+                    i += 1
+                    seen[dst] = i
+            held_counts = counts[ci]
+            move = min(gap[node], -gap[sink])
+            for src, dst in path:
+                move = min(move, int(held_counts[src, cols[src][dst]]))
+            for src, dst in path:
+                col = cols[src][dst]
+                held_counts[src, col] -= move
+                held_counts[dst, col] += move
+            gap[node] -= move
+            gap[sink] += move
+        live = [ci for ci in live if max(delta[ci]) > 0]
     return counts
 
 
@@ -233,8 +269,9 @@ def _solve_stack(costs: np.ndarray, quotas: np.ndarray, demand: np.ndarray) -> n
     stack, ``quotas`` the (C, K) row supplies and ``demand`` the (C,) column
     demands; nothing is validated. Every instance is split between its first
     and last active rows in one ``_split_rows`` call, which is exact for one
-    or two active rows; each instance with three or more is then solved on
-    its active rows by ``_solve_exchange``.
+    or two active rows. The instances with three or more are grouped by
+    their active-row count k, and each group's (C_k, k, N) stack of active
+    rows is solved in lockstep by ``_exchange``.
     """
     c, k = quotas.shape
     counts = np.zeros((c, k, costs.shape[-1]), dtype=np.int64)
@@ -251,10 +288,13 @@ def _solve_stack(costs: np.ndarray, quotas: np.ndarray, demand: np.ndarray) -> n
     counts[each, last] = demand[:, None] - top   # overwritten when last == first
     counts[each, first] = top
     # the split wrote only active rows, all of which the exchange solve rewrites
-    for i in (active.sum(axis=1) > 2).nonzero()[0]:
-        rows = active[i].nonzero()[0]
-        own = costs if costs.ndim == 2 else costs[i]
-        counts[i, rows] = _solve_exchange(own[rows], quotas[i, rows], int(demand[i]))
+    widths = active.sum(axis=1)
+    for width in sorted(set(widths[widths > 2].tolist())):
+        members = np.flatnonzero(widths == width)
+        rows = active[members].nonzero()[1].reshape(-1, width)
+        at = (rows,) if costs.ndim == 2 else (members[:, None], rows)
+        counts[members[:, None], rows] = _exchange(
+            costs[at], quotas[members[:, None], rows], demand[members])
     return counts
 
 
@@ -268,7 +308,11 @@ def solve_transport(instance: TransportInstance) -> tuple[np.ndarray, float | np
     alpha = instance.alpha.reshape(-1, *instance.alpha.shape[-2:])
     counts = _solve_stack(alpha, instance.quotas.reshape(len(alpha), -1),
                           np.reshape(instance.group, -1))
-    objective = (alpha * counts).sum(axis=(1, 2))
+    # a few instances at a time, so no product of the whole stack is held
+    objective = np.empty(len(alpha))
+    for lo in range(0, len(alpha), SUM_BLOCK):
+        objective[lo:lo + SUM_BLOCK] = (alpha[lo:lo + SUM_BLOCK]
+                                        * counts[lo:lo + SUM_BLOCK]).sum(axis=(1, 2))
     if instance.alpha.ndim == 2:
         return counts[0], float(objective[0])
     return counts, objective
@@ -381,7 +425,8 @@ def solve_frames(layouts, powers: np.ndarray, cfg: SystemConfig
     counts, per_bit_power = solve_transport(
         TransportInstance(alpha=alpha, quotas=quotas, group=grp))
     energy = per_bit_power * cfg.L * m_sel * cfg.T_sym
-    mean_power = (powers * counts).sum(axis=(1, 2)) / grp
+    # the costs are spent: their buffer takes the products
+    mean_power = np.multiply(powers, counts, out=alpha).sum(axis=(1, 2)) / grp
     return counts, per_bit_power, energy, mean_power
 
 

@@ -47,14 +47,24 @@ log = logging.getLogger(__name__)
 # slack for float comparisons against analytic bounds, in symbols or bits
 BOUND_EPS = 1e-6
 
-# Frames whose channel and power matrix are built in one pass. Drawing stays
-# per frame (channel.STREAM_CHUNK sets how many frames' seeds are hashed at
-# once); the FFT, the |H|^2 scaling and the inversion run once per block. A
-# block holds no frame that cannot start: none past a capped run's cap, and
-# none that a Poisson run's horizon leaves no room for at one-packet airtime.
-# Blocks of 8 and 16 ran equally fast on the power benchmark, and 32 cost
-# more memory for no gain.
+# Frames whose channel and power matrix a run that reads the channel while
+# it runs (ampgps, ompgps, or a power budget) builds in one pass, ahead of
+# its decisions. Drawing stays per frame (channel.STREAM_CHUNK sets how many
+# frames' seeds are hashed at once); the FFT, the |H|^2 scaling and the
+# inversion run once per block. A block holds no frame that cannot start:
+# none past a capped run's cap, and none that a Poisson run's horizon leaves
+# no room for at one-packet airtime. Blocks of 8 and 16 ran equally fast on
+# the power benchmark, and 32 cost more memory for no gain.
 CHANNEL_BLOCK = 16
+
+# Frames a channel-blind run (pgps or mpgps, unbudgeted, not verify) plans
+# in one solve_frames call once its event loop has ended. No decision reads
+# its channel, so it draws exactly the frames that started, CHANNEL_BLOCK
+# frames at a time into one power stack: on the power benchmark (~122 frames
+# a drop) one draw of the whole stack ran ~16 % slower end to end and held
+# ~2.5 MB more at its peak, and plan stacks of 256 ran ~10 % faster than
+# stacks of 64. 256 is also the solver's own stack cap.
+PLAN_STACK = allocation.RANK_BLOCK
 
 # Arrivals the run converts to Python floats and ints at a time: it holds one
 # chunk of its pre-drawn trace as Python objects and indexes no numpy scalar.
@@ -110,9 +120,11 @@ class FrameRecord:
     """One frame as scheduled and planned.
 
     The plan fields (per_bit_power, mean_power, energy) are filled when the
-    frame's plan is solved: at frame start in a budgeted run, otherwise
-    together with the rest of its channel block, at the latest before
-    ``Engine.run`` returns.
+    frame's plan is solved: at frame start in a budgeted run; in an ampgps
+    or ompgps run together with the rest of its channel block, at the latest
+    before ``Engine.run`` returns; in a channel-blind run (pgps or mpgps
+    without a budget) after its last event, ``PLAN_STACK`` frames at a time.
+    A verify run plans no frame and leaves them None.
     """
 
     index: int
@@ -335,10 +347,11 @@ class Engine:
             sizes = [self.m_eff]
         else:
             sizes = range(1, (cfg.M_max if mode == AMPGPS else self.m_eff) + 1)
-        for size in sizes:
-            frame_length((size,), cfg)
+        # airtime in symbols of each batch size; a frame's layout is looked up
+        # only when its plan is solved, and a verify run needs none
+        self.airtime = {size: frame_length((size,), cfg) for size in sizes}
         # a Poisson run's one-packet frame, its shortest
-        self.shortest_frame = None if saturated else frame_length((1,), cfg)
+        self.shortest_frame = None if saturated else self.airtime[1]
         if saturated != (max_frames is not None):
             raise ValueError("max_frames is required by infinite_backlog traffic "
                              "and applies to nothing else")
@@ -349,6 +362,10 @@ class Engine:
             if not rho_bps > 0:
                 raise ValueError("bucket rate must be positive")
         self.need_channel = mode in (AMPGPS, OMPGPS) or not verify
+        # no decision of an unbudgeted pgps or mpgps run reads the channel, so
+        # it draws and plans its frames after its last event
+        self.channel_blind = (mode in (PGPS, MPGPS) and cfg.power_budget is None
+                              and not verify)
         self.deadline_symbols = cfg.deadline_symbols
         self.queues: list[deque[Packet]] = [deque() for _ in range(cfg.K)]
         # no queued packet expires before this time, the smallest arrival +
@@ -390,9 +407,9 @@ class Engine:
         # packet error rate at power scale per_scale
         self.per_scale = math.nan
         self.per = math.nan
-        # the started frames of the current channel block whose plans are not
-        # solved yet, each with its layout
-        self.unplanned: list[tuple[FrameRecord, allocation.FrameLayout]] = []
+        # the started frames whose plans are not solved yet: those of the
+        # current channel block, or in a channel-blind run every started frame
+        self.unplanned: list[FrameRecord] = []
 
         self.inflight: _InFlight | None = None
         self.frames_started = 0
@@ -479,7 +496,7 @@ class Engine:
     def _decide(self, t: float) -> ScheduleDecision:
         cfg = self.cfg
         powers = None
-        if self.need_channel:
+        if self.need_channel and not self.channel_blind:
             powers = self._frame_powers(t)
         if self.mode in (PGPS, MPGPS):
             return select_mpgps(self.queues, self.m_eff)
@@ -487,18 +504,36 @@ class Engine:
             return scheduling.ampgps_schedule(self.queues, cfg.M_max, powers, cfg)
         return scheduling.ompgps_schedule(self.queues, cfg.M, cfg.U, powers, cfg)
 
-    def _solve_unplanned(self) -> None:
-        """Solve the plans of the waiting frames, which are consecutive frames of one block."""
-        if not self.unplanned:
-            return
-        recs, layouts = zip(*self.unplanned)
-        lo = recs[0].index - self.block_lo
-        _, per_bit, energy, mean_power = allocation.solve_frames(
-            layouts, self.block_powers[lo:lo + len(recs)], self.cfg)
+    def _plan(self, recs: list[FrameRecord], powers: np.ndarray) -> None:
+        """Solve the plans of consecutive started frames from their power matrices."""
+        cfg = self.cfg
+        layouts = [allocation.frame_layout(rec.g, cfg) for rec in recs]
+        _, per_bit, energy, mean_power = allocation.solve_frames(layouts, powers, cfg)
         for rec, p, e, w in zip(recs, per_bit.tolist(), energy.tolist(), mean_power.tolist()):
             rec.per_bit_power = p
             rec.energy = e
             rec.mean_power = w
+
+    def _solve_unplanned(self) -> None:
+        """Solve the plans of the waiting frames, which are consecutive frames of one block."""
+        if not self.unplanned:
+            return
+        lo = self.unplanned[0].index - self.block_lo
+        self._plan(self.unplanned, self.block_powers[lo:lo + len(self.unplanned)])
+        self.unplanned.clear()
+
+    def _plan_blind(self) -> None:
+        """Draw, invert and plan every started frame of a channel-blind run,
+        ``PLAN_STACK`` frames at a time; the waiting frames are frames 0, 1, ..."""
+        cfg = self.cfg
+        for lo in range(0, len(self.unplanned), PLAN_STACK):
+            pending = self.unplanned[lo:lo + PLAN_STACK]
+            powers = np.empty((len(pending), cfg.K, cfg.N))
+            for at in range(0, len(pending), CHANNEL_BLOCK):
+                count = min(CHANNEL_BLOCK, len(pending) - at)
+                powers[at:at + count] = allocation.frame_powers(
+                    self.channel.block(lo + at, count), self.budget)
+            self._plan(pending, powers)
         self.unplanned.clear()
 
     def _frame_powers(self, t: float) -> np.ndarray:
@@ -539,11 +574,10 @@ class Engine:
             self._shadow_step(t, decision)
         # positional, as keywords cost ~0.5 us more a frame: index, start, depart,
         # g, m_sel, per_bit_power, mean_power, scale, energy
-        lay = allocation.frame_layout(decision.g, self.cfg)
-        rec = FrameRecord(self.frames_started, t, t + lay.airtime, decision.g, decision.m_sel,
-                          decision.per_bit_power, None, 1.0, 0.0)
+        rec = FrameRecord(self.frames_started, t, t + self.airtime[decision.m_sel], decision.g,
+                          decision.m_sel, decision.per_bit_power, None, 1.0, 0.0)
         if not self.verify:
-            self.unplanned.append((rec, lay))
+            self.unplanned.append(rec)
             budget = self.cfg.power_budget
             if budget is not None:
                 # a budgeted frame is planned now: its mean power sets the
@@ -634,7 +668,10 @@ class Engine:
                 while next_arr == t:
                     self._admit(t, next_flow, next_stamp)
                     next_arr, next_flow, next_stamp = next(arrivals, (math.inf, -1, 0.0))
-        self._solve_unplanned()
+        if self.channel_blind:
+            self._plan_blind()
+        else:
+            self._solve_unplanned()
         if saturated:
             self.horizon = self.frames[-1].depart if self.frames else 0.0
         return self._finalise()

@@ -9,8 +9,18 @@ from hypothesis import strategies as st
 
 import mpgps_sim as m
 from mpgps_sim import allocation
-from mpgps_sim.allocation import _price_start, _solve_exchange
+from mpgps_sim.allocation import _exchange, _price_start, _solve_stack
 from oracles import InstanceTooLarge, brute_force_ilp, price_start_padded
+
+
+def price_one(costs, quotas, demand):
+    """``_price_start`` on a stack of one instance."""
+    return _price_start(costs[None], quotas[None], np.array([demand]))[0]
+
+
+def solve_one(costs, quotas, demand):
+    """``_solve_stack`` on a stack of one instance."""
+    return _solve_stack(costs[None], quotas[None], np.array([demand]))[0]
 
 
 def check_feasible(counts, instance):
@@ -84,9 +94,15 @@ class TestSolver:
                           [2.0, 3.0, 1.0, 1.0],
                           [5.0, 1.0, 4.0, 3.0]])
         quotas = np.array([0, 0, 8])
-        np.testing.assert_array_equal(_price_start(alpha, quotas, 2), [2, 2, 2, 2])
-        counts = _solve_exchange(alpha, quotas, 2)
+        np.testing.assert_array_equal(price_one(alpha, quotas, 2), [2, 2, 2, 2])
+        counts = _exchange(alpha[None], quotas[None], np.array([2]))[0]
         np.testing.assert_array_equal(counts, [[0] * 4, [0] * 4, [2, 2, 2, 2]])
+
+    def test_exchange_refuses_a_surplus_no_path_can_place(self):
+        # unvalidated quotas summing past the slots on offer leave a surplus
+        # row with no deficit row to take it
+        with pytest.raises(m.UnbalancedInstance, match="no exchange path"):
+            _exchange(np.ones((1, 3, 2)), np.array([[1, 1, 1]]), np.array([2]))
 
     def test_captured_demand_three_instance(self):
         # a k=3 frame of the power_mpgps benchmark (g=(1,1,1), so m_sel=3 and
@@ -170,14 +186,19 @@ def test_solver_matches_highs_beyond_enumeration(seed):
     assert abs(obj - ref) <= 1e-9 * abs(ref)
 
 
-def row_loop_exchange(costs, quotas, demand):
-    """The exchange solve with its edges built by a loop over source rows and
-    its shortest paths relaxed in numpy; ``_solve_exchange`` must return its
-    counts exactly, ties and spliced paths included."""
+def row_loop_exchange(costs, quotas, demand, log=None):
+    """The exchange solve of one instance, with its edges built by a loop
+    over source rows and its shortest paths relaxed one level at a time;
+    ``_solve_stack`` must return its counts exactly, ties and spliced paths
+    included. ``log``, when given, gets "balanced" if the priced start
+    already meets every quota and "spliced" for each path that loses a
+    repeated node."""
     k, n = costs.shape
     counts = np.zeros((k, n), dtype=np.int64)
-    counts[_price_start(costs, quotas, demand), np.arange(n)] = demand
+    counts[price_one(costs, quotas, demand), np.arange(n)] = demand
     delta = counts.sum(axis=1) - quotas
+    if log is not None and delta.max() <= 0:
+        log.append("balanced")
     while delta.max() > 0:
         edge_cost = np.full((k, k), np.inf)
         edge_col = np.zeros((k, k), dtype=np.int64)
@@ -219,6 +240,8 @@ def row_loop_exchange(costs, quotas, demand):
                 del path[seen[dst]:i + 1]
                 i = seen[dst]
                 seen = {v: j for v, j in seen.items() if j <= i}
+                if log is not None:
+                    log.append("spliced")
             else:
                 i += 1
                 seen[dst] = i
@@ -234,14 +257,15 @@ def row_loop_exchange(costs, quotas, demand):
     return counts
 
 
-def exchange_instance(rng, integer):
-    """3-6 active rows, N in 4..64, demand 1-4, quotas summing to demand * N.
+def exchange_instance(rng, integer, n=None, rows=(3, 6)):
+    """``rows`` active rows (at most demand * N), N in 4..64 unless given,
+    demand 1-4, quotas summing to demand * N.
 
     Costs are small integers (ties everywhere) or spread over four decades.
     """
-    n = int(rng.integers(4, 65))
+    n = int(rng.integers(4, 65)) if n is None else n
     demand = int(rng.integers(1, 5))
-    k = min(int(rng.integers(3, 7)), demand * n)
+    k = min(int(rng.integers(rows[0], rows[1] + 1)), demand * n)
     if integer:
         costs = rng.integers(1, 4, size=(k, n)).astype(float)
     else:
@@ -257,19 +281,55 @@ def test_exchange_matches_row_loop(integer):
     for case in range(1000):
         costs, quotas, demand = exchange_instance(rng, integer)
         k = len(quotas)
-        owners = _price_start(costs, quotas, demand)
+        owners = price_one(costs, quotas, demand)
         empty_after_pricing += np.bincount(owners, minlength=k).min() == 0
         want = row_loop_exchange(costs, quotas, demand)
-        assert _solve_exchange(costs, quotas, demand).tolist() == want.tolist(), case
+        assert solve_one(costs, quotas, demand).tolist() == want.tolist(), case
     assert empty_after_pricing > 0
+
+
+def scattered_stack(members, k, rng):
+    """One stack of (costs, quotas, demand) members sharing N, each with its
+    active rows at random places among k rows; the other rows have zero
+    quota and random costs. Returns the stack's arrays and each member's rows."""
+    n = members[0][0].shape[1]
+    alpha = rng.uniform(0.5, 2.0, size=(len(members), k, n))
+    quotas = np.zeros((len(members), k), dtype=np.int64)
+    places = []
+    for i, (costs, q, _) in enumerate(members):
+        rows = np.sort(rng.choice(k, size=len(q), replace=False))
+        alpha[i, rows] = costs
+        quotas[i, rows] = q
+        places.append(rows)
+    return alpha, quotas, np.array([demand for *_, demand in members]), places
+
+
+def test_lockstep_stacks_match_row_loop():
+    # stacks mixing 3 to 8 active rows, each member equal to its solve alone
+    rng = np.random.default_rng(2042)
+    log = []
+    widths = set()
+    for case in range(60):
+        n = int(rng.choice([4, 9, 16, 64]))
+        members = [exchange_instance(rng, integer=case % 3 != 0, n=n, rows=(3, 8))
+                   for _ in range(int(rng.integers(2, 25)))]
+        alpha, quotas, demand, places = scattered_stack(members, 10, rng)
+        counts = _solve_stack(alpha, quotas, demand)
+        for i, (costs, q, d) in enumerate(members):
+            want = row_loop_exchange(costs, q, d, log)
+            assert counts[i, places[i]].tolist() == want.tolist(), (case, i)
+            assert counts[i].sum() == counts[i, places[i]].sum(), (case, i)
+            widths.add(len(q))
+    assert widths == set(range(3, 9))
+    assert "balanced" in log and "spliced" in log
 
 
 class TestPriceStart:
     """The bracketing thresholds read directly against the padded array."""
 
     @staticmethod
-    def instance(rng, k, integer):
-        n = int(rng.integers(4, 65))
+    def instance(rng, k, integer, n=None):
+        n = int(rng.integers(4, 65)) if n is None else n
         demand = int(rng.integers(1, 5))
         if integer:
             costs = rng.integers(1, 4, size=(k, n)).astype(float)
@@ -293,13 +353,27 @@ class TestPriceStart:
         owed_none = owed_some = owed_all = 0
         for case in range(300):
             costs, quotas, demand = self.instance(rng, k, integer=case % 2 == 1)
-            got = _price_start(costs, quotas, demand)
+            got = price_one(costs, quotas, demand)
             assert got.tolist() == price_start_padded(costs, quotas, demand).tolist(), case
             targets = quotas // demand
             owed_none += int((targets == 0).sum())
             owed_some += int(((0 < targets) & (targets < costs.shape[1])).sum())
             owed_all += int((targets == costs.shape[1]).sum())
         assert min(owed_none, owed_some, owed_all) > 0
+
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_stack_members_equal_padded_thresholds(self, k):
+        # every member of a stack is priced as if alone
+        rng = np.random.default_rng(90 + k)
+        for case in range(20):
+            n = int(rng.integers(4, 65))
+            members = [self.instance(rng, k, integer=case % 2 == 1, n=n)
+                       for _ in range(int(rng.integers(1, 30)))]
+            got = _price_start(np.array([c for c, _, _ in members]),
+                               np.array([q for _, q, _ in members]),
+                               np.array([d for *_, d in members]))
+            for i, member in enumerate(members):
+                assert got[i].tolist() == price_start_padded(*member).tolist(), (case, i)
 
 
 def padded_stack(members, k):
@@ -581,8 +655,10 @@ class TestFrameLayoutCache:
 
 
 class TestDeferredPlans:
-    """Unbudgeted plans are solved a channel block at a time; every frame
-    must still carry the plan a solve at its own start gives."""
+    """An unbudgeted ampgps or ompgps run plans a channel block at a time, and
+    a channel-blind run (pgps or mpgps without a budget) plans every started
+    frame after its last event; every frame must still carry the plan a
+    solve at its own start gives."""
 
     def run_capturing_powers(self, monkeypatch, engine):
         blocks = []
@@ -615,9 +691,10 @@ class TestDeferredPlans:
 
     def test_poisson_blocks_hold_no_frame_past_the_horizon(self, monkeypatch):
         # frames start by the horizon, at least one one-packet airtime apart,
-        # so a block drawn at t holds at most (horizon - t) // shortest + 1
-        cfg = m.SystemConfig(K=10, N=64, L=1024, r=2, M=4, seed=4)
-        eng = m.Engine(cfg, m.TrafficModel(rate_bps=50000.0), "mpgps", 1500.0)
+        # so a block an ompgps run draws ahead at t holds at most
+        # (horizon - t) // shortest + 1
+        cfg = m.SystemConfig(K=10, N=64, L=1024, r=2, M=4, U=5, seed=4)
+        eng = m.Engine(cfg, m.TrafficModel(rate_bps=50000.0), "ompgps", 1500.0)
         drawn = []
         real = eng.channel.block
         monkeypatch.setattr(eng.channel, "block",
@@ -631,6 +708,48 @@ class TestDeferredPlans:
         # the horizon cut the last block short
         assert drawn[-1][1] < m.engine.CHANNEL_BLOCK
         assert sum(count for _, count in drawn) == len(powers) >= eng.frames_started
+        self.check_plans(res, powers)
+
+    def test_channel_blind_run_draws_after_its_last_event(self, monkeypatch):
+        # no decision of an unbudgeted mpgps run reads the channel: it draws
+        # and inverts exactly its started frames, from frame 0 on, once its
+        # event loop is over
+        cfg = m.SystemConfig(K=10, N=64, L=1024, r=2, M=4, seed=4)
+        eng = m.Engine(cfg, m.TrafficModel(rate_bps=50000.0), "mpgps", 1500.0)
+        log = []
+        for name in ("_admit", "_instant", "_finish_frame"):
+            real_event = getattr(eng, name)
+            monkeypatch.setattr(eng, name, lambda *a, real=real_event: log.append("event")
+                                or real(*a))
+        real_block = eng.channel.block
+        monkeypatch.setattr(eng.channel, "block", lambda lo, count: log.append((lo, count))
+                            or real_block(lo, count))
+        stacks = []
+        real_solve = allocation.solve_frames
+        monkeypatch.setattr(allocation, "solve_frames", lambda layouts, powers, cfg:
+                            stacks.append(len(layouts)) or real_solve(layouts, powers, cfg))
+        res, powers = self.run_capturing_powers(monkeypatch, eng)
+        drawn = [entry for entry in log if entry != "event"]
+        assert log.index(drawn[0]) == log.count("event") > 0
+        assert [lo for lo, _ in drawn] == np.cumsum([0] + [c for _, c in drawn[:-1]]).tolist()
+        assert sum(count for _, count in drawn) == len(powers) == eng.frames_started
+        assert max(count for _, count in drawn) <= m.engine.PLAN_STACK
+        assert sum(stacks) == eng.frames_started and max(stacks) <= m.engine.PLAN_STACK
+        self.check_plans(res, powers)
+
+    def test_plans_hold_across_a_stack_boundary(self, monkeypatch):
+        # correlated taps walk on from one stack into the next
+        cfg = m.SystemConfig(K=10, N=64, L=1024, r=2, M=4, seed=4, time_corr=0.9)
+        eng = m.Engine(cfg, m.TrafficModel(rate_bps=50000.0), "mpgps", 5000.0)
+        stacks = []
+        real_solve = allocation.solve_frames
+        monkeypatch.setattr(allocation, "solve_frames", lambda layouts, powers, cfg:
+                            stacks.append(len(layouts)) or real_solve(layouts, powers, cfg))
+        res, powers = self.run_capturing_powers(monkeypatch, eng)
+        assert stacks == [m.engine.PLAN_STACK, eng.frames_started - m.engine.PLAN_STACK]
+        assert any(np.count_nonzero(f.g) >= 3 for f in res.frames[m.engine.PLAN_STACK:])
+        gains = m.ChannelProcess(cfg).block(0, eng.frames_started)
+        assert powers.tolist() == m.frame_powers(gains, m.link_budget(cfg)).tolist()
         self.check_plans(res, powers)
 
     def test_frame_cap_not_a_multiple_of_the_block(self, monkeypatch):
@@ -661,6 +780,20 @@ class TestDeferredPlans:
         res = m.verify_bounds(cfg, m.TrafficModel(rate_bps=80000.0), mode, 3000.0)
         assert res.frames and res.bounds.passed
         assert calls == []
+
+    @pytest.mark.parametrize("mode", ["pgps", "mpgps", "ampgps", "ompgps"])
+    def test_verify_runs_build_no_layout(self, mode):
+        # a verify run reads each frame's airtime by its batch size
+        cfg = m.SystemConfig(K=4, N=64, L=1024, r=2, M=2, M_max=3, U=3, seed=1)
+        traffic = m.TrafficModel(rate_bps=80000.0)
+        allocation._frame_layout.cache_clear()
+        res = m.verify_bounds(cfg, traffic, mode, 3000.0)
+        info = allocation._frame_layout.cache_info()
+        assert res.frames and res.bounds.passed
+        assert info.hits + info.misses == 0
+        assert all(f.depart == f.start + m.frame_length((f.m_sel,), cfg) for f in res.frames)
+        m.run(cfg, traffic, mode, 3000.0)
+        assert allocation._frame_layout.cache_info().misses > 0
 
 
 def reference_value(powers, g, r):

@@ -31,13 +31,21 @@ arrival trace, frame schedule and power figures byte for byte, where the
 benchmark compares floats to 1e-9 only; its ``run`` output is stored under
 ``tests/golden/power/``.
 
+``tests/golden/long_power.json`` (K=10, N=64, L=1024; mpgps and ompgps at
+M=1 and 4 with U=5, 50 kb/s, ``time_corr`` 0.9, packet errors on, an
+8,000-symbol horizon, two replications) pins longer power runs: an M=1 run
+starts ~770 frames, so a channel-blind run plans them in more than one
+stack, and the correlated channel walks on across each stack boundary. Its
+``run`` output is stored under ``tests/golden/long_power/``.
+
 To re-record after an intended output change, run each command with
 ``--out tests/golden/<command>`` (``run tests/golden/events.json --out
 tests/golden/events`` for the event logs, ``check-bounds
 tests/golden/audit.json --out tests/golden/audit`` for the audit, ``run
 tests/golden/saturated.json --out tests/golden/saturated`` for the saturated
 run, ``run tests/golden/power.json --out tests/golden/power`` for the power
-run) and commit the diff with its reason.
+run, ``run tests/golden/long_power.json --out tests/golden/long_power`` for
+the long power runs) and commit the diff with its reason.
 """
 from pathlib import Path
 
@@ -105,3 +113,10 @@ def test_power_run_matches_golden(tmp_path):
     names = _assert_same_files(out, GOLDEN / "power")
     assert names == ["aggregate.csv", *(f"events_p{p}_r{r}.csv" for p in range(2)
                                         for r in range(4)), "runs.csv"]
+
+
+def test_long_power_runs_match_golden(tmp_path):
+    out = tmp_path / "long_power"
+    assert cli.main(["run", str(GOLDEN / "long_power.json"), "--out", str(out)]) == 0
+    names = _assert_same_files(out, GOLDEN / "long_power")
+    assert names == ["aggregate.csv", "runs.csv"]
