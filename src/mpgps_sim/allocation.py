@@ -13,10 +13,9 @@ exchange paths. The instances of a stack with the same number of active
 rows are solved in lockstep: each price update moves one row of every
 instance, and each exchange round builds every unfinished instance's
 row-to-row edges and relaxes its shortest paths as stacked arrays, walking
-each path in plain Python. One private stacked solve serves both the
-ranking of compositions and the frame plans. The tests check exactness
-against a brute-force enumerator on tiny instances and the HiGHS LP optimum
-on larger ones; both oracles live in ``tests/``, not in the package.
+each path in plain Python. The tests check exactness against a brute-force
+enumerator on tiny instances and the HiGHS LP optimum on larger ones; both
+oracles live in ``tests/``, not in the package.
 
 The frame repeats one group of ``group`` symbols airtime/group times, so all
 arithmetic happens on the compressed K x N group matrix: column n stands for
@@ -32,6 +31,17 @@ since no decision reads its channel; an unbudgeted ampgps or ompgps run
 once per channel block; and a budgeted run at each frame's start, where the
 plan's mean power sets the power scale. ``allocate_frame`` is the one-frame
 form.
+
+The ranking of compositions and the frame plans share the split and the
+exchange solver but not their set-up. A plan finds its active rows and
+split counts from its quotas (``_solve_stack``). ``composition_value``
+ranks the compositions of one window shape from a ``RankTable`` built once
+per (batch size, occupancy, N) by ``rank_table`` and cached by the
+scheduler: each composition's first and last active row, the split counts
+at each sorted column position, and the active rows of those the exchange
+solver takes. A ranking call then gathers the held flows' powers, sorts the
+first-minus-last cost rows once, and scatters the cached counts, with the
+counts, and so the values, ``_solve_stack`` would give.
 """
 from __future__ import annotations
 
@@ -318,26 +328,118 @@ def solve_transport(instance: TransportInstance) -> tuple[np.ndarray, float | np
     return counts, objective
 
 
-def composition_value(powers: np.ndarray, gs, n_subcarriers: int, r: int) -> np.ndarray:
+class RankBlock(NamedTuple):
+    """Integer facts of up to ``RANK_BLOCK`` consecutive compositions of a table."""
+
+    each: np.ndarray             # (B, 1, 1) member index, shared per B
+    ends: np.ndarray             # (B, 2) held positions of its first and last active row
+    g_first: np.ndarray          # (B,) packets of its first active row
+    wide: tuple                  # (members, (B_k, k) active positions) per k >= 3 rows
+
+
+class RankTable(NamedTuple):
+    """The compositions of one window shape over its held flows, and the facts
+    that rank them; every array is read-only."""
+
+    table: np.ndarray            # (C, H) compositions, lexicographic
+    m_sel: int
+    profiles: np.ndarray         # (m_sel + 1, 2, N) split counts, shared per (m_sel, N)
+    blocks: tuple[RankBlock, ...]
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+@functools.lru_cache(maxsize=RANK_BLOCK)
+def _member_index(size: int) -> np.ndarray:
+    return _read_only(np.arange(size).reshape(-1, 1, 1))
+
+
+@functools.lru_cache(maxsize=64)
+def _split_profiles(m_sel: int, n: int) -> np.ndarray:
+    """Counts the closed-form split gives a composition's first and last active
+    row at each sorted column position, by the first row's packets g.
+
+    With column demand m and first-row quota g * N, the first row takes
+    min(max(g * N - m * j, 0), m) slots at the j-th column in its order and
+    the last row the rest; g = m is a lone active row, which takes every
+    slot, entered as both rows. Float, as the products with the powers are.
+    """
+    top = np.clip(np.arange(m_sel + 1)[:, None] * n - m_sel * np.arange(n), 0, m_sel)
+    profiles = np.stack((top, m_sel - top), axis=1).astype(float)
+    profiles[m_sel, 1] = m_sel
+    return _read_only(profiles)
+
+
+def rank_table(table: np.ndarray, m_sel: int, n_subcarriers: int) -> RankTable:
+    """The ranking facts of a (C, H) table of compositions of batch size ``m_sel``.
+
+    Everything ``composition_value`` reads besides the powers and the held
+    flows is fixed here, ``RANK_BLOCK`` compositions a block: each
+    composition's first and last active position and the first one's
+    packets, and, grouped by their active-row count, the active positions of
+    those with three or more.
+    """
+    if m_sel < 1:
+        raise ValueError("empty composition")
+    blocks = []
+    for lo in range(0, len(table), RANK_BLOCK):
+        active = table[lo:lo + RANK_BLOCK] > 0
+        each = np.arange(len(active))
+        first = active.argmax(axis=1)
+        last = active.shape[1] - 1 - active[:, ::-1].argmax(axis=1)
+        widths = active.sum(axis=1)
+        wide = []
+        for width in sorted(set(widths[widths > 2].tolist())):
+            # kept in the smallest unsigned types that hold them
+            members = np.flatnonzero(widths == width)
+            pos = active[members].nonzero()[1].reshape(-1, width)
+            members = members.astype(np.min_scalar_type(len(active)))
+            pos = pos.astype(np.min_scalar_type(active.shape[1]))
+            wide.append((_read_only(members), _read_only(pos)))
+        blocks.append(RankBlock(_member_index(len(active)),
+                                _read_only(np.stack((first, last), axis=1)),
+                                _read_only(table[lo + each, first]), tuple(wide)))
+    return RankTable(_read_only(table), m_sel, _split_profiles(m_sel, n_subcarriers),
+                     tuple(blocks))
+
+
+def composition_value(powers: np.ndarray, held, ranked: RankTable, r: int) -> np.ndarray:
     """Transmit power per bit of the best assignment for each composition.
 
-    ``gs`` is a (C, K) stack of compositions; returns their C values. Each
-    value comes from a scaled instance (supplies g_k * N, column demand
-    sum(g)) whose optimum value is invariant to the group size, so
+    ``ranked`` is the ``rank_table`` of C compositions over the flows
+    ``held`` (rows of the (K, N) ``powers``, ascending); returns their C
+    values. Each value comes from a scaled instance (supplies g_k * N, column
+    demand sum(g)) whose optimum value is invariant to the group size, so
     compositions can be ranked without constructing each frame's group
-    structure. The stack is solved ``RANK_BLOCK`` compositions at a time.
+    structure. A block's compositions are split in one stable argsort of
+    their first-minus-last row costs and one scatter of the cached split
+    counts into a (B, K, N) count stack; those with three or more active
+    rows are then solved by ``_exchange``, one stack per active-row count.
+    The counts, and so the values, are those ``_solve_stack`` gives.
     """
-    gs = np.asarray(gs, dtype=np.int64)
-    m_sel = gs.sum(axis=1)
-    if m_sel.min() < 1:
-        raise ValueError("empty composition")
-    slot_power = np.empty(len(gs))
-    for lo in range(0, len(gs), RANK_BLOCK):
-        block = gs[lo:lo + RANK_BLOCK]
-        m = m_sel[lo:lo + RANK_BLOCK]
-        counts = _solve_stack(powers, block * n_subcarriers, m)
-        slot_power[lo:lo + RANK_BLOCK] = (powers * counts).sum(axis=(1, 2))
-    return slot_power / (n_subcarriers * r * m_sel)
+    k, n = powers.shape
+    held = np.asarray(held)
+    slot_power = np.empty(len(ranked.table))
+    lo = 0
+    for blk in ranked.blocks:
+        rows = held[blk.ends]
+        ends = powers[rows]
+        order = (ends[:, 0] - ends[:, 1]).argsort(axis=1, kind="stable")
+        # float counts, exact as integers, save a cast in the product
+        counts = np.zeros((len(rows), k, n))
+        counts[blk.each, rows[:, :, None], order[:, None]] = ranked.profiles[blk.g_first]
+        # the split wrote only active rows, all of which the exchange solve rewrites
+        for members, pos in blk.wide:
+            wide_rows = held[pos]
+            quotas = ranked.table[lo:lo + len(rows)][members[:, None], pos] * n
+            counts[members[:, None], wide_rows] = _exchange(
+                powers[wide_rows], quotas, np.full(len(members), ranked.m_sel))
+        slot_power[lo:lo + len(rows)] = np.multiply(counts, powers, out=counts).sum(axis=(1, 2))
+        lo += len(rows)
+    return slot_power / (n * r * ranked.m_sel)
 
 
 @dataclass

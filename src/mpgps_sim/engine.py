@@ -686,7 +686,9 @@ class Engine:
         self.gps.drain()
         return self.gps.trace()
 
-    def _bound_report(self, curves) -> BoundReport:
+    def _bound_report(self, curves, g: np.ndarray) -> BoundReport:
+        """Audit a verify run; ``g`` holds each started frame's packets per
+        flow, the frame in flight at the horizon last."""
         trace = self.fluid_trace()
         cfg = self.cfg
         t_stop = self.horizon             # a saturated run ends it at its last departure
@@ -699,12 +701,9 @@ class Engine:
         # in arrival order: flow k's j-th packet went in the frame where the
         # running sum of g_k passes j. Packets of the frame in flight at the
         # horizon are sent but not delivered.
-        recs = self.frames + ([self.inflight.record] if self.inflight else [])
-        g = np.fromiter(itertools.chain.from_iterable(map(attrgetter("g"), recs)), np.int64,
-                        len(recs) * cfg.K).reshape(len(recs), cfg.K)
         sent_in = np.full(trace.flows.size, -1)
         for k in range(cfg.K):
-            frames_k = np.repeat(np.arange(len(recs)), g[:, k])
+            frames_k = np.repeat(np.arange(len(g)), g[:, k])
             # raises IndexError if the flow's frames hold more packets than arrived
             sent_in[np.flatnonzero(trace.flows == k)[np.arange(frames_k.size)]] = frames_k
         sent = sent_in >= 0
@@ -812,11 +811,15 @@ class Engine:
                     math.log10(energy) - math.log10(delivered_bits) - math.log10(cfg.N0)))
 
         if self.verify or self.collect_fairness:
+            # packets per flow of every started frame, the one in flight last
+            recs = self.frames + ([self.inflight.record] if self.inflight else [])
+            g = np.fromiter(itertools.chain.from_iterable(map(attrgetter("g"), recs)),
+                            np.int64, len(recs) * cfg.K).reshape(len(recs), cfg.K)
             curves = metrics_mod.service_curves(
-                map(attrgetter("start", "depart", "g"), self.frames), cfg.K, cfg.L)
+                map(attrgetter("start", "depart"), self.frames), g[:len(self.frames)], cfg.L)
         bounds = None
         if self.verify:
-            bounds = self._bound_report(curves)
+            bounds = self._bound_report(curves, g)
             m.bound_violations = {e.name: e.violations for e in bounds.entries
                                   if e.applicable}
 

@@ -54,24 +54,22 @@ class Metrics:
         return out
 
 
-def service_curves(frames, n_flows: int, packet_bits: int):
+def service_curves(spans, g: np.ndarray, packet_bits: int):
     """Piecewise-linear transmitted-service curves from the frame records.
 
-    ``frames`` yields (start, depart, g) with non-overlapping spans in order.
-    Within a frame each flow accrues g_k * packet_bits uniformly. Returns a
-    list of (times, bits) breakpoint arrays, one per flow; every flow shares
-    one ``times`` array.
+    ``spans`` yields each frame's (start, depart), non-overlapping and in
+    order, and ``g`` is the (frames, K) matrix of each frame's packets per
+    flow. Within a frame each flow accrues g_k * packet_bits uniformly.
+    Returns a list of (times, bits) breakpoint arrays, one per flow; every
+    flow shares one ``times`` array.
     """
-    frames = list(frames)
-    if not frames:
+    spans = list(spans)
+    if not spans:
         zero = np.zeros(1)
-        return [(zero, zero.copy()) for _ in range(n_flows)]
-    starts, departs, gs = zip(*frames)
-    times = np.array((starts, departs)).T.ravel()      # start, depart, start, ...
-    g_mat = np.fromiter(itertools.chain.from_iterable(gs), np.int64,
-                        len(frames) * n_flows).reshape(len(frames), n_flows)
-    cum = (np.cumsum(g_mat, axis=0) * packet_bits).T     # (K, F), exact in float
-    bits = np.zeros((n_flows, len(times)))
+        return [(zero, zero.copy()) for _ in range(g.shape[1])]
+    times = np.array(spans, dtype=float).ravel()      # start, depart, start, ...
+    cum = (np.cumsum(g, axis=0) * packet_bits).T      # (K, F), exact in float
+    bits = np.zeros((g.shape[1], len(times)))
     bits[:, 1::2] = cum
     bits[:, 2::2] = cum[:, :-1]                       # flat across idle gaps
     return [(times, b) for b in bits]

@@ -26,10 +26,16 @@ import numpy as np
 from . import allocation
 from .model import Packet, SystemConfig
 
-# Sub-composition tables ompgps_schedule keeps, one per (batch size, window
-# occupancy of the flows holding slots). Windows of up to U slots, over any
-# number of flows, have 2**U - 1 occupancy shapes: the cache holds every
-# shape up to U = 10.
+# Ranking tables (allocation.RankTable) kept per (batch size, occupancy of
+# the flows holding window slots, N), shared by ompgps windows and ampgps
+# prefixes. An entry holds its compositions as a read-only int64 table over
+# the held flows and, per block of RANK_BLOCK compositions, each one's first
+# and last active position and first-row packets, and the active positions
+# of those with three or more active rows; the split counts it scatters are
+# shared per (batch size, N). Windows of up to U slots, over any number of
+# flows, have 2**U - 1 occupancy shapes: the cache holds every shape up to
+# U = 10. At U = 10 and N = 64 all 1,023 entries take ~4.5 MB at M = 5, the
+# batch size with the most compositions (37,839), and ~1.9 MB at M = 2.
 COMPOSITION_CACHE = 1024
 
 PGPS = "pgps"
@@ -113,11 +119,11 @@ def compositions(total: int, bounds) -> list[tuple[int, ...]]:
 
 
 @functools.lru_cache(maxsize=COMPOSITION_CACHE)
-def _composition_table(total: int, bounds: tuple[int, ...]) -> np.ndarray:
-    """``compositions(total, bounds)`` as a read-only (C, len(bounds)) int64 array."""
+def _composition_table(total: int, bounds: tuple[int, ...],
+                       n_subcarriers: int) -> allocation.RankTable:
+    """``compositions(total, bounds)`` with the facts that rank them on N subcarriers."""
     table = np.array(compositions(total, bounds), dtype=np.int64).reshape(-1, len(bounds))
-    table.flags.writeable = False
-    return table
+    return allocation.rank_table(table, total, n_subcarriers)
 
 
 def _take_prefixes(queues: list[deque[Packet]], g) -> list[Packet]:
@@ -130,10 +136,11 @@ def ompgps_schedule(queues: list[deque[Packet]], m: int, u: int,
 
     ``powers`` is the (K, N) matrix of per-slot transmit powers meeting each
     user's SNR target this frame. Compositions range over the flows holding
-    window slots only, in lexicographic order, come from a bounded cache of
-    composition tables, and are all ranked in one call of the exact
-    ``composition_value``; ties keep the first (lexicographically smallest)
-    composition.
+    window slots only, in lexicographic order. They and the integer facts
+    that rank them come from a bounded cache of ranking tables, keyed by the
+    batch size, the window occupancy of the held flows and N, and all are
+    ranked in one call of the exact ``composition_value``; ties keep the
+    first (lexicographically smallest) composition.
     """
     if u < m:
         raise ValueError("window must be at least the batch size")
@@ -143,12 +150,13 @@ def ompgps_schedule(queues: list[deque[Packet]], m: int, u: int,
     if m_sel < 1:
         raise ValueError("nothing queued")
     held = [k for k, occ in enumerate(occupancy) if occ]
-    sub = _composition_table(m_sel, tuple(occupancy[k] for k in held))
-    gs = np.zeros((len(sub), len(queues)), dtype=np.int64)
-    gs[:, held] = sub
-    values = allocation.composition_value(powers, gs, cfg.N, cfg.r)
+    ranked = _composition_table(m_sel, tuple(occupancy[k] for k in held), cfg.N)
+    values = allocation.composition_value(powers, held, ranked, cfg.r)
     best = values.argmin()
-    best_g = tuple(gs[best].tolist())
+    g = [0] * len(queues)
+    for k, cnt in zip(held, ranked.table[best].tolist()):
+        g[k] = cnt
+    best_g = tuple(g)
     return ScheduleDecision(g=best_g, chosen=_take_prefixes(queues, best_g),
                             window=window, per_bit_power=float(values[best]))
 
@@ -161,20 +169,23 @@ def ampgps_schedule(queues: list[deque[Packet]], m_max: int,
     stamp order one server at a time (the first m packets of the ``m_max``
     smallest stamps are the m-packet stamp-ordered batch); the first
     non-improving step (ties included) stops the search and the cheapest
-    batch seen wins.
+    batch seen wins. A prefix g is the one composition of sum(g) within the
+    bounds g, so each step ranks the one-row table of the ompgps cache.
     """
     window = _smallest_stamps(queues, m_max)
     if not window:
         raise ValueError("nothing queued")
     counts = [0] * len(queues)
     best_g, best_val = None, None
-    for pkt in window:
+    for size, pkt in enumerate(window, 1):
         counts[pkt.flow] += 1
-        g = tuple(counts)
-        val = float(allocation.composition_value(powers, [g], cfg.N, cfg.r)[0])
+        # the prefix is the one composition of its size within its own counts
+        held = [k for k, cnt in enumerate(counts) if cnt]
+        ranked = _composition_table(size, tuple(counts[k] for k in held), cfg.N)
+        val = float(allocation.composition_value(powers, held, ranked, cfg.r)[0])
         if best_g is not None and not val < best_val:
             break
-        best_g, best_val = g, val
+        best_g, best_val = tuple(counts), val
     return ScheduleDecision(g=best_g, chosen=window[:sum(best_g)], per_bit_power=best_val)
 
 

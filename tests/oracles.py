@@ -11,9 +11,14 @@ jointly-backlogged interval at a time, the reference for the grouped and
 stacked ``metrics.fairness_metric``. ``poisson_times_chunked`` draws an
 arrival trace in whole ``GAP_CHUNK`` chunks, the reference for the engine's
 sized first draw; ``price_start_padded`` reads the price bracket from padded
-thresholds, the reference for ``allocation._price_start``; and
+thresholds, the reference for ``allocation._price_start``;
+``composition_values_stacked`` solves a (C, K) stack of compositions with
+``allocation._solve_stack`` on every call, the reference for the ranking
+from cached split shapes in ``allocation.composition_value``; and
 ``ScanEveryInstant`` is the engine with the expiry scan run at every
 instant, the reference for the skip on ``Engine.next_expiry``.
+``one_composition_value`` is no oracle: it ranks one composition through the
+package, as ampgps ranks a prefix.
 """
 from __future__ import annotations
 
@@ -21,8 +26,8 @@ import math
 
 import numpy as np
 
-from mpgps_sim import Engine, NonIntegralQuota, TransportInstance
-from mpgps_sim.allocation import PRICE_ROUNDS
+from mpgps_sim import Engine, NonIntegralQuota, TransportInstance, allocation, scheduling
+from mpgps_sim.allocation import PRICE_ROUNDS, RANK_BLOCK, _solve_stack
 from mpgps_sim.engine import GAP_CHUNK, SimEvent
 from mpgps_sim.metrics import _intersect, _window_extreme
 from mpgps_sim.virtual_time import GpsReference, GpsTrace
@@ -204,6 +209,32 @@ def price_start_padded(costs: np.ndarray, quotas: np.ndarray, demand: int) -> np
             q = int(target[i])
             reduced[i] = costs[i] - 0.5 * (edges[q] + edges[q + 1])
     return np.argmin(reduced, axis=0)
+
+
+def composition_values_stacked(powers: np.ndarray, gs, n_subcarriers: int,
+                               r: int) -> np.ndarray:
+    """Power per bit of the best assignment for each composition of a (C, K)
+    stack ``gs``, ``RANK_BLOCK`` compositions a ``_solve_stack`` call, with
+    every composition's active rows, quotas and split found anew."""
+    gs = np.asarray(gs, dtype=np.int64)
+    m_sel = gs.sum(axis=1)
+    if m_sel.min() < 1:
+        raise ValueError("empty composition")
+    slot_power = np.empty(len(gs))
+    for lo in range(0, len(gs), RANK_BLOCK):
+        block = gs[lo:lo + RANK_BLOCK]
+        counts = _solve_stack(powers, block * n_subcarriers, m_sel[lo:lo + RANK_BLOCK])
+        slot_power[lo:lo + RANK_BLOCK] = (powers * counts).sum(axis=(1, 2))
+    return slot_power / (n_subcarriers * r * m_sel)
+
+
+def one_composition_value(powers: np.ndarray, g, r: int) -> float:
+    """``allocation.composition_value`` of composition ``g`` alone: the one
+    composition of sum(g) within the bounds g, over the flows it holds."""
+    held = [k for k, cnt in enumerate(g) if cnt]
+    ranked = scheduling._composition_table(
+        int(sum(g)), tuple(int(g[k]) for k in held), powers.shape[1])
+    return float(allocation.composition_value(powers, held, ranked, r)[0])
 
 
 def poisson_times_chunked(seed: int, flow: int, rate_sym: float, horizon: float) -> np.ndarray:

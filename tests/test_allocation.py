@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mpgps_sim as m
-from mpgps_sim import allocation
+from mpgps_sim import allocation, scheduling
 from mpgps_sim.allocation import _exchange, _price_start, _solve_stack
-from oracles import InstanceTooLarge, brute_force_ilp, price_start_padded
+from oracles import (InstanceTooLarge, brute_force_ilp, composition_values_stacked,
+                     one_composition_value, price_start_padded)
 
 
 def price_one(costs, quotas, demand):
@@ -475,7 +476,7 @@ class TestFrameAllocation:
         gains = rand_gains(np.random.default_rng(hash(g) % 2**32), 3, 8)
         powers = m.frame_powers(gains, budget)
         plan = m.allocate_frame(g, powers, cfg)
-        ranked = m.composition_value(powers, [g], cfg.N, cfg.r)[0]
+        ranked = one_composition_value(powers, g, cfg.r)
         assert ranked == pytest.approx(plan.per_bit_power, rel=1e-9)
 
     def test_plan_accounting(self):
@@ -684,8 +685,18 @@ class TestDeferredPlans:
     def test_poisson_horizon_ends_mid_block(self, monkeypatch):
         cfg = m.SystemConfig(K=10, N=64, L=1024, r=2, M=4, seed=4)
         eng = m.Engine(cfg, m.TrafficModel(rate_bps=50000.0), "mpgps", 1500.0)
+        drawn = []
+        real = eng.channel.block
+        monkeypatch.setattr(eng.channel, "block",
+                            lambda lo, count: drawn.append((lo, count)) or real(lo, count))
         res, powers = self.run_capturing_powers(monkeypatch, eng)
-        assert eng.frames_started % m.engine.CHANNEL_BLOCK != 0
+        # the channel-blind run draws its started frames in CHANNEL_BLOCK
+        # chunks after its last event: contiguous from frame 0, covering
+        # exactly the started frames, the last chunk cut short by the horizon
+        assert [lo for lo, _ in drawn] == list(range(0, eng.frames_started,
+                                                     m.engine.CHANNEL_BLOCK))
+        assert sum(count for _, count in drawn) == eng.frames_started
+        assert drawn[-1][1] < m.engine.CHANNEL_BLOCK
         assert any(np.count_nonzero(f.g) >= 3 for f in res.frames)
         self.check_plans(res, powers)
 
@@ -806,21 +817,26 @@ def reference_value(powers, g, r):
 
 
 def window_stack(seed):
-    """The compositions of one random ompgps window: K <= 10, N = 64, M <= 4, U <= 8.
+    """The ranking table of one random ompgps window: K <= 10, N = 64, M <= 4, U <= 8.
 
-    Even seeds draw integer-valued powers, so ties occur; odd seeds draw
-    continuous ones, so every sum rounds.
+    Returns the powers, the held flows, their cached ``RankTable`` and its
+    compositions as a (C, K) stack. Even seeds draw integer-valued powers,
+    so ties occur; odd seeds draw continuous ones, so every sum rounds.
     """
     rng = np.random.default_rng(seed)
     k = int(rng.integers(2, 11))
     u = int(rng.integers(1, 9))
     occupancy = np.bincount(rng.integers(0, k, size=u), minlength=k)
-    gs = np.array(m.compositions(int(rng.integers(1, min(4, u) + 1)), occupancy))
+    held = np.flatnonzero(occupancy).tolist()
+    ranked = scheduling._composition_table(int(rng.integers(1, min(4, u) + 1)),
+                                           tuple(occupancy[held].tolist()), 64)
+    gs = np.zeros((len(ranked.table), k), dtype=np.int64)
+    gs[:, held] = ranked.table
     if seed % 2:
         powers = rng.uniform(1e-9, 1e-6, size=(k, 64))
     else:
         powers = rng.integers(1, 5, size=(k, 64)).astype(float)
-    return powers, gs
+    return powers, held, ranked, gs
 
 
 class TestSplitRows:
@@ -859,23 +875,59 @@ class TestCompositionRanking:
     def test_stack_equals_per_composition_solves(self):
         multi_row = 0
         for seed in range(120):
-            powers, gs = window_stack(seed)
-            got = m.composition_value(powers, gs, 64, 2)
+            powers, held, ranked, gs = window_stack(seed)
+            got = m.composition_value(powers, held, ranked, 2)
             want = np.array([reference_value(powers, g, 2) for g in gs])
             assert got.tolist() == want.tolist(), seed
             multi_row += int(np.sum(np.count_nonzero(gs, axis=1) >= 3))
         assert multi_row > 0             # the exchange solver path ran too
 
     def test_blocks_do_not_change_values(self, monkeypatch):
-        powers, gs = window_stack(7)
-        whole = m.composition_value(powers, gs, 64, 2)
+        powers, held, ranked, gs = window_stack(7)
+        whole = m.composition_value(powers, held, ranked, 2)
+        # blocks are fixed when a table is built; this one bypasses the cache
         monkeypatch.setattr(allocation, "RANK_BLOCK", 3)
-        assert len(gs) > 3
-        assert m.composition_value(powers, gs, 64, 2).tolist() == whole.tolist()
+        blocked = allocation.rank_table(ranked.table, ranked.m_sel, 64)
+        assert len(gs) > 3 and len(blocked.blocks) == -(-len(gs) // 3)
+        assert m.composition_value(powers, held, blocked, 2).tolist() == whole.tolist()
 
     def test_empty_composition_rejected(self):
         with pytest.raises(ValueError):
-            m.composition_value(np.ones((2, 4)), [(1, 0), (0, 0)], 4, 2)
+            allocation.rank_table(np.zeros((1, 2), dtype=np.int64), 0, 4)
+        with pytest.raises(ValueError, match="empty composition"):
+            scheduling._composition_table(0, (1, 1), 4)
+
+    @pytest.mark.parametrize("k", [3, 10])
+    @pytest.mark.parametrize("n", [4, 9, 16, 64])
+    def test_equals_the_stacked_reference(self, k, n):
+        # random windows of M = 1..4 and U <= 8; integer powers of few levels
+        # force ties in the split order and in the argmin, continuous ones
+        # make every sum round
+        rng = np.random.default_rng([k, n])
+        mixed = 0
+        for trial in range(60):
+            u = int(rng.integers(1, 9))
+            # the window's packets among a random number of flows, so some
+            # flow can hold a whole batch
+            flows = rng.choice(k, int(rng.integers(1, k + 1)), replace=False)
+            occupancy = np.bincount(rng.choice(flows, size=u), minlength=k)
+            held = np.flatnonzero(occupancy).tolist()
+            mm = int(rng.integers(1, min(4, u) + 1))
+            ranked = scheduling._composition_table(mm, tuple(occupancy[held].tolist()), n)
+            gs = np.zeros((len(ranked.table), k), dtype=np.int64)
+            gs[:, held] = ranked.table
+            if trial % 2:
+                powers = rng.uniform(1e-9, 1e-6, size=(k, n))
+            else:
+                powers = rng.integers(1, 4, size=(k, n)).astype(float)
+            got = m.composition_value(powers, held, ranked, 2)
+            want = composition_values_stacked(powers, gs, n, 2)
+            assert got.tolist() == want.tolist(), trial
+            assert got.argmin() == want.argmin(), trial
+            widths = set(np.count_nonzero(gs, axis=1).tolist())
+            mixed += {1, 2} <= widths and max(widths) >= 3
+        # some table held members with one, two and three or more active rows
+        assert mixed > 0
 
 
 class TestPowerInversion:

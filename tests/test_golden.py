@@ -38,6 +38,14 @@ starts ~770 frames, so a channel-blind run plans them in more than one
 stack, and the correlated channel walks on across each stack boundary. Its
 ``run`` output is stored under ``tests/golden/long_power/``.
 
+``tests/golden/rank.json`` (K=10, N=64, L=1024, r=2; ampgps at M_max = 2, 4
+and 6 and ompgps at M = 2 and 4 with U = 4 and 8, infinite backlog, 40
+frames) pins the composition ranking: a verify run keeps each frame's
+ranked power per bit, so ``runs.csv`` carries the ranking's own values bit
+for bit, from one-row ampgps prefixes to ompgps windows whose compositions
+hold three or more flows. Its ``check-bounds`` output is stored under
+``tests/golden/rank/``.
+
 To re-record after an intended output change, run each command with
 ``--out tests/golden/<command>`` (``run tests/golden/events.json --out
 tests/golden/events`` for the event logs, ``check-bounds
@@ -45,7 +53,8 @@ tests/golden/audit.json --out tests/golden/audit`` for the audit, ``run
 tests/golden/saturated.json --out tests/golden/saturated`` for the saturated
 run, ``run tests/golden/power.json --out tests/golden/power`` for the power
 run, ``run tests/golden/long_power.json --out tests/golden/long_power`` for
-the long power runs) and commit the diff with its reason.
+the long power runs, ``check-bounds tests/golden/rank.json --out
+tests/golden/rank`` for the ranking) and commit the diff with its reason.
 """
 from pathlib import Path
 
@@ -120,3 +129,10 @@ def test_long_power_runs_match_golden(tmp_path):
     assert cli.main(["run", str(GOLDEN / "long_power.json"), "--out", str(out)]) == 0
     names = _assert_same_files(out, GOLDEN / "long_power")
     assert names == ["aggregate.csv", "runs.csv"]
+
+
+def test_ranking_runs_match_golden(tmp_path):
+    out = tmp_path / "rank"
+    assert cli.main(["check-bounds", str(GOLDEN / "rank.json"), "--out", str(out)]) == 0
+    names = _assert_same_files(out, GOLDEN / "rank")
+    assert names == ["aggregate.csv", "bounds.csv", "runs.csv"]

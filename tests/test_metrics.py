@@ -16,8 +16,8 @@ from oracles import busy_intervals, fairness_pairwise
 
 class TestServiceCurves:
     def test_accumulates_per_frame(self):
-        frames = [(0.0, 4.0, (1, 0)), (4.0, 8.0, (1, 1))]
-        curves = m.service_curves(frames, 2, packet_bits=8)
+        curves = m.service_curves([(0.0, 4.0), (4.0, 8.0)], np.array([(1, 0), (1, 1)]),
+                                  packet_bits=8)
         t0, b0 = curves[0]
         np.testing.assert_allclose(t0, [0.0, 4.0, 4.0, 8.0])
         np.testing.assert_allclose(b0, [0.0, 8.0, 8.0, 16.0])
@@ -25,12 +25,12 @@ class TestServiceCurves:
         np.testing.assert_allclose(b1, [0.0, 0.0, 0.0, 8.0])
 
     def test_idle_gap_stays_flat(self):
-        frames = [(0.0, 4.0, (1,)), (10.0, 14.0, (1,))]
-        (t, b), = m.service_curves(frames, 1, packet_bits=8)
+        (t, b), = m.service_curves([(0.0, 4.0), (10.0, 14.0)], np.array([(1,), (1,)]),
+                                   packet_bits=8)
         assert np.interp(7.0, t, b) == pytest.approx(8.0)
 
     def test_no_frames_gives_zero_curves(self):
-        curves = m.service_curves([], 2, packet_bits=8)
+        curves = m.service_curves([], np.zeros((0, 2), dtype=np.int64), packet_bits=8)
         assert len(curves) == 2
         for t, b in curves:
             assert b[-1] == 0.0

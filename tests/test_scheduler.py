@@ -7,6 +7,7 @@ import pytest
 
 import mpgps_sim as m
 from mpgps_sim import scheduling
+from oracles import composition_values_stacked, one_composition_value
 
 
 def make_queues(stamp_lists):
@@ -75,15 +76,47 @@ class TestCompositions:
         assert len(shapes) == 2 ** 8 - 1
         for bounds in shapes:
             for total in range(1, 9):
-                table = scheduling._composition_table(total, bounds)
+                table = scheduling._composition_table(total, bounds, 64).table
                 assert table.dtype == np.int64 and table.shape[1] == len(bounds)
                 assert table.tolist() == [list(g) for g in m.compositions(total, bounds)]
 
     def test_cached_table_is_read_only(self):
-        table = scheduling._composition_table(2, (2, 1))
+        ranked = scheduling._composition_table(4, (3, 1, 1, 2), 16)
         with pytest.raises(ValueError):
-            table[0, 0] = 5
-        assert scheduling._composition_table(2, (2, 1)).tolist() == [[1, 1], [2, 0]]
+            ranked.table[0, 0] = 5
+        assert scheduling._composition_table(2, (2, 1), 16).table.tolist() == [[1, 1], [2, 0]]
+        # every array of an entry, its shared split shapes included
+        arrays = [ranked.table, ranked.profiles]
+        for blk in ranked.blocks:
+            arrays += [blk.each, blk.ends, blk.g_first, *(a for grp in blk.wide for a in grp)]
+        assert len(ranked.blocks[0].wide) == 2           # members of 3 and 4 active rows
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr.flat[0] = 1
+
+    def test_subcarrier_count_is_part_of_the_key(self):
+        small = scheduling._composition_table(2, (2, 1), 4)
+        wide = scheduling._composition_table(2, (2, 1), 64)
+        assert small is not wide and small.table.tolist() == wide.table.tolist()
+        assert small.profiles.shape == (3, 2, 4) and wide.profiles.shape == (3, 2, 64)
+        powers = np.random.default_rng(3).uniform(1.0, 2.0, size=(2, 4))
+        assert (m.composition_value(powers, [0, 1], small, 2).tolist()
+                == composition_values_stacked(powers, small.table, 4, 2).tolist())
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_one_row_table_is_an_ampgps_prefix(self, seed):
+        # ampgps ranks each prefix g as the one composition of sum(g) within g
+        rng = np.random.default_rng(seed)
+        queues = make_queues([np.sort(rng.uniform(0, 10, 3)) for _ in range(5)])
+        powers = rng.uniform(1e-9, 1e-6, size=(5, 16))
+        d = m.ampgps_schedule(queues, 5, powers, sched_cfg(k=5, n=16))
+        held = [k for k, cnt in enumerate(d.g) if cnt]
+        ranked = scheduling._composition_table(d.m_sel, tuple(d.g[k] for k in held), 16)
+        assert ranked.table.tolist() == [[d.g[k] for k in held]]
+        value = m.composition_value(powers, held, ranked, 2)
+        assert value.tolist() == [d.per_bit_power] == composition_values_stacked(
+            powers, [d.g], 16, 2).tolist()
 
 
 def sched_cfg(k=2, n=4):
@@ -105,8 +138,7 @@ class TestOpportunisticSelection:
         powers = np.array([[100.0] * 4, [1.0] * 4])
         d = m.ompgps_schedule(queues, 2, 4, powers, sched_cfg())
         assert d.g == (0, 2)
-        assert d.per_bit_power == pytest.approx(
-            m.composition_value(powers, [(0, 2)], 4, 2)[0])
+        assert d.per_bit_power == pytest.approx(one_composition_value(powers, (0, 2), 2))
 
     def test_tie_keeps_first_composition(self):
         # uniform power makes every composition equally cheap per bit
@@ -200,8 +232,7 @@ class TestAdaptiveGrowth:
         powers = np.array([[1.0, 1.0, 9.0, 9.0],
                            [9.0, 9.0, 1.0, 1.0]])
         d = m.ampgps_schedule(queues, 2, powers, sched_cfg())
-        assert d.per_bit_power == pytest.approx(
-            m.composition_value(powers, [d.g], 4, 2)[0])
+        assert d.per_bit_power == pytest.approx(one_composition_value(powers, d.g, 2))
 
 
 class TestLagLedger:
