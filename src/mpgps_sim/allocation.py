@@ -32,6 +32,18 @@ once per channel block; and a budgeted run at each frame's start, where the
 plan's mean power sets the power scale. ``allocate_frame`` is the one-frame
 form.
 
+A channel-blind run plans in a reused workspace: each thread keeps, per
+(K, N), one (S, K, N) stack each of powers, costs and slot counts, grown as
+needed and never shrunk, S at most ``RANK_BLOCK`` (``engine.PLAN_STACK``)
+frames. The engine draws a plan's powers into the leading frames of the
+powers stack (``workspace_powers``); ``solve_frames`` then builds the costs
+in the costs stack, and ``solve_transport`` the counts in the counts stack,
+which ``_solve_stack`` zero-fills. Fresh stacks of this size would be
+handed back to the kernel when freed and fault their pages in again on the
+next run. Only a plan whose powers lie in the workspace is built there, and
+only its counts are returned from it: ``allocate_frame`` and every solve on
+arrays of its caller's own return new arrays.
+
 The ranking of compositions and the frame plans share the split and the
 exchange solver but not their set-up. A plan finds its active rows and
 split counts from its quotas (``_solve_stack``). ``composition_value``
@@ -47,6 +59,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -66,7 +79,8 @@ PRICE_ROUNDS = 2
 
 # Compositions ranked per block by composition_value. Caps its (block, K, N)
 # count stack at ~1.3 MB for K=10, N=64, however many compositions a window
-# has; engine.PLAN_STACK caps a channel-blind run's plan stacks alike.
+# has; engine.PLAN_STACK caps a channel-blind run's plan stacks alike, and
+# so the plan workspace.
 RANK_BLOCK = 256
 
 # Instances whose costs times counts solve_transport multiplies and sums in
@@ -272,7 +286,8 @@ def _exchange(costs: np.ndarray, quotas: np.ndarray, demand: np.ndarray) -> np.n
     return counts
 
 
-def _solve_stack(costs: np.ndarray, quotas: np.ndarray, demand: np.ndarray) -> np.ndarray:
+def _solve_stack(costs: np.ndarray, quotas: np.ndarray, demand: np.ndarray,
+                 counts: np.ndarray | None = None) -> np.ndarray:
     """Optimal (C, K, N) slot counts of a stack of transportation instances.
 
     ``costs`` is one (K, N) matrix shared by every instance or a (C, K, N)
@@ -281,10 +296,14 @@ def _solve_stack(costs: np.ndarray, quotas: np.ndarray, demand: np.ndarray) -> n
     and last active rows in one ``_split_rows`` call, which is exact for one
     or two active rows. The instances with three or more are grouped by
     their active-row count k, and each group's (C_k, k, N) stack of active
-    rows is solved in lockstep by ``_exchange``.
+    rows is solved in lockstep by ``_exchange``. The counts go to a new
+    array, or to the int64 ``counts`` given, which is zero-filled first.
     """
     c, k = quotas.shape
-    counts = np.zeros((c, k, costs.shape[-1]), dtype=np.int64)
+    if counts is None:
+        counts = np.zeros((c, k, costs.shape[-1]), dtype=np.int64)
+    else:
+        counts.fill(0)
     each = np.arange(c)
     active = quotas > 0
     # array methods, not the np.* wrappers: on a stack of one frame the
@@ -308,16 +327,64 @@ def _solve_stack(costs: np.ndarray, quotas: np.ndarray, demand: np.ndarray) -> n
     return counts
 
 
+class _PlanStacks(NamedTuple):
+    """One thread's plan workspace for one (K, N): three (S, K, N) stacks."""
+
+    powers: np.ndarray           # power matrices, drawn by the engine
+    alpha: np.ndarray            # unit-slot costs, then the products of the mean power
+    counts: np.ndarray           # int64 slot counts
+
+
+class _Workspace(threading.local):
+    """Each thread's plan stacks by (K, N), so concurrent runs share none."""
+
+    def __init__(self):
+        self.stacks: dict[tuple[int, int], _PlanStacks] = {}
+
+
+_WORKSPACE = _Workspace()
+
+
+def workspace_powers(frames: int, k: int, n: int) -> np.ndarray:
+    """The first ``frames`` (K, N) matrices of this thread's powers stack, to
+    draw a plan's powers into; ``solve_frames`` plans them in the workspace.
+
+    Stacks too short for a plan are replaced by stacks of twice the plan's
+    frames, at most ``RANK_BLOCK`` unless the plan needs more, so runs a
+    little longer than the last allocate nothing; pages never written take
+    no memory.
+    What the stacks hold is valid until the next workspace plan of the same
+    (K, N) in this thread.
+    """
+    held = _WORKSPACE.stacks.get((k, n))
+    if held is None or len(held.powers) < frames:
+        size = max(frames, min(2 * frames, RANK_BLOCK))
+        held = _PlanStacks(np.empty((size, k, n)), np.empty((size, k, n)),
+                           np.empty((size, k, n), dtype=np.int64))
+        _WORKSPACE.stacks[(k, n)] = held
+    return held.powers[:frames]
+
+
+def _workspace_of(stack: np.ndarray, field: str) -> _PlanStacks | None:
+    """This thread's plan stacks if ``stack`` is a view of their stack ``field``."""
+    held = _WORKSPACE.stacks.get(stack.shape[1:])
+    return held if held is not None and stack.base is getattr(held, field) else None
+
+
 def solve_transport(instance: TransportInstance) -> tuple[np.ndarray, float | np.ndarray]:
     """Exact optimum of the group assignment problem.
 
     Returns the (K, N) slot-count matrix (column sums equal the group size,
     row sums equal the quotas) and its objective value; for a stack, the
-    (C, K, N) counts and the (C,) objective values.
+    (C, K, N) counts and the (C,) objective values. The counts of a stack
+    whose costs ``solve_frames`` built in the plan workspace are built
+    there too; any other instance's are a new array.
     """
     alpha = instance.alpha.reshape(-1, *instance.alpha.shape[-2:])
+    held = _workspace_of(alpha, "alpha")
     counts = _solve_stack(alpha, instance.quotas.reshape(len(alpha), -1),
-                          np.reshape(instance.group, -1))
+                          np.reshape(instance.group, -1),
+                          None if held is None else held.counts[:len(alpha)])
     # a few instances at a time, so no product of the whole stack is held
     objective = np.empty(len(alpha))
     for lo in range(0, len(alpha), SUM_BLOCK):
@@ -519,10 +586,15 @@ def solve_frames(layouts, powers: np.ndarray, cfg: SystemConfig
     selection ranked compositions with. Returns the (B, K, N) slot counts per
     group and the (B,) power per bit (W per delivered bit), energy over the
     whole frame at requested power (J) and mean power over the airtime (W).
+    Powers drawn into ``workspace_powers`` are planned in the workspace, and
+    the counts returned stay valid only until its next plan; other powers
+    get new arrays.
     """
     table = np.array([(lay.group, lay.m_sel, *lay.quotas) for lay in layouts], dtype=np.int64)
     grp, m_sel, quotas = table[:, 0], table[:, 1], table[:, 2:]
-    alpha = powers / (grp * (cfg.N * cfg.r))[:, None, None]
+    held = _workspace_of(powers, "powers")
+    alpha = np.divide(powers, (grp * (cfg.N * cfg.r))[:, None, None],
+                      out=None if held is None else held.alpha[:len(powers)])
     # the objective, a sum of group costs, is exactly power per bit
     counts, per_bit_power = solve_transport(
         TransportInstance(alpha=alpha, quotas=quotas, group=grp))

@@ -93,7 +93,9 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
+_MASK64 = (1 << 64) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_DOUBLE_UNIT = 1.0 / (1 << 53)
 
 
 def _uint32_words(n: int) -> list[int]:
@@ -149,7 +151,12 @@ class FrameStreams:
     frame])`` draws, bit for bit, without hashing the key on each call: keys
     are hashed STREAM_CHUNK frames at a time, and each frame's PCG64 state
     is loaded into one reused Generator. That Generator is valid until the
-    next ``at``. Frames past the one-word range fall back to ``default_rng``.
+    next ``at``. ``uniforms(frame, n)`` returns that stream's first n
+    ``random()`` doubles as a list, without loading a Generator: from the
+    same hashed key it runs the PCG64 generator (O'Neill's PCG XSL-RR
+    128/64) in Python ints, one LCG step and one output permutation a draw,
+    and keeps the top 53 bits, as numpy's ``random`` does. Frames past the
+    one-word range fall back to ``default_rng`` in both.
     """
 
     def __init__(self, seed: int, tag: int):
@@ -159,9 +166,8 @@ class FrameStreams:
         self._keys: list[list[int]] = []
         self._gen = np.random.Generator(np.random.PCG64(0))
 
-    def at(self, frame: int) -> np.random.Generator:
-        if not 0 <= frame <= _MASK32:
-            return np.random.default_rng([self.seed, self.tag, frame])
+    def _seeded(self, frame: int) -> tuple[int, int]:
+        """The seeded PCG64 (state, inc) of a frame in the one-word range."""
         i = frame - self._lo
         if not 0 <= i < len(self._keys):
             frames = np.arange(frame, min(frame + STREAM_CHUNK, _MASK32 + 1), dtype=np.uint32)
@@ -170,11 +176,31 @@ class FrameStreams:
         w0, w1, w2, w3 = self._keys[i]
         # pcg64_set_seed: inc = seq << 1 | 1, two LCG steps around adding the seed
         inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
-        state = (((w0 << 64 | w1) + inc) * _PCG_MULT + inc) & _MASK128
+        return (((w0 << 64 | w1) + inc) * _PCG_MULT + inc) & _MASK128, inc
+
+    def at(self, frame: int) -> np.random.Generator:
+        if not 0 <= frame <= _MASK32:
+            return np.random.default_rng([self.seed, self.tag, frame])
+        state, inc = self._seeded(frame)
         self._gen.bit_generator.state = {
             "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
             "has_uint32": 0, "uinteger": 0}
         return self._gen
+
+    def uniforms(self, frame: int, n: int) -> list[float]:
+        """``np.random.default_rng([seed, tag, frame]).random(n).tolist()``, bit for bit."""
+        if not 0 <= frame <= _MASK32:
+            return np.random.default_rng([self.seed, self.tag, frame]).random(n).tolist()
+        state, inc = self._seeded(frame)
+        out = []
+        for _ in range(n):
+            # pcg64_random_r: step the LCG, then xor-fold the new state's
+            # halves and rotate right by its top 6 bits
+            state = (state * _PCG_MULT + inc) & _MASK128
+            x = (state >> 64 ^ state) & _MASK64
+            rot = state >> 122
+            out.append((((x >> rot | x << 64 - rot) & _MASK64) >> 11) * _DOUBLE_UNIT)
+        return out
 
 
 class ChannelProcess:

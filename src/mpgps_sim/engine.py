@@ -60,10 +60,12 @@ CHANNEL_BLOCK = 16
 # Frames a channel-blind run (pgps or mpgps, unbudgeted, not verify) plans
 # in one solve_frames call once its event loop has ended. No decision reads
 # its channel, so it draws exactly the frames that started, CHANNEL_BLOCK
-# frames at a time into one power stack: on the power benchmark (~122 frames
-# a drop) one draw of the whole stack ran ~16 % slower end to end and held
-# ~2.5 MB more at its peak, and plan stacks of 256 ran ~10 % faster than
-# stacks of 64. 256 is also the solver's own stack cap.
+# frames at a time into the plan workspace's power stack
+# (allocation.workspace_powers). On the power benchmark's config (~122
+# frames a drop, drops 1-80, best of 3 passes, 2-core host), plan stacks of
+# 256 ran ~6 % faster than stacks of 64, and one draw of the whole stack
+# held ~2.8 MB more at its peak (ru_maxrss 42.9 against 40.0 MB) for a
+# speed within the host's noise. 256 is also the solver's own stack cap.
 PLAN_STACK = allocation.RANK_BLOCK
 
 # Arrivals the run converts to Python floats and ints at a time: it holds one
@@ -528,7 +530,7 @@ class Engine:
         cfg = self.cfg
         for lo in range(0, len(self.unplanned), PLAN_STACK):
             pending = self.unplanned[lo:lo + PLAN_STACK]
-            powers = np.empty((len(pending), cfg.K, cfg.N))
+            powers = allocation.workspace_powers(len(pending), cfg.K, cfg.N)
             for at in range(0, len(pending), CHANNEL_BLOCK):
                 count = min(CHANNEL_BLOCK, len(pending) - at)
                 powers[at:at + count] = allocation.frame_powers(
@@ -602,8 +604,7 @@ class Engine:
         if self.error_streams is not None:
             # one uniform per member, in frame order, against the packet error
             # rate, which is recomputed only when the power scale changes
-            rng = self.error_streams.at(rec.index)
-            draws = iter(rng.random(len(frame.members)).tolist())
+            draws = iter(self.error_streams.uniforms(rec.index, len(frame.members)))
             if rec.scale != self.per_scale:
                 self.per_scale = rec.scale
                 self.per = float(packet_error_rate(

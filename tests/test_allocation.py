@@ -1,5 +1,7 @@
 """Exact assignment solver vs brute force, plus frame-level plan checks."""
 
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -805,6 +807,94 @@ class TestDeferredPlans:
         assert all(f.depart == f.start + m.frame_length((f.m_sel,), cfg) for f in res.frames)
         m.run(cfg, traffic, mode, 3000.0)
         assert allocation._frame_layout.cache_info().misses > 0
+
+
+class TestPlanWorkspace:
+    """A channel-blind run plans in its thread's reused workspace; no run and
+    no plan handed to a caller may see what another plan left there."""
+
+    # the power_mpgps benchmark config, a small shape, a run longer than
+    # PLAN_STACK frames and a run with frames floored at GAIN_FLOOR_REL
+    RUNS = [
+        (dict(K=10, N=64, L=1024, r=2, M=4, seed=1), 50000.0, 2000.0),
+        (dict(K=3, N=8, L=64, r=2, M=2, seed=2), 9000.0, 3000.0),
+        (dict(K=10, N=64, L=1024, r=2, M=4, seed=4, time_corr=0.9), 50000.0, 5000.0),
+        (dict(K=4, N=16, L=256, r=2, M=2, seed=29, pathloss_exp=6.0, shadow_std_db=20.0),
+         40000.0, 1500.0),
+    ]
+
+    @staticmethod
+    def frames(system, rate, horizon):
+        return m.run(m.SystemConfig(**system), m.TrafficModel(rate_bps=rate), "mpgps",
+                     horizon).frames
+
+    @staticmethod
+    def in_threads(*jobs):
+        """Each job's result, every job in its own new thread: a cold workspace."""
+        out = [None] * len(jobs)
+
+        def work(i):
+            out[i] = jobs[i]()
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(jobs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=300)
+        assert not any(t.is_alive() for t in threads)
+        return out
+
+    def test_runs_equal_runs_in_a_cold_workspace(self):
+        cold = self.in_threads(*(lambda run=run: self.frames(*run) for run in self.RUNS))
+        assert len(cold[2]) > m.engine.PLAN_STACK
+        system = m.SystemConfig(**self.RUNS[3][0])
+        gains = m.ChannelProcess(system).block(0, len(cold[3]))
+        assert (gains.min(axis=(1, 2)) < allocation.GAIN_FLOOR_REL * gains.max(axis=(1, 2))).any()
+        # on the second pass each shape's stacks hold what its last plan left
+        for _ in range(2):
+            assert [self.frames(*run) for run in self.RUNS] == cold
+
+    def test_returned_plans_share_no_memory_with_the_workspace(self):
+        system, rate, horizon = self.RUNS[0]
+        cfg = m.SystemConfig(**system)
+        self.frames(system, rate, horizon)
+        powers = m.frame_powers(m.ChannelProcess(cfg).block(0, 4), m.link_budget(cfg))
+        gs = [(1, 1, 1, 1) + (0,) * 6, (4,) + (0,) * 9, (2, 0, 2) + (0,) * 7, (0,) * 9 + (4,)]
+        layouts = [allocation.frame_layout(g, cfg) for g in gs]
+        instance = m.TransportInstance(alpha=powers, quotas=[lay.quotas for lay in layouts],
+                                       group=[lay.group for lay in layouts])
+        results = [m.allocate_frame(gs[0], powers[0], cfg).counts,
+                   *allocation.solve_frames(layouts, powers, cfg), *m.solve_transport(instance)]
+        kept = [r.tolist() for r in results]
+        self.frames({**system, "seed": 2}, rate, horizon)
+        assert [r.tolist() for r in results] == kept
+        stacks = allocation._WORKSPACE.stacks[(cfg.K, cfg.N)]
+        assert not any(np.shares_memory(r, s) for r in results for s in stacks)
+
+    def test_concurrent_threads_plan_apart(self):
+        runs = [self.RUNS[0], ({**self.RUNS[0][0], "seed": 3}, 50000.0, 2000.0), self.RUNS[1]]
+        want = [self.frames(*run) for run in runs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            got = self.in_threads(*(lambda: [self.frames(*run) for run in runs * 2]
+                                    for _ in range(3)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [want * 2] * 3
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="minor page faults are counted as on Linux")
+    def test_blind_plans_fault_no_pages_in(self):
+        resource = pytest.importorskip("resource")
+        system, rate, horizon = self.RUNS[0]
+        for seed in (41, 42):                    # warm-ups
+            self.frames({**system, "seed": seed}, rate, horizon)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for seed in range(1, 41):
+            self.frames({**system, "seed": seed}, rate, horizon)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults < 5 * 40, faults
 
 
 def reference_value(powers, g, r):

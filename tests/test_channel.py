@@ -228,3 +228,15 @@ class TestFrameStreams:
         streams = FrameStreams(seed, tag)
         for f in frames:
             self.assert_same(streams.at(f), [seed, tag, f])
+
+    @pytest.mark.parametrize("tag", [37, 53])
+    @pytest.mark.parametrize("seed", [1, 2 ** 40 + 7])
+    def test_uniforms_equal_default_rng(self, seed, tag):
+        # both sides of the first STREAM_CHUNK boundary, the last one-word
+        # frame, the fallback past it, and a rewind
+        frames = [0, STREAM_CHUNK - 1, STREAM_CHUNK, 2 ** 32 - 1, 2 ** 32, 2 ** 40 + 3, 1]
+        streams = FrameStreams(seed, tag)
+        for f in frames:
+            for n in range(1, 9):
+                want = np.random.default_rng([seed, tag, f]).random(n).tolist()
+                assert streams.uniforms(f, n) == want, (f, n)
