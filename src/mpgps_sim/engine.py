@@ -8,12 +8,19 @@ pass of the fluid reference over the drawn trace stamps them all
 schedule, so the runs of one sweep replication read one cached trace.
 Arriving packets become eligible for service at frame boundaries; when the
 servers fall idle and backlog exists, the configured discipline picks the
-next batch. Frame ends outrank arrivals at equal times. Deadline-expired
-packets are shed before every selection (the scan waits for the earliest
-deadline at a queue head), and failed packets rejoin their queue head with
-stamps intact. Saturated traffic runs through the same loop with no
-arrivals: each selection tops every queue up, stamping the refills as they
-are queued, and the run stops at its frame cap.
+next batch. While a frame is on air the loop admits, in one pass, every
+arrival before the frame ends, each at its own time; frame ends outrank
+arrivals at equal times, so an arrival at a frame's end misses the decision
+taken there. Deadline-expired packets are shed before every selection (the
+scan waits for the earliest deadline at a queue head), and failed packets
+rejoin their queue head with stamps intact. A Poisson pgps or mpgps run
+keeps its queue heads in one heap for the whole run
+(``scheduling.HeadQueues``): a packet joining an empty queue is pushed, each
+selection replaces the heads it takes by their successors, and a drop scan
+or a requeued failure rebuilds the heap; other runs merge the queue heads
+afresh at each decision. Saturated traffic runs through the same loop with
+no arrivals: each selection tops every queue up, stamping the refills as
+they are queued, and the run stops at its frame cap.
 
 Verification mode runs error free with deadlines disabled and audits the run
 against the fluid reference (and, for the opportunistic discipline, against
@@ -23,6 +30,7 @@ versus worst observation.
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 import logging
 import math
@@ -369,7 +377,14 @@ class Engine:
         self.channel_blind = (mode in (PGPS, MPGPS) and cfg.power_budget is None
                               and not verify)
         self.deadline_symbols = cfg.deadline_symbols
-        self.queues: list[deque[Packet]] = [deque() for _ in range(cfg.K)]
+        # a Poisson pgps or mpgps run keeps its queue heads in one heap for the
+        # whole run (scheduling.HeadQueues); other runs merge heads per decision
+        if mode in (PGPS, MPGPS) and not saturated:
+            self.queues = scheduling.HeadQueues(cfg.K)
+            self.heads = self.queues.heads
+        else:
+            self.queues = [deque() for _ in range(cfg.K)]
+            self.heads = None
         # no queued packet expires before this time, the smallest arrival +
         # deadline_symbols over the queue heads as of the last expiry scan,
         # lowered by each arrival since. A frame's members left their queues
@@ -445,7 +460,10 @@ class Engine:
     def _admit(self, t: float, flow: int, stamp: float) -> Packet:
         pkt = Packet(stamp, flow, self.seq_next[flow], t)
         self.seq_next[flow] += 1
-        self.queues[flow].append(pkt)
+        q = self.queues[flow]
+        if not q and self.heads is not None:
+            heapq.heappush(self.heads, pkt)
+        q.append(pkt)
         expiry = t + self.deadline_symbols
         if expiry < self.next_expiry:
             self.next_expiry = expiry
@@ -569,15 +587,18 @@ class Engine:
             self._refill(t)
         if t >= self.next_expiry:     # never true without deadlines
             self._drop_expired(t)
+            if self.heads is not None:
+                self.queues.rebuild()
             if not any(self.queues):
                 return
         decision = self._decide(t)
         if self.shadow_queues is not None:
             self._shadow_step(t, decision)
+        m_sel = len(decision.chosen)
         # positional, as keywords cost ~0.5 us more a frame: index, start, depart,
         # g, m_sel, per_bit_power, mean_power, scale, energy
-        rec = FrameRecord(self.frames_started, t, t + self.airtime[decision.m_sel], decision.g,
-                          decision.m_sel, decision.per_bit_power, None, 1.0, 0.0)
+        rec = FrameRecord(self.frames_started, t, t + self.airtime[m_sel], decision.g,
+                          m_sel, decision.per_bit_power, None, 1.0, 0.0)
         if not self.verify:
             self.unplanned.append(rec)
             budget = self.cfg.power_budget
@@ -600,6 +621,16 @@ class Engine:
         self.inflight = None
         rec = frame.record
         self.frames.append(rec)
+        if self.error_streams is None and not (self.collect_events or self.collect_fairness):
+            # error free and unobserved: every member is delivered, in frame order
+            self.n_delivered += len(frame.members)
+            for pkt in frame.members:
+                if pkt.arrival >= self.warmup_t:
+                    self.n_delivered_m += 1
+                    self.delay_sum_m += t - pkt.arrival
+            if t > self.warmup_t:
+                self.n_delivered_events_m += len(frame.members)
+            return
         draws = None
         if self.error_streams is not None:
             # one uniform per member, in frame order, against the packet error
@@ -629,6 +660,8 @@ class Engine:
         # each flow's members are a prefix of its queue, in seq order
         for pkt in reversed(failures):
             self.queues[pkt.flow].appendleft(pkt)
+        if failures and self.heads is not None:
+            self.queues.rebuild()          # a requeued failure displaces a kept head
         if self.collect_events:
             self.events.append(SimEvent(t, "frame_end", -1, -1, rec.index))
 
@@ -651,7 +684,8 @@ class Engine:
                     trace.flows[lo:lo + ARRIVAL_CHUNK].tolist(),
                     trace.stamps[lo:lo + ARRIVAL_CHUNK].tolist())
                 for lo in range(0, len(trace.times), ARRIVAL_CHUNK))
-        next_arr, next_flow, next_stamp = next(arrivals, (math.inf, -1, 0.0))
+        exhausted = (math.inf, -1, 0.0)
+        next_arr, next_flow, next_stamp = next(arrivals, exhausted)
         t = 0.0
         while True:
             # with no frame in flight, every packet neither delivered nor
@@ -659,16 +693,26 @@ class Engine:
             if (self.inflight is None and self.frames_started < self.frame_cap
                     and (saturated or self.n_arrivals > self.n_delivered + self.n_dropped)):
                 self._instant(t)
-            next_dep = self.inflight.record.depart if self.inflight else math.inf
-            t = min(next_arr, next_dep)
-            if t == math.inf or t > self.horizon:
-                break
-            if next_dep <= next_arr:
-                self._finish_frame(t)
-            else:
+            inflight = self.inflight
+            if inflight is None:
+                # servers idle: admit the arrivals at the next arrival instant
+                t = next_arr
+                if t == math.inf or t > self.horizon:
+                    break
                 while next_arr == t:
                     self._admit(t, next_flow, next_stamp)
-                    next_arr, next_flow, next_stamp = next(arrivals, (math.inf, -1, 0.0))
+                    next_arr, next_flow, next_stamp = next(arrivals, exhausted)
+            else:
+                # admit every arrival before the frame in flight ends, each at
+                # its own time (the trace holds none past the horizon); the
+                # frame end outranks arrivals at its own instant
+                t = inflight.record.depart
+                while next_arr < t:
+                    self._admit(next_arr, next_flow, next_stamp)
+                    next_arr, next_flow, next_stamp = next(arrivals, exhausted)
+                if t > self.horizon:
+                    break
+                self._finish_frame(t)
         if self.channel_blind:
             self._plan_blind()
         else:

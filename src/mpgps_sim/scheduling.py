@@ -4,6 +4,9 @@ Three ways to pick the next batch:
 
 * mpgps: take the min(M, backlog) queued packets with the smallest virtual
   finishing stamps; with M = 1 this is classic packetised fair queueing.
+  Queues kept in ``HeadQueues`` carry a heap of their head packets that
+  lives across decisions, as packet-by-packet fair queueing keeps one
+  priority queue of flow heads; plain queues are k-way merged from scratch.
 * ampgps: grow the batch one server at a time, keeping the cheapest
   power-per-bit batch seen so far, and stop as soon as adding a server no
   longer strictly helps.
@@ -86,6 +89,48 @@ def _smallest_stamps(queues: list[deque[Packet]], count: int) -> list[Packet]:
     return out
 
 
+class HeadQueues(list):
+    """Per-flow FIFO deques plus ``heads``, a heap holding exactly the head
+    packet of each non-empty queue; a ``Packet`` orders as (stamp, flow, seq).
+
+    The owner keeps the heap whole: it pushes a packet that joins an empty
+    queue and calls ``rebuild`` after any other change at a queue head (a
+    drop, a failed packet requeued in front). ``select_mpgps`` pops the heads
+    it takes and pushes each one's successor, so once the caller pops the
+    chosen packets off their queues the heap holds the new heads. Heads are
+    never re-seeded lazily: a flow's stamps restart with each fluid busy
+    period, so a packet behind the head can carry a smaller stamp.
+    """
+
+    __slots__ = ("heads",)
+
+    def __init__(self, k: int):
+        super().__init__(deque() for _ in range(k))
+        self.heads: list[Packet] = []
+
+    def rebuild(self) -> None:
+        self.heads[:] = [q[0] for q in self if q]
+        heapq.heapify(self.heads)
+
+
+def _pop_heads(queues: HeadQueues, count: int) -> tuple[list[Packet], tuple[int, ...]]:
+    """``_smallest_stamps`` read off the persistent head heap, each taken head
+    giving way to its successor in its queue, and the packets per flow."""
+    heads = queues.heads
+    out: list[Packet] = []
+    g = [0] * len(queues)
+    while heads and len(out) < count:
+        pkt = heads[0]
+        q = queues[pkt.flow]
+        pos = g[pkt.flow] = g[pkt.flow] + 1
+        if pos < len(q):
+            heapq.heapreplace(heads, q[pos])
+        else:
+            heapq.heappop(heads)
+        out.append(pkt)
+    return out, tuple(g)
+
+
 def _per_flow(packets: list[Packet], k: int) -> tuple[int, ...]:
     counts = [0] * k
     for pkt in packets:
@@ -94,13 +139,19 @@ def _per_flow(packets: list[Packet], k: int) -> tuple[int, ...]:
 
 
 def select_mpgps(queues: list[deque[Packet]], m: int) -> ScheduleDecision:
-    """Stamp-ordered batch of up to ``m`` packets."""
+    """Stamp-ordered batch of up to ``m`` packets; ``HeadQueues`` are read
+    off their head heap, which then holds the heads left once the caller
+    pops the chosen packets."""
     if m < 1:
         raise ValueError("m must be positive")
-    chosen = _smallest_stamps(queues, m)
+    if isinstance(queues, HeadQueues):
+        chosen, g = _pop_heads(queues, m)
+    else:
+        chosen = _smallest_stamps(queues, m)
+        g = _per_flow(chosen, len(queues))
     if not chosen:
         raise ValueError("nothing queued")
-    return ScheduleDecision(_per_flow(chosen, len(queues)), chosen)
+    return ScheduleDecision(g, chosen)
 
 
 def compositions(total: int, bounds) -> list[tuple[int, ...]]:

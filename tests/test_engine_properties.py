@@ -7,12 +7,13 @@ half of them, and checks the invariants the event loop must keep:
 packet conservation, per-flow FIFO service, monotone stamps within a fluid
 busy period, the analytic bounds in verification mode (and the bound report
 against a per-packet loop over the event log), the busy intervals the fairness
-gauge reads, and that ``pgps`` is ``mpgps`` at one server.
+gauge reads, that ``pgps`` is ``mpgps`` at one server, and that every
+stamp-ordered decision equals a k-way merge of the queues made afresh.
 """
 import math
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import mpgps_sim as m
 import oracles
@@ -268,3 +269,58 @@ def test_expiry_skip_matches_a_scan_at_every_instant(system, rate, error_free):
     assert got.events == want.events
     assert got.frames == want.frames
     assert repr(got.metrics) == repr(want.metrics)
+
+
+class MergeChecked(m.Engine):
+    """Checks every decision of a stamp-ordered run against ``oracles.stamp_merge``
+    on the queues as they stand, and, in a run that keeps a head heap, that the
+    heap holds exactly the queue heads. ``unsorted`` counts the decisions at
+    which some queue holds a packet stamped below one ahead of it, as when a
+    queue spans two fluid busy periods."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.decisions = self.unsorted = 0
+
+    def _decide(self, t):
+        want = oracles.stamp_merge(self.queues, self.m_eff)
+        if self.heads is not None:
+            assert sorted(self.heads) == sorted(q[0] for q in self.queues if q)
+        self.unsorted += any(a.vfinish > b.vfinish for q in self.queues
+                             for a, b in zip(q, list(q)[1:]))
+        decision = super()._decide(t)
+        assert len(decision.chosen) == len(want)
+        assert all(got is pkt for got, pkt in zip(decision.chosen, want))
+        self.decisions += 1
+        return decision
+
+
+@settings(max_examples=60, deadline=None)
+@given(systems(), st.sampled_from([None, 20000.0]),
+       st.sampled_from([None, (64.0, 10000.0), (256.0, 30000.0)]), st.booleans())
+def test_stamp_ordered_decisions_match_a_fresh_merge(system, rate, bucket, verify):
+    cfg, traffic, mode, run_kw = system
+    assume(mode in ("pgps", "mpgps"))
+    if not traffic.infinite_backlog:
+        # 20 kb/s a flow loads the 80 kb/s link up to full, so deadlines drop
+        traffic = m.TrafficModel(rate_bps=rate or traffic.rate_bps, bucket=bucket)
+        run_kw = {"verify": verify}
+    eng = MergeChecked(cfg, traffic, mode, 3000.0, collect_events=True, **run_kw)
+    res = eng.run()
+    assert eng.decisions == res.metrics.frames + (eng.inflight is not None)
+    # saturated runs keep no heap
+    assert (eng.heads is None) == traffic.infinite_backlog
+
+
+@pytest.mark.parametrize("servers", [1, 2, 3])
+def test_merge_check_meets_queues_spanning_busy_periods(servers):
+    # the requeue golden's system: packets fail, deadlines drop, and queues
+    # outlive the fluid busy period their head was stamped in
+    cfg = m.SystemConfig(K=3, N=8, L=64, r=2, M=servers, seed=6, weights=(1.0, 2.0, 0.5),
+                         deadline=0.008, target_ber=1e-3)
+    eng = MergeChecked(cfg, m.TrafficModel(rate_bps=(12000.0, 20000.0, 6000.0)), "mpgps",
+                       20000.0, collect_events=True)
+    res = eng.run()
+    kinds = {e.kind for e in res.events}
+    assert {"fail", "drop"} <= kinds
+    assert eng.unsorted > 0

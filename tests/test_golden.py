@@ -46,6 +46,15 @@ for bit, from one-row ampgps prefixes to ompgps windows whose compositions
 hold three or more flows. Its ``check-bounds`` output is stored under
 ``tests/golden/rank/``.
 
+``tests/golden/requeue.json`` (K=3, N=8, L=64, unequal weights, per-flow
+rates of 12, 20 and 6 kb/s; pgps, and mpgps at M = 1, 2 and 3; an 8 ms
+deadline and target BER 1e-3, 20,000 symbols, event logs on) pins the
+head-of-queue changes a stamp-ordered run meets: ~160 failed packets a run
+rejoin their queue heads, deadlines drop one or two, and a few decisions
+see a queue whose packets were stamped in two fluid busy periods, so a
+packet behind the head can carry the smaller stamp. Its ``run`` output is
+stored under ``tests/golden/requeue/``.
+
 To re-record after an intended output change, run each command with
 ``--out tests/golden/<command>`` (``run tests/golden/events.json --out
 tests/golden/events`` for the event logs, ``check-bounds
@@ -54,7 +63,8 @@ tests/golden/saturated.json --out tests/golden/saturated`` for the saturated
 run, ``run tests/golden/power.json --out tests/golden/power`` for the power
 run, ``run tests/golden/long_power.json --out tests/golden/long_power`` for
 the long power runs, ``check-bounds tests/golden/rank.json --out
-tests/golden/rank`` for the ranking) and commit the diff with its reason.
+tests/golden/rank`` for the ranking, ``run tests/golden/requeue.json --out
+tests/golden/requeue`` for the requeues) and commit the diff with its reason.
 """
 from pathlib import Path
 
@@ -136,3 +146,10 @@ def test_ranking_runs_match_golden(tmp_path):
     assert cli.main(["check-bounds", str(GOLDEN / "rank.json"), "--out", str(out)]) == 0
     names = _assert_same_files(out, GOLDEN / "rank")
     assert names == ["aggregate.csv", "bounds.csv", "runs.csv"]
+
+
+def test_requeue_runs_match_golden(tmp_path):
+    out = tmp_path / "requeue"
+    assert cli.main(["run", str(GOLDEN / "requeue.json"), "--out", str(out)]) == 0
+    names = _assert_same_files(out, GOLDEN / "requeue")
+    assert names == ["aggregate.csv", *(f"events_p{p}_r0.csv" for p in range(4)), "runs.csv"]

@@ -47,6 +47,21 @@ class TestStampOrderedSelection:
         with pytest.raises(ValueError):
             m.select_mpgps(make_queues([[], []]), 1)
 
+    @pytest.mark.parametrize("count", [1, 2, 3, 5, 9])
+    def test_head_heap_gives_the_merge_and_keeps_the_next_heads(self, count):
+        # flow 0's second packet carries a smaller stamp than its head, as
+        # when its queue spans two fluid busy periods
+        stamps = [[5.0, 1.0, 6.0], [2.0, 3.0], [], [4.0]]
+        kept = scheduling.HeadQueues(len(stamps))
+        kept[:] = make_queues(stamps)
+        kept.rebuild()
+        want = m.select_mpgps(make_queues(stamps), count)
+        got = m.select_mpgps(kept, count)
+        assert keys(got) == keys(want) and got.g == want.g
+        for pkt in got.chosen:
+            assert kept[pkt.flow].popleft() is pkt
+        assert sorted(kept.heads) == sorted(q[0] for q in kept if q)
+
     def test_window_occupancy(self):
         queues = make_queues([[1.0, 5.0], [2.0, 3.0]])
         powers = np.ones((2, 4))

@@ -140,6 +140,31 @@ def test_event_log_is_time_ordered_with_departures_first(monkeypatch):
     assert at_four == ["deliver", "frame_end", "arrive", "frame_start"]
 
 
+@pytest.mark.parametrize("mode, servers", [("pgps", 1), ("mpgps", 2)])
+@pytest.mark.parametrize("lead", [0.0, 0.5])
+def test_an_arrival_at_a_frame_end_misses_that_instants_decision(monkeypatch, mode,
+                                                                 servers, lead):
+    # flow 0 queues servers + 1 packets at 0, so one outlives frame [0, 4 * servers);
+    # flow 1's packet lands as that frame ends (lead 0) or half a symbol before,
+    # and its weight gives it the smaller stamp: 64 * servers + 16 - 8 * lead
+    # against flow 0's 64 * servers + 64
+    end = 4.0 * servers
+    eng = m.Engine(compact(K=2, M=servers, weights=(1.0, 4.0)), m.TrafficModel(rate_bps=1000.0),
+                   mode, 100.0, error_free=True)
+    feed(monkeypatch, np.array([0.0] * (servers + 1) + [end - lead]),
+         np.array([0] * (servers + 1) + [1], dtype=np.int64))
+    res = eng.run()
+    first, second = res.frames[:2]
+    assert first.g == (servers, 0) and second.start == end
+    if lead:
+        # queued before the frame ended, it heads the stamp order of that instant
+        assert second.g == (min(servers - 1, 1), 1)
+    else:
+        # the frame end outranks it: the decision at that instant holds flow 0 only
+        assert second.g == (1, 0)
+        assert res.frames[2].g == (0, 1) and res.frames[2].start == second.depart
+
+
 def test_arrivals_are_read_once_in_order_across_chunks(monkeypatch):
     chunk = m.engine.ARRIVAL_CHUNK
     rng = np.random.default_rng(5)
