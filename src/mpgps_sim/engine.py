@@ -13,14 +13,14 @@ arrival before the frame ends, each at its own time; frame ends outrank
 arrivals at equal times, so an arrival at a frame's end misses the decision
 taken there. Deadline-expired packets are shed before every selection (the
 scan waits for the earliest deadline at a queue head), and failed packets
-rejoin their queue head with stamps intact. A Poisson pgps or mpgps run
-keeps its queue heads in one heap for the whole run
-(``scheduling.HeadQueues``): a packet joining an empty queue is pushed, each
-selection replaces the heads it takes by their successors, and a drop scan
-or a requeued failure rebuilds the heap; other runs merge the queue heads
-afresh at each decision. Saturated traffic runs through the same loop with
-no arrivals: each selection tops every queue up, stamping the refills as
-they are queued, and the run stops at its frame cap.
+rejoin their queue head with stamps intact. A pgps or mpgps run keeps its
+queue heads in one heap for the whole run (``scheduling.HeadQueues``): a
+packet joining an empty queue is pushed, each selection replaces the heads
+it takes by their successors, and a drop scan or a requeued failure
+rebuilds the heap; ampgps and ompgps merge the queue heads afresh at each
+decision. Saturated traffic runs through the same loop with no arrivals:
+each selection tops every queue up, stamping the refills as they are
+queued, and the run stops at its frame cap.
 
 Verification mode runs error free with deadlines disabled and audits the run
 against the fluid reference (and, for the opportunistic discipline, against
@@ -30,7 +30,6 @@ versus worst observation.
 from __future__ import annotations
 
 import functools
-import heapq
 import itertools
 import logging
 import math
@@ -377,14 +376,11 @@ class Engine:
         self.channel_blind = (mode in (PGPS, MPGPS) and cfg.power_budget is None
                               and not verify)
         self.deadline_symbols = cfg.deadline_symbols
-        # a Poisson pgps or mpgps run keeps its queue heads in one heap for the
-        # whole run (scheduling.HeadQueues); other runs merge heads per decision
-        if mode in (PGPS, MPGPS) and not saturated:
-            self.queues = scheduling.HeadQueues(cfg.K)
-            self.heads = self.queues.heads
-        else:
-            self.queues = [deque() for _ in range(cfg.K)]
-            self.heads = None
+        # a pgps or mpgps run keeps its queue heads in one heap for the whole
+        # run (scheduling.HeadQueues); ampgps and ompgps merge heads per decision
+        self.head_heap = mode in (PGPS, MPGPS)
+        self.queues: list[deque[Packet]] = (
+            scheduling.HeadQueues(cfg.K) if self.head_heap else [deque() for _ in range(cfg.K)])
         # no queued packet expires before this time, the smallest arrival +
         # deadline_symbols over the queue heads as of the last expiry scan,
         # lowered by each arrival since. A frame's members left their queues
@@ -460,10 +456,10 @@ class Engine:
     def _admit(self, t: float, flow: int, stamp: float) -> Packet:
         pkt = Packet(stamp, flow, self.seq_next[flow], t)
         self.seq_next[flow] += 1
-        q = self.queues[flow]
-        if not q and self.heads is not None:
-            heapq.heappush(self.heads, pkt)
-        q.append(pkt)
+        if self.head_heap:
+            self.queues.admit(pkt)
+        else:
+            self.queues[flow].append(pkt)
         expiry = t + self.deadline_symbols
         if expiry < self.next_expiry:
             self.next_expiry = expiry
@@ -587,7 +583,7 @@ class Engine:
             self._refill(t)
         if t >= self.next_expiry:     # never true without deadlines
             self._drop_expired(t)
-            if self.heads is not None:
+            if self.head_heap:
                 self.queues.rebuild()
             if not any(self.queues):
                 return
@@ -621,16 +617,6 @@ class Engine:
         self.inflight = None
         rec = frame.record
         self.frames.append(rec)
-        if self.error_streams is None and not (self.collect_events or self.collect_fairness):
-            # error free and unobserved: every member is delivered, in frame order
-            self.n_delivered += len(frame.members)
-            for pkt in frame.members:
-                if pkt.arrival >= self.warmup_t:
-                    self.n_delivered_m += 1
-                    self.delay_sum_m += t - pkt.arrival
-            if t > self.warmup_t:
-                self.n_delivered_events_m += len(frame.members)
-            return
         draws = None
         if self.error_streams is not None:
             # one uniform per member, in frame order, against the packet error
@@ -660,7 +646,7 @@ class Engine:
         # each flow's members are a prefix of its queue, in seq order
         for pkt in reversed(failures):
             self.queues[pkt.flow].appendleft(pkt)
-        if failures and self.heads is not None:
+        if failures and self.head_heap:
             self.queues.rebuild()          # a requeued failure displaces a kept head
         if self.collect_events:
             self.events.append(SimEvent(t, "frame_end", -1, -1, rec.index))

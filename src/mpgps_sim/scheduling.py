@@ -93,13 +93,13 @@ class HeadQueues(list):
     """Per-flow FIFO deques plus ``heads``, a heap holding exactly the head
     packet of each non-empty queue; a ``Packet`` orders as (stamp, flow, seq).
 
-    The owner keeps the heap whole: it pushes a packet that joins an empty
-    queue and calls ``rebuild`` after any other change at a queue head (a
-    drop, a failed packet requeued in front). ``select_mpgps`` pops the heads
-    it takes and pushes each one's successor, so once the caller pops the
-    chosen packets off their queues the heap holds the new heads. Heads are
-    never re-seeded lazily: a flow's stamps restart with each fluid busy
-    period, so a packet behind the head can carry a smaller stamp.
+    The heap is kept whole through the container: ``admit`` queues a packet
+    (pushing it if its queue was empty), ``take`` hands out the heads a
+    decision chooses and puts each one's successor in its place, and
+    ``rebuild`` follows any other change at a queue head (a drop, a failed
+    packet requeued in front). Heads are never re-seeded lazily: a flow's
+    stamps restart with each fluid busy period, so a packet behind the head
+    can carry a smaller stamp.
     """
 
     __slots__ = ("heads",)
@@ -108,27 +108,33 @@ class HeadQueues(list):
         super().__init__(deque() for _ in range(k))
         self.heads: list[Packet] = []
 
+    def admit(self, pkt: Packet) -> None:
+        q = self[pkt.flow]
+        if not q:
+            heapq.heappush(self.heads, pkt)
+        q.append(pkt)
+
     def rebuild(self) -> None:
         self.heads[:] = [q[0] for q in self if q]
         heapq.heapify(self.heads)
 
-
-def _pop_heads(queues: HeadQueues, count: int) -> tuple[list[Packet], tuple[int, ...]]:
-    """``_smallest_stamps`` read off the persistent head heap, each taken head
-    giving way to its successor in its queue, and the packets per flow."""
-    heads = queues.heads
-    out: list[Packet] = []
-    g = [0] * len(queues)
-    while heads and len(out) < count:
-        pkt = heads[0]
-        q = queues[pkt.flow]
-        pos = g[pkt.flow] = g[pkt.flow] + 1
-        if pos < len(q):
-            heapq.heapreplace(heads, q[pos])
-        else:
-            heapq.heappop(heads)
-        out.append(pkt)
-    return out, tuple(g)
+    def take(self, count: int) -> tuple[list[Packet], tuple[int, ...]]:
+        """``_smallest_stamps`` read off the head heap, and the packets per
+        flow. The heap then holds the heads left once the caller pops the
+        taken packets off their queues, which it must do before the next call."""
+        heads = self.heads
+        out: list[Packet] = []
+        g = [0] * len(self)
+        while heads and len(out) < count:
+            pkt = heads[0]
+            q = self[pkt.flow]
+            pos = g[pkt.flow] = g[pkt.flow] + 1
+            if pos < len(q):
+                heapq.heapreplace(heads, q[pos])
+            else:
+                heapq.heappop(heads)
+            out.append(pkt)
+        return out, tuple(g)
 
 
 def _per_flow(packets: list[Packet], k: int) -> tuple[int, ...]:
@@ -139,13 +145,13 @@ def _per_flow(packets: list[Packet], k: int) -> tuple[int, ...]:
 
 
 def select_mpgps(queues: list[deque[Packet]], m: int) -> ScheduleDecision:
-    """Stamp-ordered batch of up to ``m`` packets; ``HeadQueues`` are read
-    off their head heap, which then holds the heads left once the caller
-    pops the chosen packets."""
+    """Stamp-ordered batch of up to ``m`` packets. ``HeadQueues`` are read off
+    their head heap (``HeadQueues.take``), so the caller must pop the chosen
+    packets off their queues before the next call."""
     if m < 1:
         raise ValueError("m must be positive")
     if isinstance(queues, HeadQueues):
-        chosen, g = _pop_heads(queues, m)
+        chosen, g = queues.take(m)
     else:
         chosen = _smallest_stamps(queues, m)
         g = _per_flow(chosen, len(queues))

@@ -14,18 +14,14 @@ sized first draw; ``price_start_padded`` reads the price bracket from padded
 thresholds, the reference for ``allocation._price_start``;
 ``composition_values_stacked`` solves a (C, K) stack of compositions with
 ``allocation._solve_stack`` on every call, the reference for the ranking
-from cached split shapes in ``allocation.composition_value``;
+from cached split shapes in ``allocation.composition_value``; and
 ``ScanEveryInstant`` is the engine with the expiry scan run at every
-instant, the reference for the skip on ``Engine.next_expiry``; and
-``stamp_merge`` k-way merges the queue heads afresh for every decision, the
-reference for the stamp-ordered selection from the engine's persistent head
-heap (``scheduling.HeadQueues``).
+instant, the reference for the skip on ``Engine.next_expiry``.
 ``one_composition_value`` is no oracle: it ranks one composition through the
 package, as ampgps ranks a prefix.
 """
 from __future__ import annotations
 
-import heapq
 import math
 
 import numpy as np
@@ -280,20 +276,3 @@ class ScanEveryInstant(Engine):
                     self._count(t, pkt.flow, -1)
                 if self.collect_events:
                     self.events.append(SimEvent(t, "drop", pkt.flow, pkt.seq, -1))
-
-
-def stamp_merge(queues, count: int) -> list:
-    """The ``count`` queued packets with the smallest stamps, each flow's taken
-    from its queue head in order: a k-way merge over heap entries (stamp,
-    flow, position), a flow's next packet entering once the one ahead of it
-    is taken, so ties break by flow index."""
-    heap = [(q[0].vfinish, flow, 0) for flow, q in enumerate(queues) if q]
-    heapq.heapify(heap)
-    out = []
-    while heap and len(out) < count:
-        _, flow, pos = heapq.heappop(heap)
-        q = queues[flow]
-        out.append(q[pos])
-        if pos + 1 < len(q):
-            heapq.heappush(heap, (q[pos + 1].vfinish, flow, pos + 1))
-    return out

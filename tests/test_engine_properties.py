@@ -8,7 +8,8 @@ packet conservation, per-flow FIFO service, monotone stamps within a fluid
 busy period, the analytic bounds in verification mode (and the bound report
 against a per-packet loop over the event log), the busy intervals the fairness
 gauge reads, that ``pgps`` is ``mpgps`` at one server, and that every
-stamp-ordered decision equals a k-way merge of the queues made afresh.
+stamp-ordered decision from the kept head heap equals a k-way merge of the
+queues made afresh (``scheduling._smallest_stamps``).
 """
 import math
 
@@ -272,9 +273,9 @@ def test_expiry_skip_matches_a_scan_at_every_instant(system, rate, error_free):
 
 
 class MergeChecked(m.Engine):
-    """Checks every decision of a stamp-ordered run against ``oracles.stamp_merge``
-    on the queues as they stand, and, in a run that keeps a head heap, that the
-    heap holds exactly the queue heads. ``unsorted`` counts the decisions at
+    """Checks every decision of a stamp-ordered run against the k-way merge
+    ``scheduling._smallest_stamps`` on the queues as they stand, and that the
+    kept head heap holds exactly the queue heads. ``unsorted`` counts the decisions at
     which some queue holds a packet stamped below one ahead of it, as when a
     queue spans two fluid busy periods."""
 
@@ -283,9 +284,8 @@ class MergeChecked(m.Engine):
         self.decisions = self.unsorted = 0
 
     def _decide(self, t):
-        want = oracles.stamp_merge(self.queues, self.m_eff)
-        if self.heads is not None:
-            assert sorted(self.heads) == sorted(q[0] for q in self.queues if q)
+        want = m.scheduling._smallest_stamps(self.queues, self.m_eff)
+        assert sorted(self.queues.heads) == sorted(q[0] for q in self.queues if q)
         self.unsorted += any(a.vfinish > b.vfinish for q in self.queues
                              for a, b in zip(q, list(q)[1:]))
         decision = super()._decide(t)
@@ -308,8 +308,7 @@ def test_stamp_ordered_decisions_match_a_fresh_merge(system, rate, bucket, verif
     eng = MergeChecked(cfg, traffic, mode, 3000.0, collect_events=True, **run_kw)
     res = eng.run()
     assert eng.decisions == res.metrics.frames + (eng.inflight is not None)
-    # saturated runs keep no heap
-    assert (eng.heads is None) == traffic.infinite_backlog
+    assert isinstance(eng.queues, m.scheduling.HeadQueues)
 
 
 @pytest.mark.parametrize("servers", [1, 2, 3])
