@@ -25,27 +25,23 @@ arithmetic happens on the compressed K x N group matrix: column n stands for
 ``solve_transport`` call: every frame with one or two active rows goes
 through one stacked closed-form split, the frames with three or more through
 the lockstep exchange solver, and the call's objective is each frame's power
-per bit. The engine plans a channel-blind run (pgps or mpgps without a power
-budget) once its event loop has ended, ``engine.PLAN_STACK`` frames a call,
-since no decision reads its channel; an unbudgeted ampgps or ompgps run
-once per channel block; and a budgeted run at each frame's start, where the
-plan's mean power sets the power scale. ``allocate_frame`` is the one-frame
-form.
+per bit. ``allocate_frame`` is the one-frame form.
 
-A channel-blind run plans in a reused workspace: each thread keeps, per
-(K, N), one (S, K, N) stack each of powers, costs and slot counts, grown as
-needed and never shrunk, S at most ``RANK_BLOCK`` (``engine.PLAN_STACK``)
-frames. The engine draws a plan's powers into the leading frames of the
-powers stack (``workspace_powers``); ``solve_frames`` then builds the costs
-in the costs stack, and ``solve_transport`` the counts in the counts stack,
-which ``_solve_stack`` zero-fills. Fresh stacks of this size would be
-handed back to the kernel when freed and fault their pages in again on the
-next run. Only a plan whose powers lie in the workspace is built there, and
-only its counts are returned from it: ``allocate_frame`` and every solve on
-arrays of its caller's own return new arrays.
+A plan can be built in a reused workspace: each thread keeps, per (K, N),
+one fixed (``RANK_BLOCK``, K, N) stack each of powers, costs and slot
+counts, allocated once; pages never written take no memory. The caller
+draws a plan's powers into the leading frames of the powers stack
+(``workspace_powers``); ``solve_frames`` then builds the costs in the costs
+stack, and ``solve_transport`` the counts in the counts stack, which
+``_solve_stack`` zero-fills. Fresh stacks of this size would be handed back
+to the kernel when freed and fault their pages in again on the next plan.
+Only a plan whose powers lie in the workspace is built there, and only its
+counts are returned from it: ``allocate_frame`` and every solve on arrays of
+its caller's own return new arrays.
 
-The ranking of compositions and the frame plans share the split and the
-exchange solver but not their set-up. A plan finds its active rows and
+The ranking of compositions and the frame plans share the split, the
+exchange solver and the rule that finds each instance's active rows
+(``_active_rows``), but not their set-up. A plan finds its active rows and
 split counts from its quotas (``_solve_stack``). ``composition_value``
 ranks the compositions of one window shape from a ``RankTable`` built once
 per (batch size, occupancy, N) by ``rank_table`` and cached by the
@@ -79,8 +75,8 @@ PRICE_ROUNDS = 2
 
 # Compositions ranked per block by composition_value. Caps its (block, K, N)
 # count stack at ~1.3 MB for K=10, N=64, however many compositions a window
-# has; engine.PLAN_STACK caps a channel-blind run's plan stacks alike, and
-# so the plan workspace.
+# has. Each plan workspace stack holds this many frames, and so
+# engine.PLAN_STACK caps a channel-blind run's plan stacks alike.
 RANK_BLOCK = 256
 
 # Instances whose costs times counts solve_transport multiplies and sums in
@@ -286,18 +282,34 @@ def _exchange(costs: np.ndarray, quotas: np.ndarray, demand: np.ndarray) -> np.n
     return counts
 
 
+def _active_rows(active: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+    """Each instance's first and last active row in a (C, K) mask, and the
+    instances the exchange solver takes: for each active-row count k >= 3,
+    ascending, their indices and their (C_k, k) active rows."""
+    # array methods, not the np.* wrappers: on a stack of one frame the
+    # wrappers' dispatch costs as much as the arithmetic
+    first = active.argmax(axis=1)
+    last = active.shape[1] - 1 - active[:, ::-1].argmax(axis=1)
+    widths = active.sum(axis=1)
+    wide = []
+    for width in sorted(set(widths[widths > 2].tolist())):
+        members = np.flatnonzero(widths == width)
+        wide.append((members, active[members].nonzero()[1].reshape(-1, width)))
+    return first, last, wide
+
+
 def _solve_stack(costs: np.ndarray, quotas: np.ndarray, demand: np.ndarray,
                  counts: np.ndarray | None = None) -> np.ndarray:
     """Optimal (C, K, N) slot counts of a stack of transportation instances.
 
-    ``costs`` is one (K, N) matrix shared by every instance or a (C, K, N)
-    stack, ``quotas`` the (C, K) row supplies and ``demand`` the (C,) column
-    demands; nothing is validated. Every instance is split between its first
-    and last active rows in one ``_split_rows`` call, which is exact for one
-    or two active rows. The instances with three or more are grouped by
-    their active-row count k, and each group's (C_k, k, N) stack of active
-    rows is solved in lockstep by ``_exchange``. The counts go to a new
-    array, or to the int64 ``counts`` given, which is zero-filled first.
+    ``costs`` is the (C, K, N) stack, ``quotas`` the (C, K) row supplies and
+    ``demand`` the (C,) column demands; nothing is validated. Every instance
+    is split between its first and last active rows in one ``_split_rows``
+    call, which is exact for one or two active rows. The instances with
+    three or more are grouped by their active-row count k, and each group's
+    (C_k, k, N) stack of active rows is solved in lockstep by ``_exchange``.
+    The counts go to a new array, or to the int64 ``counts`` given, which is
+    zero-filled first.
     """
     c, k = quotas.shape
     if counts is None:
@@ -305,25 +317,15 @@ def _solve_stack(costs: np.ndarray, quotas: np.ndarray, demand: np.ndarray,
     else:
         counts.fill(0)
     each = np.arange(c)
-    active = quotas > 0
-    # array methods, not the np.* wrappers: on a stack of one frame the
-    # wrappers' dispatch costs as much as the arithmetic
-    first = active.argmax(axis=1)
-    last = k - 1 - active[:, ::-1].argmax(axis=1)
-    # a shared matrix is indexed by row alone: broadcasting it costs more
-    at_first, at_last = (first, last) if costs.ndim == 2 else ((each, first), (each, last))
-    top = _split_rows(costs[at_first], costs[at_last], quotas[each, first][:, None],
+    first, last, wide = _active_rows(quotas > 0)
+    top = _split_rows(costs[each, first], costs[each, last], quotas[each, first][:, None],
                       demand[:, None])
     counts[each, last] = demand[:, None] - top   # overwritten when last == first
     counts[each, first] = top
     # the split wrote only active rows, all of which the exchange solve rewrites
-    widths = active.sum(axis=1)
-    for width in sorted(set(widths[widths > 2].tolist())):
-        members = np.flatnonzero(widths == width)
-        rows = active[members].nonzero()[1].reshape(-1, width)
-        at = (rows,) if costs.ndim == 2 else (members[:, None], rows)
-        counts[members[:, None], rows] = _exchange(
-            costs[at], quotas[members[:, None], rows], demand[members])
+    for members, rows in wide:
+        at = (members[:, None], rows)
+        counts[at] = _exchange(costs[at], quotas[at], demand[members])
     return counts
 
 
@@ -346,22 +348,16 @@ _WORKSPACE = _Workspace()
 
 
 def workspace_powers(frames: int, k: int, n: int) -> np.ndarray:
-    """The first ``frames`` (K, N) matrices of this thread's powers stack, to
-    draw a plan's powers into; ``solve_frames`` plans them in the workspace.
-
-    Stacks too short for a plan are replaced by stacks of twice the plan's
-    frames, at most ``RANK_BLOCK`` unless the plan needs more, so runs a
-    little longer than the last allocate nothing; pages never written take
-    no memory.
-    What the stacks hold is valid until the next workspace plan of the same
-    (K, N) in this thread.
+    """The first ``frames`` (at most ``RANK_BLOCK``) (K, N) matrices of this
+    thread's powers stack, to draw a plan's powers into; ``solve_frames``
+    plans them in the workspace. What the stacks hold is valid until the
+    next workspace plan of the same (K, N) in this thread.
     """
     held = _WORKSPACE.stacks.get((k, n))
-    if held is None or len(held.powers) < frames:
-        size = max(frames, min(2 * frames, RANK_BLOCK))
-        held = _PlanStacks(np.empty((size, k, n)), np.empty((size, k, n)),
-                           np.empty((size, k, n), dtype=np.int64))
-        _WORKSPACE.stacks[(k, n)] = held
+    if held is None:
+        held = _WORKSPACE.stacks[(k, n)] = _PlanStacks(
+            np.empty((RANK_BLOCK, k, n)), np.empty((RANK_BLOCK, k, n)),
+            np.empty((RANK_BLOCK, k, n), dtype=np.int64))
     return held.powers[:frames]
 
 
@@ -453,22 +449,15 @@ def rank_table(table: np.ndarray, m_sel: int, n_subcarriers: int) -> RankTable:
         raise ValueError("empty composition")
     blocks = []
     for lo in range(0, len(table), RANK_BLOCK):
-        active = table[lo:lo + RANK_BLOCK] > 0
-        each = np.arange(len(active))
-        first = active.argmax(axis=1)
-        last = active.shape[1] - 1 - active[:, ::-1].argmax(axis=1)
-        widths = active.sum(axis=1)
-        wide = []
-        for width in sorted(set(widths[widths > 2].tolist())):
-            # kept in the smallest unsigned types that hold them
-            members = np.flatnonzero(widths == width)
-            pos = active[members].nonzero()[1].reshape(-1, width)
-            members = members.astype(np.min_scalar_type(len(active)))
-            pos = pos.astype(np.min_scalar_type(active.shape[1]))
-            wide.append((_read_only(members), _read_only(pos)))
-        blocks.append(RankBlock(_member_index(len(active)),
+        block = table[lo:lo + RANK_BLOCK]
+        first, last, wide = _active_rows(block > 0)
+        # kept in the smallest unsigned types that hold them
+        wide = tuple((_read_only(members.astype(np.min_scalar_type(len(block)))),
+                      _read_only(pos.astype(np.min_scalar_type(block.shape[1]))))
+                     for members, pos in wide)
+        blocks.append(RankBlock(_member_index(len(block)),
                                 _read_only(np.stack((first, last), axis=1)),
-                                _read_only(table[lo + each, first]), tuple(wide)))
+                                _read_only(block[np.arange(len(block)), first]), wide))
     return RankTable(_read_only(table), m_sel, _split_profiles(m_sel, n_subcarriers),
                      tuple(blocks))
 

@@ -20,7 +20,8 @@ it takes by their successors, and a drop scan or a requeued failure
 rebuilds the heap; ampgps and ompgps merge the queue heads afresh at each
 decision. Saturated traffic runs through the same loop with no arrivals:
 each selection tops every queue up, stamping the refills as they are
-queued, and the run stops at its frame cap.
+queued, and again if the drop scan leaves less than a batch queued; the run
+stops at its frame cap.
 
 Verification mode runs error free with deadlines disabled and audits the run
 against the fluid reference (and, for the opportunistic discipline, against
@@ -56,23 +57,24 @@ BOUND_EPS = 1e-6
 
 # Frames whose channel and power matrix a run that reads the channel while
 # it runs (ampgps, ompgps, or a power budget) builds in one pass, ahead of
-# its decisions. Drawing stays per frame (channel.STREAM_CHUNK sets how many
-# frames' seeds are hashed at once); the FFT, the |H|^2 scaling and the
-# inversion run once per block. A block holds no frame that cannot start:
-# none past a capped run's cap, and none that a Poisson run's horizon leaves
-# no room for at one-packet airtime. Blocks of 8 and 16 ran equally fast on
-# the power benchmark, and 32 cost more memory for no gain.
+# its decisions, and that a channel-blind run draws in one pass when it plans.
+# Drawing stays per frame (channel.STREAM_CHUNK sets how many frames' seeds
+# are hashed at once); the FFT, the |H|^2 scaling and the inversion run once
+# per block. A lookahead block holds no frame that cannot start: none past a
+# capped run's cap, and none that a Poisson run's horizon leaves no room for
+# at one-packet airtime. Blocks of 8 and 16 ran equally fast on the power
+# benchmark, and 32 cost more memory for no gain.
 CHANNEL_BLOCK = 16
 
 # Frames a channel-blind run (pgps or mpgps, unbudgeted, not verify) plans
-# in one solve_frames call once its event loop has ended. No decision reads
-# its channel, so it draws exactly the frames that started, CHANNEL_BLOCK
-# frames at a time into the plan workspace's power stack
-# (allocation.workspace_powers). On the power benchmark's config (~122
-# frames a drop, drops 1-80, best of 3 passes, 2-core host), plan stacks of
-# 256 ran ~6 % faster than stacks of 64, and one draw of the whole stack
-# held ~2.8 MB more at its peak (ru_maxrss 42.9 against 40.0 MB) for a
-# speed within the host's noise. 256 is also the solver's own stack cap.
+# in one solve_frames call: no decision reads its channel, so it draws and
+# plans its started frames only when this many wait, and the rest when its
+# event loop ends, into the plan workspace (allocation.workspace_powers).
+# On the power benchmark's config (~122 frames a drop, drops 1-80, best of 3
+# passes, 2-core host), plan stacks of 256 ran ~6 % faster than stacks of
+# 64, and one draw of the whole stack held ~2.8 MB more at its peak
+# (ru_maxrss 42.9 against 40.0 MB) for a speed within the host's noise.
+# 256 is also the solver's own stack cap and the workspace's stack size.
 PLAN_STACK = allocation.RANK_BLOCK
 
 # Arrivals the run converts to Python floats and ints at a time: it holds one
@@ -129,11 +131,12 @@ class FrameRecord:
     """One frame as scheduled and planned.
 
     The plan fields (per_bit_power, mean_power, energy) are filled when the
-    frame's plan is solved: at frame start in a budgeted run; in an ampgps
-    or ompgps run together with the rest of its channel block, at the latest
-    before ``Engine.run`` returns; in a channel-blind run (pgps or mpgps
-    without a budget) after its last event, ``PLAN_STACK`` frames at a time.
-    A verify run plans no frame and leaves them None.
+    frame's plan is solved (``Engine._plan``): at frame start in a budgeted
+    run; in an ampgps or ompgps run together with the rest of its channel
+    block; in a channel-blind run (pgps or mpgps without a budget) with the
+    rest of its ``PLAN_STACK`` frames, as the last of them starts. Frames
+    still waiting when the event loop ends are planned before ``Engine.run``
+    returns. A verify run plans no frame and leaves them None.
     """
 
     index: int
@@ -372,7 +375,7 @@ class Engine:
                 raise ValueError("bucket rate must be positive")
         self.need_channel = mode in (AMPGPS, OMPGPS) or not verify
         # no decision of an unbudgeted pgps or mpgps run reads the channel, so
-        # it draws and plans its frames after its last event
+        # it draws its frames only when it plans them
         self.channel_blind = (mode in (PGPS, MPGPS) and cfg.power_budget is None
                               and not verify)
         self.deadline_symbols = cfg.deadline_symbols
@@ -420,8 +423,8 @@ class Engine:
         # packet error rate at power scale per_scale
         self.per_scale = math.nan
         self.per = math.nan
-        # the started frames whose plans are not solved yet: those of the
-        # current channel block, or in a channel-blind run every started frame
+        # the started frames whose plans are not solved yet, all of the current
+        # channel block or, in a channel-blind run, of the current plan stack
         self.unplanned: list[FrameRecord] = []
 
         self.inflight: _InFlight | None = None
@@ -520,43 +523,37 @@ class Engine:
             return scheduling.ampgps_schedule(self.queues, cfg.M_max, powers, cfg)
         return scheduling.ompgps_schedule(self.queues, cfg.M, cfg.U, powers, cfg)
 
-    def _plan(self, recs: list[FrameRecord], powers: np.ndarray) -> None:
-        """Solve the plans of consecutive started frames from their power matrices."""
+    def _plan(self) -> None:
+        """Solve the plans of the waiting frames, which are consecutive, in one
+        ``solve_frames`` call. A channel-blind run draws and inverts them here,
+        ``CHANNEL_BLOCK`` frames at a time, into the plan workspace; any other
+        run reads them from its channel block."""
+        recs = self.unplanned
+        if not recs:
+            return
         cfg = self.cfg
+        lo = recs[0].index
+        if self.channel_blind:
+            powers = allocation.workspace_powers(len(recs), cfg.K, cfg.N)
+            for at in range(0, len(recs), CHANNEL_BLOCK):
+                count = min(CHANNEL_BLOCK, len(recs) - at)
+                powers[at:at + count] = allocation.frame_powers(
+                    self.channel.block(lo + at, count), self.budget)
+        else:
+            powers = self.block_powers[lo - self.block_lo:][:len(recs)]
         layouts = [allocation.frame_layout(rec.g, cfg) for rec in recs]
         _, per_bit, energy, mean_power = allocation.solve_frames(layouts, powers, cfg)
         for rec, p, e, w in zip(recs, per_bit.tolist(), energy.tolist(), mean_power.tolist()):
             rec.per_bit_power = p
             rec.energy = e
             rec.mean_power = w
-
-    def _solve_unplanned(self) -> None:
-        """Solve the plans of the waiting frames, which are consecutive frames of one block."""
-        if not self.unplanned:
-            return
-        lo = self.unplanned[0].index - self.block_lo
-        self._plan(self.unplanned, self.block_powers[lo:lo + len(self.unplanned)])
-        self.unplanned.clear()
-
-    def _plan_blind(self) -> None:
-        """Draw, invert and plan every started frame of a channel-blind run,
-        ``PLAN_STACK`` frames at a time; the waiting frames are frames 0, 1, ..."""
-        cfg = self.cfg
-        for lo in range(0, len(self.unplanned), PLAN_STACK):
-            pending = self.unplanned[lo:lo + PLAN_STACK]
-            powers = allocation.workspace_powers(len(pending), cfg.K, cfg.N)
-            for at in range(0, len(pending), CHANNEL_BLOCK):
-                count = min(CHANNEL_BLOCK, len(pending) - at)
-                powers[at:at + count] = allocation.frame_powers(
-                    self.channel.block(lo + at, count), self.budget)
-            self._plan(pending, powers)
-        self.unplanned.clear()
+        recs.clear()
 
     def _frame_powers(self, t: float) -> np.ndarray:
         """The (K, N) power matrix of the frame about to start at t."""
         f = self.frames_started
         if f - self.block_lo >= len(self.block_powers):
-            self._solve_unplanned()
+            self._plan()
             size = min(CHANNEL_BLOCK, self.frame_cap - f)
             if self.horizon < math.inf:
                 # frames start no later than the horizon, one shortest airtime apart at least
@@ -579,10 +576,14 @@ class Engine:
 
     def _instant(self, t: float) -> None:
         """Start a frame at t; the run enters only with a packet queued or refillable."""
-        if self.traffic.infinite_backlog:
+        saturated = self.traffic.infinite_backlog
+        if saturated:
             self._refill(t)
         if t >= self.next_expiry:     # never true without deadlines
             self._drop_expired(t)
+            # drops can leave a saturated run less than its smallest batch
+            if saturated and sum(map(len, self.queues)) < min(self.airtime):
+                self._refill(t)
             if self.head_heap:
                 self.queues.rebuild()
             if not any(self.queues):
@@ -601,10 +602,12 @@ class Engine:
             if budget is not None:
                 # a budgeted frame is planned now: its mean power sets the
                 # power scale its packets are sent at
-                self._solve_unplanned()
+                self._plan()
                 if rec.mean_power > budget:
                     rec.scale = budget / rec.mean_power
                     rec.energy *= rec.scale
+            elif len(self.unplanned) == PLAN_STACK:     # only a channel-blind run's grows so long
+                self._plan()
         for pkt in decision.chosen:        # each flow's chosen packets head its queue
             self.queues[pkt.flow].popleft()
         self.inflight = _InFlight(rec, decision.chosen)
@@ -699,10 +702,7 @@ class Engine:
                 if t > self.horizon:
                     break
                 self._finish_frame(t)
-        if self.channel_blind:
-            self._plan_blind()
-        else:
-            self._solve_unplanned()
+        self._plan()
         if saturated:
             self.horizon = self.frames[-1].depart if self.frames else 0.0
         return self._finalise()

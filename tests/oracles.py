@@ -223,7 +223,8 @@ def composition_values_stacked(powers: np.ndarray, gs, n_subcarriers: int,
     slot_power = np.empty(len(gs))
     for lo in range(0, len(gs), RANK_BLOCK):
         block = gs[lo:lo + RANK_BLOCK]
-        counts = _solve_stack(powers, block * n_subcarriers, m_sel[lo:lo + RANK_BLOCK])
+        counts = _solve_stack(np.broadcast_to(powers, (len(block), *powers.shape)),
+                              block * n_subcarriers, m_sel[lo:lo + RANK_BLOCK])
         slot_power[lo:lo + RANK_BLOCK] = (powers * counts).sum(axis=(1, 2))
     return slot_power / (n_subcarriers * r * m_sel)
 

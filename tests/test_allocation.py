@@ -659,9 +659,10 @@ class TestFrameLayoutCache:
 
 class TestDeferredPlans:
     """An unbudgeted ampgps or ompgps run plans a channel block at a time, and
-    a channel-blind run (pgps or mpgps without a budget) plans every started
-    frame after its last event; every frame must still carry the plan a
-    solve at its own start gives."""
+    a channel-blind run (pgps or mpgps without a budget) plans its started
+    frames ``PLAN_STACK`` at a time as they start, the rest after its last
+    event; every frame must still carry the plan a solve at its own start
+    gives."""
 
     def run_capturing_powers(self, monkeypatch, engine):
         blocks = []
@@ -725,8 +726,8 @@ class TestDeferredPlans:
 
     def test_channel_blind_run_draws_after_its_last_event(self, monkeypatch):
         # no decision of an unbudgeted mpgps run reads the channel: it draws
-        # and inverts exactly its started frames, from frame 0 on, once its
-        # event loop is over
+        # and inverts exactly its started frames, from frame 0 on, and a run
+        # of fewer than PLAN_STACK frames does so once its event loop is over
         cfg = m.SystemConfig(K=10, N=64, L=1024, r=2, M=4, seed=4)
         eng = m.Engine(cfg, m.TrafficModel(rate_bps=50000.0), "mpgps", 1500.0)
         log = []
@@ -763,6 +764,45 @@ class TestDeferredPlans:
         assert any(np.count_nonzero(f.g) >= 3 for f in res.frames[m.engine.PLAN_STACK:])
         gains = m.ChannelProcess(cfg).block(0, eng.frames_started)
         assert powers.tolist() == m.frame_powers(gains, m.link_budget(cfg)).tolist()
+        self.check_plans(res, powers)
+
+    def test_long_blind_run_plans_each_full_stack_as_it_fills(self, monkeypatch):
+        # past 2 * PLAN_STACK frames: every full stack is drawn and planned
+        # while the event loop runs, the rest once it ends
+        cfg = m.SystemConfig(K=10, N=64, L=1024, r=2, M=4, seed=4, time_corr=0.9)
+        eng = m.Engine(cfg, m.TrafficModel(rate_bps=50000.0), "mpgps", 12000.0)
+        log = []
+        real_finish = eng._finish_frame
+        monkeypatch.setattr(eng, "_finish_frame", lambda t: log.append("end") or real_finish(t))
+        real_block = eng.channel.block
+        monkeypatch.setattr(eng.channel, "block", lambda lo, count: log.append((lo, count))
+                            or real_block(lo, count))
+        stacks = []
+        real_solve = allocation.solve_frames
+        monkeypatch.setattr(allocation, "solve_frames", lambda layouts, powers, cfg:
+                            stacks.append(len(layouts)) or real_solve(layouts, powers, cfg))
+        res, powers = self.run_capturing_powers(monkeypatch, eng)
+        full, rest = divmod(eng.frames_started, m.engine.PLAN_STACK)
+        assert full >= 2 and rest > 0
+        assert stacks == [m.engine.PLAN_STACK] * full + [rest]
+        drawn = [entry for entry in log if entry != "end"]
+        assert [lo for lo, _ in drawn] == np.cumsum([0] + [c for _, c in drawn[:-1]]).tolist()
+        assert sum(count for _, count in drawn) == len(powers) == eng.frames_started
+        # the first stack is drawn when its last frame starts, before that frame ends
+        assert log.index(drawn[0]) == m.engine.PLAN_STACK - 1
+        gains = m.ChannelProcess(cfg).block(0, eng.frames_started)
+        assert powers.tolist() == m.frame_powers(gains, m.link_budget(cfg)).tolist()
+        self.check_plans(res, powers)
+
+    def test_budgeted_ompgps_plans_hold_across_channel_blocks(self, monkeypatch):
+        cfg = m.SystemConfig(K=10, N=64, L=1024, r=2, M=4, U=6, seed=4, time_corr=0.9)
+        free = m.run(cfg, m.TrafficModel(rate_bps=50000.0), "ompgps", 1500.0)
+        cap = float(np.median([f.mean_power for f in free.frames]))
+        eng = m.Engine(replace(cfg, power_budget=cap), m.TrafficModel(rate_bps=50000.0),
+                       "ompgps", 1500.0)
+        res, powers = self.run_capturing_powers(monkeypatch, eng)
+        assert eng.frames_started > 3 * m.engine.CHANNEL_BLOCK
+        assert any(f.scale < 1.0 for f in res.frames)
         self.check_plans(res, powers)
 
     def test_frame_cap_not_a_multiple_of_the_block(self, monkeypatch):

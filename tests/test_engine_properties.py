@@ -259,6 +259,10 @@ class ExpiryChecked(m.Engine):
 # the packets queued at 0 expire at 16 symbols, exactly at the fifth instant
 @example((m.SystemConfig(K=4, N=8, L=64, r=2, M=1, U=4, deadline=0.0032, seed=1),
           m.TrafficModel(infinite_backlog=True), "mpgps", {"max_frames": 12}), None, True)
+# failures expire until the lone queue holds less than a batch: it is refilled
+@example((m.SystemConfig(K=1, N=8, L=64, r=2, M=3, U=3, weights=(0.5,), target_ber=1e-2,
+                         deadline=0.01, seed=192),
+          m.TrafficModel(infinite_backlog=True), "mpgps", {"max_frames": 8}), None, False)
 def test_expiry_skip_matches_a_scan_at_every_instant(system, rate, error_free):
     cfg, traffic, mode, run_kw = system
     if rate is not None and not traffic.infinite_backlog:
@@ -298,6 +302,10 @@ class MergeChecked(m.Engine):
 @settings(max_examples=60, deadline=None)
 @given(systems(), st.sampled_from([None, 20000.0]),
        st.sampled_from([None, (64.0, 10000.0), (256.0, 30000.0)]), st.booleans())
+# failures expire until the lone queue holds less than a batch: it is refilled
+@example((m.SystemConfig(K=1, N=8, L=64, r=2, M=3, U=3, weights=(0.5,), target_ber=1e-2,
+                         deadline=0.01, seed=192),
+          m.TrafficModel(infinite_backlog=True), "mpgps", {"max_frames": 8}), None, None, False)
 def test_stamp_ordered_decisions_match_a_fresh_merge(system, rate, bucket, verify):
     cfg, traffic, mode, run_kw = system
     assume(mode in ("pgps", "mpgps"))

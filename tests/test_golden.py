@@ -55,6 +55,13 @@ see a queue whose packets were stamped in two fluid busy periods, so a
 packet behind the head can carry the smaller stamp. Its ``run`` output is
 stored under ``tests/golden/requeue/``.
 
+``tests/golden/saturated_deadline.json`` (K=10, N=64, L=1024, M = U = M_max
+= 4; pgps, mpgps, ampgps and ompgps, infinite backlog, 300 frames, target
+BER 1e-2 and a 2 ms deadline) pins saturated runs whose deadlines drain the
+queues: almost every packet fails and expires, and each queue drained below
+a batch is refilled before the decision. Its ``run`` output is stored under
+``tests/golden/saturated_deadline/``.
+
 To re-record after an intended output change, run each command with
 ``--out tests/golden/<command>`` (``run tests/golden/events.json --out
 tests/golden/events`` for the event logs, ``check-bounds
@@ -64,7 +71,9 @@ run, ``run tests/golden/power.json --out tests/golden/power`` for the power
 run, ``run tests/golden/long_power.json --out tests/golden/long_power`` for
 the long power runs, ``check-bounds tests/golden/rank.json --out
 tests/golden/rank`` for the ranking, ``run tests/golden/requeue.json --out
-tests/golden/requeue`` for the requeues) and commit the diff with its reason.
+tests/golden/requeue`` for the requeues, ``run tests/golden/saturated_deadline.json
+--out tests/golden/saturated_deadline`` for the drained saturated runs) and
+commit the diff with its reason.
 """
 from pathlib import Path
 
@@ -153,3 +162,10 @@ def test_requeue_runs_match_golden(tmp_path):
     assert cli.main(["run", str(GOLDEN / "requeue.json"), "--out", str(out)]) == 0
     names = _assert_same_files(out, GOLDEN / "requeue")
     assert names == ["aggregate.csv", *(f"events_p{p}_r0.csv" for p in range(4)), "runs.csv"]
+
+
+def test_saturated_runs_drained_by_deadlines_match_golden(tmp_path):
+    out = tmp_path / "saturated_deadline"
+    assert cli.main(["run", str(GOLDEN / "saturated_deadline.json"), "--out", str(out)]) == 0
+    names = _assert_same_files(out, GOLDEN / "saturated_deadline")
+    assert names == ["aggregate.csv", "runs.csv"]

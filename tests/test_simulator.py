@@ -438,6 +438,24 @@ class TestSaturatedMode:
         assert tput[0] > 0.0
         assert tput == [tput[0]] * 3
 
+    @pytest.mark.parametrize("mode", ["pgps", "mpgps", "ampgps", "ompgps"])
+    @pytest.mark.parametrize("system, frames", [
+        # a lone flow's failures expire: the backlog falls below a batch of 3
+        (dict(K=1, N=8, L=64, r=2, M=3, U=3, weights=(0.5,), target_ber=1e-2,
+              deadline=0.010, seed=192), 8),
+        # every queued packet expires at once: the queues drain
+        (dict(K=10, N=64, L=1024, r=2, M=4, U=4, M_max=4, target_ber=1e-2,
+              deadline=0.002, seed=3), 300),
+    ])
+    def test_queues_drained_by_deadlines_are_refilled(self, system, frames, mode):
+        eng = m.Engine(m.SystemConfig(**system), m.TrafficModel(infinite_backlog=True),
+                       mode, 1.0, max_frames=frames)
+        res = eng.run()
+        assert len(res.frames) == frames
+        assert all(f.m_sel >= min(eng.airtime) for f in res.frames)
+        queued = sum(map(len, eng.queues)) + (len(eng.inflight.members) if eng.inflight else 0)
+        assert eng.n_arrivals == eng.n_delivered + eng.n_dropped + queued
+
     def test_requires_max_frames(self):
         with pytest.raises(ValueError):
             m.run(compact(), m.TrafficModel(infinite_backlog=True), "mpgps",
