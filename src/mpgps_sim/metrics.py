@@ -63,11 +63,11 @@ def service_curves(spans, g: np.ndarray, packet_bits: int):
     Returns a list of (times, bits) breakpoint arrays, one per flow; every
     flow shares one ``times`` array.
     """
-    spans = list(spans)
-    if not spans:
+    # start, depart, start, ...
+    times = np.fromiter(itertools.chain.from_iterable(spans), float, 2 * len(g))
+    if not times.size:
         zero = np.zeros(1)
         return [(zero, zero.copy()) for _ in range(g.shape[1])]
-    times = np.array(spans, dtype=float).ravel()      # start, depart, start, ...
     cum = (np.cumsum(g, axis=0) * packet_bits).T      # (K, F), exact in float
     bits = np.zeros((g.shape[1], len(times)))
     bits[:, 1::2] = cum

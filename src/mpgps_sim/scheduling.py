@@ -4,9 +4,11 @@ Three ways to pick the next batch:
 
 * mpgps: take the min(M, backlog) queued packets with the smallest virtual
   finishing stamps; with M = 1 this is classic packetised fair queueing.
-  Queues kept in ``HeadQueues`` carry a heap of their head packets that
+  A run keeps its queues in ``HeadQueues``, whose heap of head packets
   lives across decisions, as packet-by-packet fair queueing keeps one
-  priority queue of flow heads; plain queues are k-way merged from scratch.
+  priority queue of flow heads; ``HeadQueues.take`` pops the batch off it.
+  ``select_mpgps`` k-way merges plain queues from scratch, for the
+  opportunistic audit's stamp-ordered shadow.
 * ampgps: grow the batch one server at a time, keeping the cheapest
   power-per-bit batch seen so far, and stop as soon as adding a server no
   longer strictly helps.
@@ -94,8 +96,8 @@ class HeadQueues(list):
     packet of each non-empty queue; a ``Packet`` orders as (stamp, flow, seq).
 
     The heap is kept whole through the container: ``admit`` queues a packet
-    (pushing it if its queue was empty), ``take`` hands out the heads a
-    decision chooses and puts each one's successor in its place, and
+    (pushing it if its queue was empty), ``take`` pops the heads a decision
+    chooses off their queues and puts each one's successor in its place, and
     ``rebuild`` follows any other change at a queue head (a drop, a failed
     packet requeued in front). Heads are never re-seeded lazily: a flow's
     stamps restart with each fluid busy period, so a packet behind the head
@@ -119,18 +121,19 @@ class HeadQueues(list):
         heapq.heapify(self.heads)
 
     def take(self, count: int) -> tuple[list[Packet], tuple[int, ...]]:
-        """``_smallest_stamps`` read off the head heap, and the packets per
-        flow. The heap then holds the heads left once the caller pops the
-        taken packets off their queues, which it must do before the next call."""
+        """Pop the stamp-ordered batch of up to ``count`` packets, the packets
+        ``_smallest_stamps`` gives, off the head heap and their queues; return
+        it and the packets per flow."""
         heads = self.heads
         out: list[Packet] = []
         g = [0] * len(self)
         while heads and len(out) < count:
             pkt = heads[0]
             q = self[pkt.flow]
-            pos = g[pkt.flow] = g[pkt.flow] + 1
-            if pos < len(q):
-                heapq.heapreplace(heads, q[pos])
+            q.popleft()
+            g[pkt.flow] += 1
+            if q:
+                heapq.heapreplace(heads, q[0])
             else:
                 heapq.heappop(heads)
             out.append(pkt)
@@ -145,19 +148,13 @@ def _per_flow(packets: list[Packet], k: int) -> tuple[int, ...]:
 
 
 def select_mpgps(queues: list[deque[Packet]], m: int) -> ScheduleDecision:
-    """Stamp-ordered batch of up to ``m`` packets. ``HeadQueues`` are read off
-    their head heap (``HeadQueues.take``), so the caller must pop the chosen
-    packets off their queues before the next call."""
+    """Stamp-ordered batch of up to ``m`` packets, merged afresh from the queues."""
     if m < 1:
         raise ValueError("m must be positive")
-    if isinstance(queues, HeadQueues):
-        chosen, g = queues.take(m)
-    else:
-        chosen = _smallest_stamps(queues, m)
-        g = _per_flow(chosen, len(queues))
+    chosen = _smallest_stamps(queues, m)
     if not chosen:
         raise ValueError("nothing queued")
-    return ScheduleDecision(g, chosen)
+    return ScheduleDecision(_per_flow(chosen, len(queues)), chosen)
 
 
 def compositions(total: int, bounds) -> list[tuple[int, ...]]:

@@ -61,6 +61,11 @@ class GpsReference:
     The clock ``V`` is piecewise linear: between events it grows at
     rate/weight_sum per symbol, so one unit of virtual time is one bit of
     service per unit weight, and it holds still while nothing is backlogged.
+
+    One ``stamp`` call stamps a whole arrival trace or a saturated run's
+    top-up. It, its one-arrival case ``on_arrival`` and ``drain``, which runs
+    the departure step to the end, share the one copy of this arithmetic
+    (``_advance``); ``_restart`` is the one place a busy period restarts.
     """
 
     def __init__(self, weights, rate: float, bits: int, record: bool = False):
@@ -83,89 +88,122 @@ class GpsReference:
         self._seg_phi: list[float] = []
         self._mask = 0
 
-    # -- internal bookkeeping ------------------------------------------------
-
     def _restart(self, t: float) -> None:
         """Start a busy period at ``t``, stamps from zero; weight_sum is already 0."""
         self.V = 0.0
         self.t_last = t
         self.prev_finish = [0.0] * len(self.weights)
 
-    def _snapshot(self, t: float, mask: int, weight_sum: float) -> None:
-        """Record the service rates from ``t`` on; called only when recording."""
-        if self._seg_t and self._seg_t[-1] == t:
-            # collapse zero-length segments in place
-            self._seg_mask[-1] = mask
-            self._seg_phi[-1] = weight_sum
-            return
-        self._seg_t.append(t)
-        self._seg_mask.append(mask)
-        self._seg_phi.append(weight_sum)
-
-    def _pop_departures_until(self, t: float) -> None:
-        """Process every fluid departure not later than real time ``t``."""
-        heap, rate = self._heap, self.rate
+    def _advance(self, events) -> list[float]:
+        """Run the fluid system through ``events``, (time, flow) pairs in time
+        order, and return the stamps of the packets they add. Each event first
+        settles the fluid departures due by its time; a flow of None adds no
+        packet. The state lives in locals and is written back once."""
+        heap, rate, weights, lengths = self._heap, self.rate, self.weights, self.lengths
+        pending, record = self.pending, self._record
+        departures, flow_log = self.departures, self.flows
+        seg_t, seg_mask, seg_phi = self._seg_t, self._seg_mask, self._seg_phi
+        seg_last = seg_t[-1] if seg_t else math.nan      # the last segment's start
         V, t_last, weight_sum, mask = self.V, self.t_last, self.weight_sum, self._mask
-        while heap:
-            f_min = heap[0][0]
-            # a queued packet keeps its flow's weight in weight_sum, so the
-            # clock is running here and reaches f_min at t_dep >= t_last
-            t_dep = max(t_last + (f_min - V) * weight_sum / rate, t_last)
-            if t_dep > t:
-                break
-            # advance the clock to t_dep, where it provably reaches f_min: clamp out roundoff
-            if weight_sum > 0.0:
-                V += rate * (t_dep - t_last) / weight_sum
-            t_last = t_dep
-            V = max(V, f_min)
-            while heap and heap[0][0] <= V:
-                _, flow, index = heapq.heappop(heap)
-                if self._record:
-                    self.departures[index] = t_dep
-                self.pending[flow] -= 1
-                if self.pending[flow] == 0:
-                    weight_sum -= self.weights[flow]
-                    mask &= ~(1 << flow)
-            if mask == 0:
-                weight_sum = 0.0
-                self.idle_since = t_dep
-            if self._record:
-                self._snapshot(t_dep, mask, weight_sum)
-        self.V, self.t_last, self.weight_sum, self._mask = V, t_last, weight_sum, mask
+        prev_finish, idle_since, arrived = self.prev_finish, self.idle_since, self.arrived
+        heappop, heappush = heapq.heappop, heapq.heappush
+        # each max(a, b) below is written as a comparison, which picks the
+        # value max() picks and costs less than the call
+        stamps: list[float] = []
+        try:
+            for t, flow in events:
+                while heap:
+                    f_min = heap[0][0]
+                    # a queued packet keeps its flow's weight in weight_sum, so the
+                    # clock is running here and reaches f_min at t_dep >= t_last
+                    t_dep = t_last + (f_min - V) * weight_sum / rate
+                    if t_last > t_dep:
+                        t_dep = t_last
+                    if t_dep > t:
+                        break
+                    # advance the clock to t_dep, where it provably reaches f_min: clamp out roundoff
+                    if weight_sum > 0.0:
+                        V += rate * (t_dep - t_last) / weight_sum
+                    t_last = t_dep
+                    if f_min > V:
+                        V = f_min
+                    while heap and heap[0][0] <= V:
+                        _, done, index = heappop(heap)
+                        if record:
+                            departures[index] = t_dep
+                        pending[done] -= 1
+                        if pending[done] == 0:
+                            weight_sum -= weights[done]
+                            mask &= ~(1 << done)
+                    if mask == 0:
+                        weight_sum = 0.0
+                        idle_since = t_dep
+                    if record:
+                        if seg_last == t_dep:
+                            # collapse zero-length segments in place
+                            seg_mask[-1] = mask
+                            seg_phi[-1] = weight_sum
+                        else:
+                            seg_t.append(t_dep)
+                            seg_mask.append(mask)
+                            seg_phi.append(weight_sum)
+                            seg_last = t_dep
+                if flow is None:
+                    break
+                if mask == 0 and idle_since is not None and t > idle_since:
+                    self._restart(t)
+                    V, t_last, prev_finish = self.V, self.t_last, self.prev_finish
+                else:
+                    # advance the clock to t, with no event in between
+                    if t < t_last:
+                        raise ValueError("arrivals must come in time order")
+                    if weight_sum > 0.0:
+                        V += rate * (t - t_last) / weight_sum
+                    t_last = t
+                vfinish = prev_finish[flow]
+                if V > vfinish:
+                    vfinish = V
+                vfinish += lengths[flow]
+                prev_finish[flow] = vfinish
+                if pending[flow] == 0:
+                    weight_sum += weights[flow]
+                    mask |= 1 << flow
+                pending[flow] += 1
+                idle_since = None
+                heappush(heap, (vfinish, flow, arrived))
+                arrived += 1
+                if record:
+                    departures.append(math.nan)
+                    flow_log.append(flow)
+                    if seg_last == t:
+                        seg_mask[-1] = mask
+                        seg_phi[-1] = weight_sum
+                    else:
+                        seg_t.append(t)
+                        seg_mask.append(mask)
+                        seg_phi.append(weight_sum)
+                        seg_last = t
+                stamps.append(vfinish)
+        finally:
+            self.V, self.t_last, self.weight_sum, self._mask = V, t_last, weight_sum, mask
+            self.prev_finish, self.idle_since, self.arrived = prev_finish, idle_since, arrived
+        return stamps
 
     # -- public interface ----------------------------------------------------
 
+    def stamp(self, times, flows) -> list[float]:
+        """Add packets of ``flows`` arriving at ``times``, in time order; return
+        their finishing stamps. Calls carry on from one another, so a trace
+        may come in one call or in several."""
+        return self._advance(zip(times, flows))
+
     def on_arrival(self, t: float, flow: int) -> float:
         """Add a packet of ``flow`` arriving at ``t``; return its finishing stamp."""
-        if self._heap:
-            self._pop_departures_until(t)
-        if self._mask == 0 and self.idle_since is not None and t > self.idle_since:
-            self._restart(t)
-        else:
-            # advance the clock to t, with no event in between
-            if t < self.t_last:
-                raise ValueError("arrivals must come in time order")
-            if self.weight_sum > 0.0:
-                self.V += self.rate * (t - self.t_last) / self.weight_sum
-            self.t_last = t
-        vfinish = max(self.prev_finish[flow], self.V) + self.lengths[flow]
-        self.prev_finish[flow] = vfinish
-        if self.pending[flow] == 0:
-            self.weight_sum += self.weights[flow]
-            self._mask |= 1 << flow
-        self.pending[flow] += 1
-        self.idle_since = None
-        heapq.heappush(self._heap, (vfinish, flow, self.arrived))
-        self.arrived += 1
-        if self._record:
-            self.departures.append(math.nan)
-            self.flows.append(flow)
-            self._snapshot(t, self._mask, self.weight_sum)
-        return vfinish
+        return self._advance(((t, flow),))[0]
 
     def drain(self) -> None:
         """Run the fluid system to completion (no more arrivals)."""
-        self._pop_departures_until(math.inf)
+        self._advance(((math.inf, None),))
 
     def trace(self) -> GpsTrace:
         arrays = {"departures": np.asarray(self.departures, dtype=float),

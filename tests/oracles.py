@@ -2,7 +2,9 @@
 
 ``brute_force_ilp`` enumerates tiny transportation instances exhaustively,
 the reference for the exact solver's optimality (acceptance criterion 5).
-``gps_simulate`` runs the online fluid reference over a whole arrival trace.
+``gps_simulate`` runs the online fluid reference over a whole arrival trace,
+and ``GpsPerArrival`` is that reference stepped one arrival at a time, the
+frozen reference for the batch ``GpsReference.stamp``.
 ``busy_intervals`` sweeps a flow's (+1/-1) in-system events after the run,
 the reference for the engine's busy-interval tracker, and ``group_size_search``
 tries every divisor of the airtime, the reference for ``model.group_size``.
@@ -22,6 +24,7 @@ package, as ampgps ranks a prefix.
 """
 from __future__ import annotations
 
+import heapq
 import math
 
 import numpy as np
@@ -84,10 +87,111 @@ def gps_simulate(arrivals, weights, rate: float, bits: int) -> tuple[list[float]
     each packet's finishing stamp, exactly as the online reference gives it,
     and the trace, both in the order of ``arrivals``.
     """
+    arrivals = list(arrivals)
     ref = GpsReference(weights, rate, bits, record=True)
-    stamps = [ref.on_arrival(t, flow) for t, flow in arrivals]
+    stamps = ref.stamp([t for t, _ in arrivals], [flow for _, flow in arrivals])
     ref.drain()
     return stamps, ref.trace()
+
+
+class GpsPerArrival:
+    """The fluid reference stepped one arrival at a time, by method calls:
+    each arrival settles the departures due by its time
+    (``_pop_departures_until``), moves the clock or restarts the busy period,
+    and records its segment (``_snapshot``). Same state and float operations,
+    in the same order, as ``GpsReference.stamp``; its recorded lists keep
+    ``GpsReference``'s names.
+    """
+
+    def __init__(self, weights, rate: float, bits: int, record: bool = False):
+        self.weights = tuple(float(w) for w in weights)
+        self.rate = float(rate)
+        self.lengths = [bits / w for w in self.weights]
+        self.V = 0.0
+        self.t_last = 0.0
+        self.weight_sum = 0.0
+        self.prev_finish = [0.0] * len(self.weights)
+        self.pending = [0] * len(self.weights)
+        self._heap: list[tuple[float, int, int]] = []
+        self.arrived = 0
+        self.departures: list[float] = []
+        self.flows: list[int] = []
+        self.idle_since: float | None = 0.0
+        self._record = record
+        self._seg_t: list[float] = []
+        self._seg_mask: list[int] = []
+        self._seg_phi: list[float] = []
+        self._mask = 0
+
+    def _restart(self, t: float) -> None:
+        self.V = 0.0
+        self.t_last = t
+        self.prev_finish = [0.0] * len(self.weights)
+
+    def _snapshot(self, t: float, mask: int, weight_sum: float) -> None:
+        if self._seg_t and self._seg_t[-1] == t:
+            self._seg_mask[-1] = mask
+            self._seg_phi[-1] = weight_sum
+            return
+        self._seg_t.append(t)
+        self._seg_mask.append(mask)
+        self._seg_phi.append(weight_sum)
+
+    def _pop_departures_until(self, t: float) -> None:
+        heap, rate = self._heap, self.rate
+        V, t_last, weight_sum, mask = self.V, self.t_last, self.weight_sum, self._mask
+        while heap:
+            f_min = heap[0][0]
+            t_dep = max(t_last + (f_min - V) * weight_sum / rate, t_last)
+            if t_dep > t:
+                break
+            if weight_sum > 0.0:
+                V += rate * (t_dep - t_last) / weight_sum
+            t_last = t_dep
+            V = max(V, f_min)
+            while heap and heap[0][0] <= V:
+                _, flow, index = heapq.heappop(heap)
+                if self._record:
+                    self.departures[index] = t_dep
+                self.pending[flow] -= 1
+                if self.pending[flow] == 0:
+                    weight_sum -= self.weights[flow]
+                    mask &= ~(1 << flow)
+            if mask == 0:
+                weight_sum = 0.0
+                self.idle_since = t_dep
+            if self._record:
+                self._snapshot(t_dep, mask, weight_sum)
+        self.V, self.t_last, self.weight_sum, self._mask = V, t_last, weight_sum, mask
+
+    def on_arrival(self, t: float, flow: int) -> float:
+        if self._heap:
+            self._pop_departures_until(t)
+        if self._mask == 0 and self.idle_since is not None and t > self.idle_since:
+            self._restart(t)
+        else:
+            if t < self.t_last:
+                raise ValueError("arrivals must come in time order")
+            if self.weight_sum > 0.0:
+                self.V += self.rate * (t - self.t_last) / self.weight_sum
+            self.t_last = t
+        vfinish = max(self.prev_finish[flow], self.V) + self.lengths[flow]
+        self.prev_finish[flow] = vfinish
+        if self.pending[flow] == 0:
+            self.weight_sum += self.weights[flow]
+            self._mask |= 1 << flow
+        self.pending[flow] += 1
+        self.idle_since = None
+        heapq.heappush(self._heap, (vfinish, flow, self.arrived))
+        self.arrived += 1
+        if self._record:
+            self.departures.append(math.nan)
+            self.flows.append(flow)
+            self._snapshot(t, self._mask, self.weight_sum)
+        return vfinish
+
+    def drain(self) -> None:
+        self._pop_departures_until(math.inf)
 
 
 def busy_intervals(events, end_time: float):

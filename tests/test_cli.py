@@ -17,7 +17,7 @@ import mpgps_sim.cli as cli
 import mpgps_sim.engine as engine_mod
 from mpgps_sim import scheduling
 from mpgps_sim.model import SystemConfig
-from mpgps_sim.scheduling import BoundViolation, ScheduleDecision
+from mpgps_sim.scheduling import BoundViolation
 
 
 def write_cfg(tmp_path, name="scenario.json", **sections):
@@ -663,16 +663,17 @@ class TestCheckBounds:
     def test_starving_selector_is_caught(self, tmp_path, monkeypatch, capsys):
         # mutation: always serve the flow whose head stamp is LARGEST, which
         # starves earlier stamps and breaks the delay bound under backlog
-        def worst_flow_select(queues, count):
+        def worst_flow_take(queues, count):
             worst = max((k for k, q in enumerate(queues) if q),
                         key=lambda k: queues[k][0].vfinish)
             take = min(count, len(queues[worst]))
             g = [0] * len(queues)
             g[worst] = take
-            chosen = [queues[worst][i] for i in range(take)]
-            return ScheduleDecision(g=tuple(g), chosen=chosen)
+            chosen = [queues[worst].popleft() for _ in range(take)]
+            queues.rebuild()
+            return chosen, tuple(g)
 
-        monkeypatch.setattr(engine_mod, "select_mpgps", worst_flow_select)
+        monkeypatch.setattr(scheduling.HeadQueues, "take", worst_flow_take)
         sections = {
             "system": {"K": 3, "N": 8, "L": 64, "r": 2, "seed": 5},
             "traffic": {"rate_bps": 20000.0},

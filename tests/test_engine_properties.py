@@ -11,6 +11,7 @@ gauge reads, that ``pgps`` is ``mpgps`` at one server, and that every
 stamp-ordered decision from the kept head heap equals a k-way merge of the
 queues made afresh (``scheduling._smallest_stamps``).
 """
+import bisect
 import math
 
 import pytest
@@ -47,29 +48,32 @@ def systems(draw):
 class Recording(m.Engine):
     """Keeps every admitted packet, in arrival order, with its fluid busy period.
 
-    The run stamps its arrivals afresh, so every packet's stamp comes from one
-    ``GpsReference.on_arrival`` call, in arrival order: a Poisson run makes them
-    all before its first admission, a saturated run as it refills. The class
-    hooks count the restarts and note the busy period of each call.
+    The run stamps its arrivals afresh, so every packet's stamp comes from a
+    ``GpsReference.stamp`` call, in arrival order: a Poisson run stamps them
+    all before its first admission, a saturated run at each refill. The class
+    hooks note the time of each restart and, after each call, the busy period
+    of each arrival it stamped: a restart at t starts the busy period of every
+    arrival from t on, as an arrival at t restarts the reference only if no
+    packet is pending.
     """
 
     def run(self):
-        self.admitted, self.periods, restarts = [], [], [0]
-        restart, on_arrival = m.GpsReference._restart, m.GpsReference.on_arrival
+        self.admitted, self.periods, restarts = [], [], []
+        restart, stamp = m.GpsReference._restart, m.GpsReference.stamp
 
-        def counted_restart(gps, t):
-            restarts[0] += 1
+        def noted_restart(gps, t):
+            restarts.append(t)
             restart(gps, t)
 
-        def noted_on_arrival(gps, t, flow):
-            stamp = on_arrival(gps, t, flow)
-            self.periods.append(restarts[0])
-            return stamp
+        def noted_stamp(gps, times, flows):
+            stamps = stamp(gps, times, flows)
+            self.periods.extend(bisect.bisect_right(restarts, t) for t in times)
+            return stamps
 
         m.engine.arrival_trace.cache_clear()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(m.GpsReference, "_restart", counted_restart)
-            mp.setattr(m.GpsReference, "on_arrival", noted_on_arrival)
+            mp.setattr(m.GpsReference, "_restart", noted_restart)
+            mp.setattr(m.GpsReference, "stamp", noted_stamp)
             return super().run()
 
     def _admit(self, t, flow, stamp):
@@ -276,27 +280,45 @@ def test_expiry_skip_matches_a_scan_at_every_instant(system, rate, error_free):
     assert repr(got.metrics) == repr(want.metrics)
 
 
+class MergeCheckedQueues(m.scheduling.HeadQueues):
+    """Checks every ``take`` against the k-way merge ``scheduling._smallest_stamps``
+    on the queues as they stand, and that the kept head heap holds exactly the
+    queue heads. ``unsorted`` counts the decisions at which some queue holds a
+    packet stamped below one ahead of it, as when a queue spans two fluid busy
+    periods."""
+
+    __slots__ = ("decisions", "unsorted")
+
+    def __init__(self, k):
+        super().__init__(k)
+        self.decisions = self.unsorted = 0
+
+    def take(self, count):
+        want = m.scheduling._smallest_stamps(self, count)
+        assert sorted(self.heads) == sorted(q[0] for q in self if q)
+        self.unsorted += any(a.vfinish > b.vfinish for q in self
+                             for a, b in zip(q, list(q)[1:]))
+        chosen, g = super().take(count)
+        assert len(chosen) == len(want)
+        assert all(got is pkt for got, pkt in zip(chosen, want))
+        self.decisions += 1
+        return chosen, g
+
+
 class MergeChecked(m.Engine):
-    """Checks every decision of a stamp-ordered run against the k-way merge
-    ``scheduling._smallest_stamps`` on the queues as they stand, and that the
-    kept head heap holds exactly the queue heads. ``unsorted`` counts the decisions at
-    which some queue holds a packet stamped below one ahead of it, as when a
-    queue spans two fluid busy periods."""
+    """A stamp-ordered run whose queues check every decision (``MergeCheckedQueues``)."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.decisions = self.unsorted = 0
+        self.queues = MergeCheckedQueues(self.cfg.K)
 
-    def _decide(self, t):
-        want = m.scheduling._smallest_stamps(self.queues, self.m_eff)
-        assert sorted(self.queues.heads) == sorted(q[0] for q in self.queues if q)
-        self.unsorted += any(a.vfinish > b.vfinish for q in self.queues
-                             for a, b in zip(q, list(q)[1:]))
-        decision = super()._decide(t)
-        assert len(decision.chosen) == len(want)
-        assert all(got is pkt for got, pkt in zip(decision.chosen, want))
-        self.decisions += 1
-        return decision
+    @property
+    def decisions(self):
+        return self.queues.decisions
+
+    @property
+    def unsorted(self):
+        return self.queues.unsorted
 
 
 @settings(max_examples=60, deadline=None)

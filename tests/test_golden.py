@@ -95,9 +95,9 @@ def test_artifacts_match_golden(tmp_path, command):
 
 def test_audit_at_benchmark_point_matches_golden(tmp_path, monkeypatch):
     stamped = []
-    on_arrival = GpsReference.on_arrival
-    monkeypatch.setattr(GpsReference, "on_arrival",
-                        lambda gps, t, flow: stamped.append(t) or on_arrival(gps, t, flow))
+    stamp = GpsReference.stamp
+    monkeypatch.setattr(GpsReference, "stamp",
+                        lambda gps, times, flows: stamped.extend(times) or stamp(gps, times, flows))
     arrival_trace.cache_clear()
     out = tmp_path / "audit"
     args = ["check-bounds", str(GOLDEN / "audit.json"), "--out", str(out)]

@@ -56,10 +56,13 @@ class TestStampOrderedSelection:
         kept[:] = make_queues(stamps)
         kept.rebuild()
         want = m.select_mpgps(make_queues(stamps), count)
-        got = m.select_mpgps(kept, count)
+        got = scheduling.ScheduleDecision(*reversed(kept.take(count)))
         assert keys(got) == keys(want) and got.g == want.g
+        # take popped each chosen packet off the head of its queue
+        left = make_queues(stamps)
         for pkt in got.chosen:
-            assert kept[pkt.flow].popleft() is pkt
+            assert left[pkt.flow].popleft() == pkt
+        assert [list(q) for q in kept] == [list(q) for q in left]
         assert sorted(kept.heads) == sorted(q[0] for q in kept if q)
 
     def test_window_occupancy(self):

@@ -2,15 +2,20 @@
 
 The key oracle here is a brute-force Euler integration of the fluid system
 with a tiny time step, which must agree with the event-driven reference on
-random arrival traces.
+random arrival traces. The batch ``GpsReference.stamp`` must also equal,
+bit for bit, the reference stepped one arrival at a time
+(``oracles.GpsPerArrival``).
 """
 import math
 from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from oracles import gps_simulate
+from mpgps_sim import GpsReference
+from mpgps_sim.model import WEIGHT_RANGE
+from oracles import GpsPerArrival, gps_simulate
 
 
 class TestHandTrace:
@@ -130,3 +135,53 @@ def test_fluid_serves_every_arrived_bit(seed):
     for k in range(3):
         served = trace.service_at(k, trace.seg_t[-1:])
         assert served[0] == pytest.approx(totals[k], abs=1e-9)
+
+
+@st.composite
+def fluid_traces(draw):
+    """Weights over the whole allowed range, and arrival times with ties (zero
+    gaps) and gaps of up to a few packets' full-rate airtime, long enough to
+    drain the system and restart its busy period. Gaps of whole and half
+    airtimes make arrivals meet departures, as when one arrives just as the
+    system empties."""
+    k = draw(st.integers(1, 5))
+    lo, hi = WEIGHT_RANGE
+    weights = draw(st.lists(st.sampled_from([lo, 1.0, hi]) | st.floats(lo, hi),
+                            min_size=k, max_size=k))
+    rate = draw(st.sampled_from([1.0, 2.0, 6.0]))
+    bits = draw(st.integers(1, 1024))
+    gaps = draw(st.lists(st.just(0.0) | st.integers(1, 8).map(lambda n: n / 2)
+                         | st.floats(0.0, 4.0), max_size=40))
+    t, arrivals = 0.0, []
+    for gap in gaps:
+        t += gap * bits / rate
+        arrivals.append((t, draw(st.integers(0, k - 1))))
+    cuts = sorted(draw(st.lists(st.integers(0, len(arrivals)), max_size=3)))
+    return weights, rate, bits, arrivals, [0, *cuts, len(arrivals)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(fluid_traces(), st.booleans())
+# stamps 4e-15 apart finish at t = 5 in two departure steps: the second
+# collapses the zero-length segment the first opened
+@example(((1.0, 0.5, 2.0), 6.0, 8, [(1.0, 1), (1.0, 2), (3.0, 0), (12.0, 1)], [0, 2, 4]), True)
+def test_batch_stamping_equals_stepping_one_arrival_at_a_time(trace, record):
+    weights, rate, bits, arrivals, bounds = trace
+    want = GpsPerArrival(weights, rate, bits, record=record)
+    got = GpsReference(weights, rate, bits, record=record)
+    for lo, hi in zip(bounds, bounds[1:]):
+        part = arrivals[lo:hi]
+        stamps = [want.on_arrival(t, flow) for t, flow in part]
+        if len(part) == 1:
+            assert [got.on_arrival(*part[0])] == stamps
+        else:
+            assert got.stamp([t for t, _ in part], [flow for _, flow in part]) == stamps
+        # the state carries over to the next call
+        assert vars(got) == vars(want)
+    want.drain()
+    got.drain()
+    assert vars(got) == vars(want)
+    assert got.departures == want.departures and got.flows == want.flows
+    assert got._seg_t == want._seg_t
+    assert got._seg_mask == want._seg_mask
+    assert got._seg_phi == want._seg_phi
