@@ -153,9 +153,10 @@ class Axis:
 BUDGET_AXIS = Axis("power_budget_db",
                    {"type": "array", "items": _NUMBER, "minItems": 1}, {},
                    integer=False, alias="P")
+# the adaptive discipline takes M as its ceiling M_max
+SERVERS_AXIS = Axis("M", _INT_AXIS, {PGPS: "M", MPGPS: "M", AMPGPS: "M_max", OMPGPS: "M"})
 AXES = (
-    # the adaptive discipline takes M as its ceiling M_max
-    Axis("M", _INT_AXIS, {PGPS: "M", MPGPS: "M", AMPGPS: "M_max", OMPGPS: "M"}),
+    SERVERS_AXIS,
     Axis("M_max", _INT_AXIS, {AMPGPS: "M_max"}),
     Axis("U", _INT_AXIS, {OMPGPS: "U"}),
     BUDGET_AXIS,
@@ -556,8 +557,8 @@ def _power_gain_column(rows: list[dict]) -> None:
 
 
 def _servers_axis(row: dict):
-    """The x-value a server-count sweep varies: M_max for the adaptive mode."""
-    return row["M_max"] if row["mode"] == AMPGPS else row["M"]
+    """The x-value a server-count sweep varies: the field the M axis sets."""
+    return row[SERVERS_AXIS.field[row["mode"]]]
 
 
 def _figure_rows(spec: FigureSpec, agg: list[dict]) -> tuple[list[str], list[dict]]:

@@ -137,7 +137,9 @@ class FrameRecord:
     block; in a channel-blind run (pgps or mpgps without a budget) with the
     rest of its ``PLAN_STACK`` frames, as the last of them starts. Frames
     still waiting when the event loop ends are planned before ``Engine.run``
-    returns. A verify run plans no frame and leaves them None.
+    returns. A verify run plans no frame, so mean_power stays None and energy
+    0; per_bit_power stays None in a pgps or mpgps run, and in an ampgps or
+    ompgps run holds the ranked power per bit of the frame's composition.
     """
 
     index: int
@@ -841,7 +843,8 @@ class Engine:
         if span > 0:
             m.throughput = self.n_delivered_events_m / span
 
-        # the planned frames (none in a verify run) counted after warmup
+        # the frames with a power per bit counted after warmup: the planned
+        # ones, or in an ampgps or ompgps verify run the ranked ones
         saturated = self.traffic.infinite_backlog
         powered = [f for f in self.frames if f.per_bit_power is not None and (
             f.index >= self.warmup_frames if saturated else f.start >= self.warmup_t)]

@@ -7,9 +7,9 @@ half of them, and checks the invariants the event loop must keep:
 packet conservation, per-flow FIFO service, monotone stamps within a fluid
 busy period, the analytic bounds in verification mode (and the bound report
 against a per-packet loop over the event log), the busy intervals the fairness
-gauge reads, that ``pgps`` is ``mpgps`` at one server, and that every
-stamp-ordered decision from the kept head heap equals a k-way merge of the
-queues made afresh (``scheduling._smallest_stamps``).
+gauge reads, that ``pgps`` is ``mpgps``, ``ampgps`` and ``ompgps`` at one
+server, and that every stamp-ordered decision from the kept head heap equals
+a k-way merge of the queues made afresh (``scheduling._smallest_stamps``).
 """
 import bisect
 import math
@@ -236,16 +236,24 @@ def test_busy_intervals_match_a_sweep_of_the_event_log(system, error_free):
 
 
 @settings(max_examples=40, deadline=None)
-@given(systems(), st.booleans())
-def test_pgps_is_single_server_mpgps(system, error_free):
+@given(systems(), st.sampled_from([{}, {"error_free": True}, {"verify": True}]))
+def test_pgps_is_single_server_mpgps(system, run_mode):
+    """The paper's reductions to PGPS: mpgps at M = 1, ampgps at M_max = 1
+    and ompgps at M = U = 1 each give pgps's frames, events and metrics. A
+    verify ampgps or ompgps run keeps each frame's ranked power per bit,
+    which a pgps one has none of, so there only the schedules must agree."""
     cfg, traffic, _, run_kw = system
     cfg = m.SystemConfig(**{**vars(cfg), "M": 1, "M_max": 1, "U": 1})
-    a = m.Engine(cfg, traffic, "pgps", 1500.0, error_free=error_free,
-                 collect_events=True, **run_kw).run()
-    b = m.Engine(cfg, traffic, "mpgps", 1500.0, error_free=error_free,
-                 collect_events=True, **run_kw).run()
-    assert a.frames == b.frames
-    assert a.events == b.events
+    want, *runs = (m.Engine(cfg, traffic, mode, 1500.0, collect_events=True,
+                            **run_mode, **run_kw).run() for mode in MODES)
+    for got in runs:
+        if run_mode.get("verify"):
+            assert ([(f.index, f.start, f.depart, f.g) for f in got.frames]
+                    == [(f.index, f.start, f.depart, f.g) for f in want.frames])
+        else:
+            assert got.frames == want.frames
+            assert got.events == want.events
+            assert repr(got.metrics) == repr(want.metrics)
 
 
 class ExpiryChecked(m.Engine):
