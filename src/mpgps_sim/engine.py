@@ -131,15 +131,16 @@ class TrafficModel:
 class FrameRecord:
     """One frame as scheduled and planned.
 
-    The plan fields (per_bit_power, mean_power, energy) are filled when the
-    frame's plan is solved (``Engine._plan``): at frame start in a budgeted
-    run; in an ampgps or ompgps run together with the rest of its channel
-    block; in a channel-blind run (pgps or mpgps without a budget) with the
-    rest of its ``PLAN_STACK`` frames, as the last of them starts. Frames
-    still waiting when the event loop ends are planned before ``Engine.run``
-    returns. A verify run plans no frame, so mean_power stays None and energy
-    0; per_bit_power stays None in a pgps or mpgps run, and in an ampgps or
-    ompgps run holds the ranked power per bit of the frame's composition.
+    In an ampgps or ompgps run the plan fields (per_bit_power, mean_power,
+    energy) come from the ranked power per bit of the frame's composition,
+    the optimum of its plan, at frame start. A pgps or mpgps frame's are
+    filled when its plan is solved (``Engine._plan``): at frame start in a
+    budgeted run; in a channel-blind run (no budget) with the rest of its
+    ``PLAN_STACK`` frames, as the last of them starts, or before
+    ``Engine.run`` returns for frames still waiting when the event loop ends.
+    A verify run plans no frame, so mean_power stays None and energy 0;
+    per_bit_power stays None in a pgps or mpgps run, and in an ampgps or
+    ompgps run holds the ranked value.
     """
 
     index: int
@@ -362,8 +363,9 @@ class Engine:
             sizes = [self.m_eff]
         else:
             sizes = range(1, (cfg.M_max if mode == AMPGPS else self.m_eff) + 1)
-        # airtime in symbols of each batch size; a frame's layout is looked up
-        # only when its plan is solved, and a verify run needs none
+        # airtime in symbols of each batch size. Only a pgps or mpgps plan looks
+        # a layout up; with L a multiple of r, every composition of a size
+        # whose airtime is integral has one.
         self.airtime = {size: frame_length((size,), cfg) for size in sizes}
         # a Poisson run's one-packet frame, its shortest
         self.shortest_frame = None if saturated else self.airtime[1]
@@ -426,8 +428,7 @@ class Engine:
         # packet error rate at power scale per_scale
         self.per_scale = math.nan
         self.per = math.nan
-        # the started frames whose plans are not solved yet, all of the current
-        # channel block or, in a channel-blind run, of the current plan stack
+        # the started pgps or mpgps frames whose plans are not solved yet
         self.unplanned: list[FrameRecord] = []
 
         self.inflight: _InFlight | None = None
@@ -526,10 +527,11 @@ class Engine:
         return scheduling.ompgps_schedule(self.queues, cfg.M, cfg.U, powers, cfg)
 
     def _plan(self) -> None:
-        """Solve the plans of the waiting frames, which are consecutive, in one
-        ``solve_frames`` call. A channel-blind run draws and inverts them here,
-        ``CHANNEL_BLOCK`` frames at a time, into the plan workspace; any other
-        run reads them from its channel block."""
+        """Solve the plans of the waiting pgps or mpgps frames, which are
+        consecutive, in one ``solve_frames`` call. A channel-blind run draws
+        and inverts them here, ``CHANNEL_BLOCK`` frames at a time, into the
+        plan workspace; a budgeted run plans its one waiting frame from its
+        channel block."""
         recs = self.unplanned
         if not recs:
             return
@@ -555,7 +557,6 @@ class Engine:
         """The (K, N) power matrix of the frame about to start at t."""
         f = self.frames_started
         if f - self.block_lo >= len(self.block_powers):
-            self._plan()
             size = min(CHANNEL_BLOCK, self.frame_cap - f)
             if self.horizon < math.inf:
                 # frames start no later than the horizon, one shortest airtime apart at least
@@ -610,17 +611,24 @@ class Engine:
         rec = FrameRecord(self.frames_started, t, t + self.airtime[m_sel], g,
                           m_sel, per_bit_power, None, 1.0, 0.0)
         if not self.verify:
-            self.unplanned.append(rec)
-            budget = self.cfg.power_budget
-            if budget is not None:
-                # a budgeted frame is planned now: its mean power sets the
-                # power scale its packets are sent at
-                self._plan()
-                if rec.mean_power > budget:
-                    rec.scale = budget / rec.mean_power
-                    rec.energy *= rec.scale
-            elif len(self.unplanned) == PLAN_STACK:     # only a channel-blind run's grows so long
-                self._plan()
+            cfg = self.cfg
+            budget = cfg.power_budget
+            if per_bit_power is not None:
+                # the ranking solved this plan's instance scaled by m_sel / grp,
+                # which keeps its power per bit; its mean power,
+                # sum(p * counts) / grp, is that times N * r
+                rec.mean_power = per_bit_power * cfg.bits_per_symbol
+                rec.energy = per_bit_power * cfg.L * m_sel * cfg.T_sym
+            else:
+                self.unplanned.append(rec)
+                # a budgeted frame is planned now, as its mean power sets the
+                # power scale its packets are sent at; a channel-blind run's
+                # frames wait for a full stack
+                if budget is not None or len(self.unplanned) == PLAN_STACK:
+                    self._plan()
+            if budget is not None and rec.mean_power > budget:
+                rec.scale = budget / rec.mean_power
+                rec.energy *= rec.scale
         self.inflight = _InFlight(rec, chosen)
         self.frames_started += 1
         if self.collect_events:
@@ -843,8 +851,8 @@ class Engine:
         if span > 0:
             m.throughput = self.n_delivered_events_m / span
 
-        # the frames with a power per bit counted after warmup: the planned
-        # ones, or in an ampgps or ompgps verify run the ranked ones
+        # the frames with a power per bit counted after warmup: all but a pgps
+        # or mpgps verify run's
         saturated = self.traffic.infinite_backlog
         powered = [f for f in self.frames if f.per_bit_power is not None and (
             f.index >= self.warmup_frames if saturated else f.start >= self.warmup_t)]

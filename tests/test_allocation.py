@@ -479,7 +479,21 @@ class TestFrameAllocation:
         powers = m.frame_powers(gains, budget)
         plan = m.allocate_frame(g, powers, cfg)
         ranked = one_composition_value(powers, g, cfg.r)
-        assert ranked == pytest.approx(plan.per_bit_power, rel=1e-9)
+        assert ranked == pytest.approx(plan.per_bit_power, rel=1e-14, abs=0)
+
+    def test_composition_value_matches_wide_frame_plans(self):
+        # K=10, N=64, one to four active rows: the exchange solver's optima
+        # agree as closely as the closed form's
+        wide = 0
+        for seed in range(12):
+            cfg, gs, gains = plan_stack(seed)
+            powers = m.frame_powers(gains, m.link_budget(cfg))
+            for b, g in enumerate(gs):
+                plan = m.allocate_frame(g, powers[b], cfg)
+                ranked = one_composition_value(powers[b], g, cfg.r)
+                assert ranked == pytest.approx(plan.per_bit_power, rel=1e-14, abs=0), (seed, g)
+                wide += np.count_nonzero(g) >= 3
+        assert wide >= 80
 
     def test_plan_accounting(self):
         cfg = small_cfg()
@@ -647,6 +661,23 @@ class TestFrameLayoutCache:
         assert allocation.frame_layout(g, other) is lays[0]
         assert allocation._frame_layout.cache_info().currsize == 4
 
+    def test_integral_airtime_gives_every_composition_a_layout(self):
+        # L is a multiple of r, so a batch size whose airtime fills whole
+        # symbols gives every composition of it whole quotas: the airtimes an
+        # Engine checks when it is built cover every layout its frames need
+        checked = 0
+        for n in (3, 4, 6, 8, 12, 64):
+            for r in (1, 2, 3):
+                for packet in (1, 2, 3, 4, 6, 8, 16):
+                    cfg = m.SystemConfig(K=3, N=n, L=packet * r, r=r, M=6)
+                    for size in range(1, 7):
+                        if (cfg.L * size) % cfg.bits_per_symbol:
+                            continue
+                        for g in m.compositions(size, (size,) * 3):
+                            allocation.frame_layout(g, cfg)         # raises if not
+                            checked += 1
+        assert checked > 1000
+
     def test_non_integral_composition_raises_and_is_not_cached(self):
         allocation._frame_layout.cache_clear()
         cfg = m.SystemConfig(K=3, N=64, L=64, r=2)      # a packet is half a symbol
@@ -658,11 +689,12 @@ class TestFrameLayoutCache:
 
 
 class TestDeferredPlans:
-    """An unbudgeted ampgps or ompgps run plans a channel block at a time, and
-    a channel-blind run (pgps or mpgps without a budget) plans its started
+    """A channel-blind run (pgps or mpgps without a budget) plans its started
     frames ``PLAN_STACK`` at a time as they start, the rest after its last
-    event; every frame must still carry the plan a solve at its own start
-    gives."""
+    event, and a budgeted pgps or mpgps run plans each frame at its start;
+    every such frame must carry the plan a solve at its own start gives. An
+    ampgps or ompgps frame takes its plan from its ranked power per bit,
+    which must agree with that solve to float64 roundoff."""
 
     def run_capturing_powers(self, monkeypatch, engine):
         blocks = []
@@ -676,9 +708,23 @@ class TestDeferredPlans:
         return engine.run(), np.concatenate(blocks)
 
     def check_plans(self, res, powers):
+        """A pgps or mpgps frame's plan fields equal ``oracle_plan``'s. An
+        ampgps or ompgps frame's equal its composition's ranked value and the
+        plan's scalings of it, and lie within a relative 1e-14 of
+        ``oracle_plan``'s: the two optima sum the same products over
+        differently scaled counts, so only float64 roundoff parts them."""
         cfg = res.cfg
+        ranked = res.mode in ("ampgps", "ompgps")
         for f in res.frames:
-            _, per_bit, energy, mean_power = oracle_plan(f.g, powers[f.index], cfg)
+            oracle = oracle_plan(f.g, powers[f.index], cfg)[1:]
+            if ranked:
+                per_bit = one_composition_value(powers[f.index], f.g, cfg.r)
+                energy = per_bit * cfg.L * f.m_sel * cfg.T_sym
+                mean_power = per_bit * (cfg.N * cfg.r)
+                assert (per_bit, energy, mean_power) == pytest.approx(
+                    oracle, rel=1e-14, abs=0), f.index
+            else:
+                per_bit, energy, mean_power = oracle
             scale = 1.0
             if cfg.power_budget is not None and mean_power > cfg.power_budget:
                 scale = cfg.power_budget / mean_power
@@ -794,12 +840,14 @@ class TestDeferredPlans:
         assert powers.tolist() == m.frame_powers(gains, m.link_budget(cfg)).tolist()
         self.check_plans(res, powers)
 
-    def test_budgeted_ompgps_plans_hold_across_channel_blocks(self, monkeypatch):
-        cfg = m.SystemConfig(K=10, N=64, L=1024, r=2, M=4, U=6, seed=4, time_corr=0.9)
-        free = m.run(cfg, m.TrafficModel(rate_bps=50000.0), "ompgps", 1500.0)
+    @pytest.mark.parametrize("mode", ["ampgps", "ompgps"])
+    def test_budgeted_ranked_plans_hold_across_channel_blocks(self, monkeypatch, mode):
+        cfg = m.SystemConfig(K=10, N=64, L=1024, r=2, M=4, M_max=4, U=6, seed=4,
+                             time_corr=0.9)
+        free = m.run(cfg, m.TrafficModel(rate_bps=50000.0), mode, 1500.0)
         cap = float(np.median([f.mean_power for f in free.frames]))
         eng = m.Engine(replace(cfg, power_budget=cap), m.TrafficModel(rate_bps=50000.0),
-                       "ompgps", 1500.0)
+                       mode, 1500.0)
         res, powers = self.run_capturing_powers(monkeypatch, eng)
         assert eng.frames_started > 3 * m.engine.CHANNEL_BLOCK
         assert any(f.scale < 1.0 for f in res.frames)
@@ -835,18 +883,34 @@ class TestDeferredPlans:
         assert calls == []
 
     @pytest.mark.parametrize("mode", ["pgps", "mpgps", "ampgps", "ompgps"])
-    def test_verify_runs_build_no_layout(self, mode):
-        # a verify run reads each frame's airtime by its batch size
+    def test_verify_runs_build_no_layout(self, monkeypatch, mode):
+        # a verify run reads each frame's airtime by its batch size, and an
+        # ampgps or ompgps run, budgeted or not, takes its plans from its
+        # rankings; a pgps or mpgps run solves one stack per PLAN_STACK
+        # frames, or one per frame under a budget
         cfg = m.SystemConfig(K=4, N=64, L=1024, r=2, M=2, M_max=3, U=3, seed=1)
         traffic = m.TrafficModel(rate_bps=80000.0)
+        stacks = []
+        real_solve = allocation.solve_frames
+        monkeypatch.setattr(allocation, "solve_frames", lambda layouts, powers, cfg:
+                            stacks.append(len(layouts)) or real_solve(layouts, powers, cfg))
         allocation._frame_layout.cache_clear()
         res = m.verify_bounds(cfg, traffic, mode, 3000.0)
         info = allocation._frame_layout.cache_info()
         assert res.frames and res.bounds.passed
-        assert info.hits + info.misses == 0
+        assert info.hits + info.misses == 0 and stacks == []
         assert all(f.depart == f.start + m.frame_length((f.m_sel,), cfg) for f in res.frames)
-        m.run(cfg, traffic, mode, 3000.0)
-        assert allocation._frame_layout.cache_info().misses > 0
+        plain = m.Engine(cfg, traffic, mode, 3000.0)
+        cap = float(np.median([f.mean_power for f in plain.run().frames]))
+        budgeted = m.Engine(replace(cfg, power_budget=cap), traffic, mode, 3000.0)
+        assert any(f.scale < 1.0 for f in budgeted.run().frames)
+        lookups = allocation._frame_layout.cache_info()
+        if mode in ("ampgps", "ompgps"):
+            assert lookups.hits + lookups.misses == 0 and stacks == []
+        else:
+            assert lookups.misses > 0
+            assert plain.frames_started <= m.engine.PLAN_STACK
+            assert stacks == [plain.frames_started] + [1] * budgeted.frames_started
 
 
 class TestPlanWorkspace:
