@@ -30,11 +30,13 @@ per bit. ``allocate_frame`` is the one-frame form.
 A plan can be built in a reused workspace: each thread keeps, per (K, N),
 one fixed (``RANK_BLOCK``, K, N) stack each of powers, costs and slot
 counts, allocated once; pages never written take no memory. The caller
-draws a plan's powers into the leading frames of the powers stack
-(``workspace_powers``); ``solve_frames`` then builds the costs in the costs
-stack, and ``solve_transport`` the counts in the counts stack, which
-``_solve_stack`` zero-fills. Fresh stacks of this size would be handed back
-to the kernel when freed and fault their pages in again on the next plan.
+puts a plan's powers into the leading frames of the powers stack
+(``workspace_powers``); a channel-blind run does so through ``row_powers``,
+which inverts only the scheduled rows into the zero-filled stack.
+``solve_frames`` then builds the costs in the costs stack, and
+``solve_transport`` the counts in the counts stack, which ``_solve_stack``
+zero-fills. Fresh stacks of this size would be handed back to the kernel
+when freed and fault their pages in again on the next plan.
 Only a plan whose powers lie in the workspace is built there, and only its
 counts are returned from it: ``allocate_frame`` and every solve on arrays of
 its caller's own return new arrays.
@@ -520,7 +522,11 @@ def frame_powers(gains: np.ndarray, budget: LinkBudget) -> np.ndarray:
     A frame whose smallest gain lies below ``GAIN_FLOOR_REL`` times its
     largest has its gains floored at ``GAIN_FLOOR_REL`` times its own median
     first, so a single fade cannot blow up its costs; the other frames are
-    inverted as they are.
+    inverted as they are. A channel-blind run sends a frame here only when
+    ``row_powers`` finds a gain its plan reads within that floor of the
+    frame's gain bound; its other frames' unscheduled gains are never
+    inverted, so there ``ZeroGain`` can come only from a frame whose plan
+    reads a gain that faded that deep.
     """
     frames = gains.reshape(-1, *gains.shape[-2:])
     low = frames.min(axis=(1, 2))
@@ -533,6 +539,30 @@ def frame_powers(gains: np.ndarray, budget: LinkBudget) -> np.ndarray:
             frames[b] = np.maximum(frames[b], GAIN_FLOOR_REL * float(np.median(frames[b])))
         gains = frames.reshape(gains.shape)
     return budget.gamma * budget.noise_power / gains
+
+
+def row_powers(out: np.ndarray, frames: np.ndarray, users: np.ndarray, gains: np.ndarray,
+               bound: np.ndarray, budget: LinkBudget) -> np.ndarray:
+    """Invert the scheduled rows of a stack of frames into ``out``; return
+    the frames that ``frame_powers`` must invert whole.
+
+    ``out`` is the (B, K, N) powers stack, which is zero-filled first;
+    ``gains`` holds the (P, N) gains of the (frame, user) pairs ``frames``,
+    ``users`` (every frame has one), and ``bound`` each frame's bound on all
+    its gains. A frame whose scheduled gains all exceed ``GAIN_FLOOR_REL``
+    times its bound gets their inverses as ``frame_powers`` gives them: its
+    floor, at most ``GAIN_FLOOR_REL`` times its largest gain, lies below
+    every gain its plan reads. A plan reads no other row, and a zero row adds
+    the zeros its costs times counts added before. Any other frame is left
+    for the whole-frame rule.
+    """
+    out.fill(0.0)
+    low = np.full(len(out), np.inf)
+    np.minimum.at(low, frames, gains.min(axis=1))
+    whole = ~(low > GAIN_FLOOR_REL * bound)
+    keep = ~whole[frames]
+    out[frames[keep], users[keep]] = budget.gamma * budget.noise_power / gains[keep]
+    return np.flatnonzero(whole)
 
 
 class FrameLayout(NamedTuple):
@@ -572,9 +602,11 @@ def solve_frames(layouts, powers: np.ndarray, cfg: SystemConfig
 
     ``layouts`` holds each frame's ``FrameLayout`` and ``powers`` their
     (B, K, N) power matrices from ``frame_powers``, the ones the batch
-    selection ranked compositions with. Returns the (B, K, N) slot counts per
-    group and the (B,) power per bit (W per delivered bit), energy over the
-    whole frame at requested power (J) and mean power over the airtime (W).
+    selection ranked compositions with, or from ``row_powers``, whose
+    unscheduled rows are zero: a plan reads only its scheduled rows. Returns
+    the (B, K, N) slot counts per group and the (B,) power per bit (W per
+    delivered bit), energy over the whole frame at requested power (J) and
+    mean power over the airtime (W).
     Powers drawn into ``workspace_powers`` are planned in the workspace, and
     the counts returned stay valid only until its next plan; other powers
     get new arrays.

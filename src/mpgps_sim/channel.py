@@ -80,9 +80,10 @@ def link_budget(cfg: SystemConfig) -> LinkBudget:
 
 
 # Frames whose stream keys FrameStreams hashes in one numpy pass. numpy's
-# per-call overhead sets the cost of short chunks: the hash takes ~12-21 us
-# a frame at 16 frames and ~1.4 us at 256. So the chunk is not tied to the
-# engine's CHANNEL_BLOCK; a Poisson run hashes at most its unused tail.
+# per-call overhead sets the cost: a call takes a near-flat ~0.1-0.23 ms
+# whether it hashes 16 frames or 256. So a run of up to 256 frames pays two
+# calls, one for its channel stream and one for its error stream, and the
+# frames of a chunk it never draws cost it next to nothing.
 STREAM_CHUNK = 256
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and the PCG64
@@ -248,31 +249,58 @@ class ChannelProcess:
         self._last_frame = lo + count - 1
         return taps
 
+    def taps(self, lo: int, count: int) -> np.ndarray:
+        """Complex taps of frames lo .. lo + count - 1, shape (count, K, taps).
+
+        Each frame draws its raw normals from its own stream, in stream order.
+        With time_corr > 0 the taps walk the AR(1) recursion row by row from
+        the cached frame, replaying from frame 0, STREAM_CHUNK frames at a
+        time, after a rewind.
+        """
+        if self.cfg.time_corr == 0.0:
+            return self._draw_taps(lo, count)
+        if lo <= self._last_frame:
+            self._last_frame, self._last_taps = -1, None
+        while self._last_frame + 1 < lo:
+            start = self._last_frame + 1
+            self._walk(start, min(STREAM_CHUNK, lo - start))
+        return self._walk(lo, count)
+
+    def _gains(self, taps: np.ndarray, path_gains: np.ndarray) -> np.ndarray:
+        """|H|^2 of tap rows (..., taps), each scaled by its path gain (...)."""
+        h = np.fft.fft(taps, n=self.cfg.N, axis=-1)
+        # in place: one buffer the shape of the gains
+        gains = h.real ** 2
+        gains += h.imag ** 2
+        gains *= path_gains[..., None]
+        return gains
+
     def block(self, lo: int, count: int) -> np.ndarray:
         """Power gains of frames lo .. lo + count - 1, shape (count, K, N).
 
-        Each frame draws its raw normals from its own stream, in stream order;
-        the complex taps, one FFT and one scaling then serve the whole block.
-        With time_corr > 0 the taps walk the AR(1) recursion row by row from
-        the cached frame, replaying from frame 0, STREAM_CHUNK frames at a
-        time, after a rewind. numpy's batched arithmetic and FFT equal the
-        per-frame ones bit for bit (tests/test_channel.py guards this).
+        The complex taps (``taps``), one FFT and one scaling serve the whole
+        block. numpy's batched arithmetic and FFT equal the per-frame ones
+        bit for bit (tests/test_channel.py guards this).
         """
-        if self.cfg.time_corr == 0.0:
-            taps = self._draw_taps(lo, count)
-        else:
-            if lo <= self._last_frame:
-                self._last_frame, self._last_taps = -1, None
-            while self._last_frame + 1 < lo:
-                start = self._last_frame + 1
-                self._walk(start, min(STREAM_CHUNK, lo - start))
-            taps = self._walk(lo, count)
-        h = np.fft.fft(taps, n=self.cfg.N, axis=2)
-        # |H|^2 scaled by the path gains, in place: one (count, K, N) buffer
-        gains = h.real ** 2
-        gains += h.imag ** 2
-        gains *= self.path_gains[:, None]
-        return gains
+        return self._gains(self.taps(lo, count), self.path_gains)
+
+    def rows(self, taps: np.ndarray, frames: np.ndarray, users: np.ndarray) -> np.ndarray:
+        """Power gains of the (frame, user) rows of a ``taps`` stack: the
+        transform of ``block``, run on those rows only, so each row equals
+        its row of the block bit for bit. ``frames`` and ``users`` index as
+        a pair and broadcast, so P pairs give (P, N) and a (W, 1) column of
+        frames with every user gives those frames' (W, K, N) gains."""
+        return self._gains(taps[frames, users], self.path_gains[users])
+
+    def gain_bound(self, taps: np.ndarray) -> np.ndarray:
+        """A bound on every power gain of each frame of a ``taps`` stack,
+        shape (count,): |H(n)| <= sum_j |h_j|, so no gain of user k exceeds
+        path_gain_k * (sum_j |h_kj|)^2. The largest over the users is raised
+        by a relative 1e-6, far above the FFT's roundoff."""
+        reach = np.abs(taps).sum(axis=-1)
+        reach *= reach
+        reach *= self.path_gains
+        return reach.max(axis=-1) * (1.0 + 1e-6)
 
     def state(self, frame: int) -> np.ndarray:
         """Power gains |H|^2 of one frame, shape (K, N)."""

@@ -58,24 +58,28 @@ BOUND_EPS = 1e-6
 
 # Frames whose channel and power matrix a run that reads the channel while
 # it runs (ampgps, ompgps, or a power budget) builds in one pass, ahead of
-# its decisions, and that a channel-blind run draws in one pass when it plans.
-# Drawing stays per frame (channel.STREAM_CHUNK sets how many frames' seeds
-# are hashed at once); the FFT, the |H|^2 scaling and the inversion run once
-# per block. A lookahead block holds no frame that cannot start: none past a
-# capped run's cap, and none that a Poisson run's horizon leaves no room for
-# at one-packet airtime. Blocks of 8 and 16 ran equally fast on the power
-# benchmark, and 32 cost more memory for no gain.
+# its decisions: the look-ahead block (ChannelProcess.block, then
+# allocation.frame_powers). Drawing stays per frame (channel.STREAM_CHUNK
+# sets how many frames' seeds are hashed at once); the FFT, the |H|^2
+# scaling and the inversion run once per block. A block holds no frame that
+# cannot start: none past a capped run's cap, and none that a Poisson run's
+# horizon leaves no room for at one-packet airtime. Blocks of 8 and 16 ran
+# equally fast on the power benchmark, and 32 cost more memory for no gain.
+# A channel-blind run draws no block: it transforms its scheduled rows when
+# it plans (PLAN_STACK).
 CHANNEL_BLOCK = 16
 
 # Frames a channel-blind run (pgps or mpgps, unbudgeted, not verify) plans
 # in one solve_frames call: no decision reads its channel, so it draws and
 # plans its started frames only when this many wait, and the rest when its
-# event loop ends, into the plan workspace (allocation.workspace_powers).
-# On the power benchmark's config (~122 frames a drop, drops 1-80, best of 3
-# passes, 2-core host), plan stacks of 256 ran ~6 % faster than stacks of
-# 64, and one draw of the whole stack held ~2.8 MB more at its peak
-# (ru_maxrss 42.9 against 40.0 MB) for a speed within the host's noise.
-# 256 is also the solver's own stack cap and the workspace's stack size.
+# event loop ends. It draws the stack's taps in one pass and transforms and
+# inverts only its scheduled rows into the plan workspace
+# (allocation.workspace_powers, allocation.row_powers). On the power
+# benchmark's config (~122 frames a drop, drops 1-80, best of 3 passes,
+# 2-core host), plan stacks of 256 ran ~6 % faster than stacks of 64, and
+# one draw of the whole stack held ~2.8 MB more at its peak (ru_maxrss 42.9
+# against 40.0 MB) for a speed within the host's noise. 256 is also the
+# solver's own stack cap and the workspace's stack size.
 PLAN_STACK = allocation.RANK_BLOCK
 
 # Arrivals the run converts to Python floats and ints at a time: it holds one
@@ -529,20 +533,28 @@ class Engine:
     def _plan(self) -> None:
         """Solve the plans of the waiting pgps or mpgps frames, which are
         consecutive, in one ``solve_frames`` call. A channel-blind run draws
-        and inverts them here, ``CHANNEL_BLOCK`` frames at a time, into the
-        plan workspace; a budgeted run plans its one waiting frame from its
-        channel block."""
+        their taps here in one pass and transforms and inverts only the rows
+        of their scheduled users, into the zero-filled plan workspace
+        (``allocation.row_powers``); a frame whose scheduled gains come
+        within the gain floor of its bound is transformed and inverted whole
+        (``allocation.frame_powers``). A budgeted run plans its one waiting
+        frame from its channel block."""
         recs = self.unplanned
         if not recs:
             return
         cfg = self.cfg
         lo = recs[0].index
         if self.channel_blind:
+            channel = self.channel
             powers = allocation.workspace_powers(len(recs), cfg.K, cfg.N)
-            for at in range(0, len(recs), CHANNEL_BLOCK):
-                count = min(CHANNEL_BLOCK, len(recs) - at)
-                powers[at:at + count] = allocation.frame_powers(
-                    self.channel.block(lo + at, count), self.budget)
+            taps = channel.taps(lo, len(recs))
+            frames, users = (np.array([rec.g for rec in recs]) > 0).nonzero()
+            whole = allocation.row_powers(powers, frames, users,
+                                          channel.rows(taps, frames, users),
+                                          channel.gain_bound(taps), self.budget)
+            if whole.size:
+                powers[whole] = allocation.frame_powers(
+                    channel.rows(taps, whole[:, None], np.arange(cfg.K)), self.budget)
         else:
             powers = self.block_powers[lo - self.block_lo:][:len(recs)]
         layouts = [allocation.frame_layout(rec.g, cfg) for rec in recs]

@@ -696,16 +696,15 @@ class TestDeferredPlans:
     ampgps or ompgps frame takes its plan from its ranked power per bit,
     which must agree with that solve to float64 roundoff."""
 
-    def run_capturing_powers(self, monkeypatch, engine):
-        blocks = []
-        real = allocation.frame_powers
-
-        def capture(gains, budget):
-            blocks.append(real(gains, budget))
-            return blocks[-1]
-
-        monkeypatch.setattr(allocation, "frame_powers", capture)
-        return engine.run(), np.concatenate(blocks)
+    @staticmethod
+    def run_with_oracle_powers(engine):
+        """The run's result and, independent of the engine, the power matrix
+        of each frame it started: ``frame_powers`` of the frame's gains from
+        a fresh ``ChannelProcess``, one frame at a time, in frame order."""
+        res = engine.run()
+        proc, budget = m.ChannelProcess(engine.cfg), m.link_budget(engine.cfg)
+        return res, np.array([m.frame_powers(proc.block(f, 1), budget)[0]
+                              for f in range(engine.frames_started)])
 
     def check_plans(self, res, powers):
         """A pgps or mpgps frame's plan fields equal ``oracle_plan``'s. An
@@ -735,17 +734,17 @@ class TestDeferredPlans:
         cfg = m.SystemConfig(K=10, N=64, L=1024, r=2, M=4, seed=4)
         eng = m.Engine(cfg, m.TrafficModel(rate_bps=50000.0), "mpgps", 1500.0)
         drawn = []
-        real = eng.channel.block
-        monkeypatch.setattr(eng.channel, "block",
+        real = eng.channel.taps
+        monkeypatch.setattr(eng.channel, "taps",
                             lambda lo, count: drawn.append((lo, count)) or real(lo, count))
-        res, powers = self.run_capturing_powers(monkeypatch, eng)
-        # the channel-blind run draws its started frames in CHANNEL_BLOCK
-        # chunks after its last event: contiguous from frame 0, covering
-        # exactly the started frames, the last chunk cut short by the horizon
+        res, powers = self.run_with_oracle_powers(eng)
+        # the channel-blind run draws its started frames' taps in one pass
+        # per plan stack: contiguous from frame 0, covering exactly the
+        # started frames, the last stack cut short by the horizon
         assert [lo for lo, _ in drawn] == list(range(0, eng.frames_started,
-                                                     m.engine.CHANNEL_BLOCK))
+                                                     m.engine.PLAN_STACK))
         assert sum(count for _, count in drawn) == eng.frames_started
-        assert drawn[-1][1] < m.engine.CHANNEL_BLOCK
+        assert drawn[-1][1] < m.engine.PLAN_STACK
         assert any(np.count_nonzero(f.g) >= 3 for f in res.frames)
         self.check_plans(res, powers)
 
@@ -759,7 +758,7 @@ class TestDeferredPlans:
         real = eng.channel.block
         monkeypatch.setattr(eng.channel, "block",
                             lambda lo, count: drawn.append((lo, count)) or real(lo, count))
-        res, powers = self.run_capturing_powers(monkeypatch, eng)
+        res, powers = self.run_with_oracle_powers(eng)
         started = res.frames + [eng.inflight.record] * (eng.inflight is not None)
         assert [f.index for f in started] == list(range(eng.frames_started))
         shortest = m.frame_length((1,), cfg)
@@ -767,7 +766,7 @@ class TestDeferredPlans:
             assert count <= (1500.0 - started[lo].start) // shortest + 1, lo
         # the horizon cut the last block short
         assert drawn[-1][1] < m.engine.CHANNEL_BLOCK
-        assert sum(count for _, count in drawn) == len(powers) >= eng.frames_started
+        assert sum(count for _, count in drawn) >= len(powers) == eng.frames_started
         self.check_plans(res, powers)
 
     def test_channel_blind_run_draws_after_its_last_event(self, monkeypatch):
@@ -781,14 +780,14 @@ class TestDeferredPlans:
             real_event = getattr(eng, name)
             monkeypatch.setattr(eng, name, lambda *a, real=real_event: log.append("event")
                                 or real(*a))
-        real_block = eng.channel.block
-        monkeypatch.setattr(eng.channel, "block", lambda lo, count: log.append((lo, count))
-                            or real_block(lo, count))
+        real_taps = eng.channel.taps
+        monkeypatch.setattr(eng.channel, "taps", lambda lo, count: log.append((lo, count))
+                            or real_taps(lo, count))
         stacks = []
         real_solve = allocation.solve_frames
         monkeypatch.setattr(allocation, "solve_frames", lambda layouts, powers, cfg:
                             stacks.append(len(layouts)) or real_solve(layouts, powers, cfg))
-        res, powers = self.run_capturing_powers(monkeypatch, eng)
+        res, powers = self.run_with_oracle_powers(eng)
         drawn = [entry for entry in log if entry != "event"]
         assert log.index(drawn[0]) == log.count("event") > 0
         assert [lo for lo, _ in drawn] == np.cumsum([0] + [c for _, c in drawn[:-1]]).tolist()
@@ -805,7 +804,7 @@ class TestDeferredPlans:
         real_solve = allocation.solve_frames
         monkeypatch.setattr(allocation, "solve_frames", lambda layouts, powers, cfg:
                             stacks.append(len(layouts)) or real_solve(layouts, powers, cfg))
-        res, powers = self.run_capturing_powers(monkeypatch, eng)
+        res, powers = self.run_with_oracle_powers(eng)
         assert stacks == [m.engine.PLAN_STACK, eng.frames_started - m.engine.PLAN_STACK]
         assert any(np.count_nonzero(f.g) >= 3 for f in res.frames[m.engine.PLAN_STACK:])
         gains = m.ChannelProcess(cfg).block(0, eng.frames_started)
@@ -820,14 +819,14 @@ class TestDeferredPlans:
         log = []
         real_finish = eng._finish_frame
         monkeypatch.setattr(eng, "_finish_frame", lambda t: log.append("end") or real_finish(t))
-        real_block = eng.channel.block
-        monkeypatch.setattr(eng.channel, "block", lambda lo, count: log.append((lo, count))
-                            or real_block(lo, count))
+        real_taps = eng.channel.taps
+        monkeypatch.setattr(eng.channel, "taps", lambda lo, count: log.append((lo, count))
+                            or real_taps(lo, count))
         stacks = []
         real_solve = allocation.solve_frames
         monkeypatch.setattr(allocation, "solve_frames", lambda layouts, powers, cfg:
                             stacks.append(len(layouts)) or real_solve(layouts, powers, cfg))
-        res, powers = self.run_capturing_powers(monkeypatch, eng)
+        res, powers = self.run_with_oracle_powers(eng)
         full, rest = divmod(eng.frames_started, m.engine.PLAN_STACK)
         assert full >= 2 and rest > 0
         assert stacks == [m.engine.PLAN_STACK] * full + [rest]
@@ -841,34 +840,57 @@ class TestDeferredPlans:
         self.check_plans(res, powers)
 
     @pytest.mark.parametrize("mode", ["ampgps", "ompgps"])
-    def test_budgeted_ranked_plans_hold_across_channel_blocks(self, monkeypatch, mode):
+    def test_budgeted_ranked_plans_hold_across_channel_blocks(self, mode):
         cfg = m.SystemConfig(K=10, N=64, L=1024, r=2, M=4, M_max=4, U=6, seed=4,
                              time_corr=0.9)
         free = m.run(cfg, m.TrafficModel(rate_bps=50000.0), mode, 1500.0)
         cap = float(np.median([f.mean_power for f in free.frames]))
         eng = m.Engine(replace(cfg, power_budget=cap), m.TrafficModel(rate_bps=50000.0),
                        mode, 1500.0)
-        res, powers = self.run_capturing_powers(monkeypatch, eng)
+        res, powers = self.run_with_oracle_powers(eng)
         assert eng.frames_started > 3 * m.engine.CHANNEL_BLOCK
         assert any(f.scale < 1.0 for f in res.frames)
         self.check_plans(res, powers)
 
-    def test_frame_cap_not_a_multiple_of_the_block(self, monkeypatch):
+    def test_frame_cap_not_a_multiple_of_the_block(self):
         cfg = m.SystemConfig(K=6, N=64, L=1024, r=2, M=3, seed=2)
         eng = m.Engine(cfg, m.TrafficModel(infinite_backlog=True), "mpgps", 1.0,
                        max_frames=37)
-        res, powers = self.run_capturing_powers(monkeypatch, eng)
+        res, powers = self.run_with_oracle_powers(eng)
         assert len(res.frames) == 37 == len(powers)
         self.check_plans(res, powers)
 
-    def test_budgeted_frames_are_scaled(self, monkeypatch):
+    def test_budgeted_frames_are_scaled(self):
         cfg = m.SystemConfig(K=10, N=64, L=1024, r=2, M=4, seed=4)
         free = m.run(cfg, m.TrafficModel(rate_bps=50000.0), "mpgps", 1500.0)
         cap = float(np.median([f.mean_power for f in free.frames]))
         eng = m.Engine(replace(cfg, power_budget=cap), m.TrafficModel(rate_bps=50000.0),
                        "mpgps", 1500.0)
-        res, powers = self.run_capturing_powers(monkeypatch, eng)
+        res, powers = self.run_with_oracle_powers(eng)
         assert any(f.scale < 1.0 for f in res.frames)
+        self.check_plans(res, powers)
+
+    def test_faded_frames_take_the_whole_frame_rule(self, monkeypatch):
+        # one user's path gain ~10 decades below the others': a frame whose
+        # scheduled gains come within the gain floor of its bound is
+        # transformed and inverted whole, and on some frames the floor of
+        # the frame's median, set by unscheduled users, lifts gains the plan
+        # reads and moves the plan
+        cfg = m.SystemConfig(K=3, N=16, L=256, r=2, M=2, seed=1799, pathloss_exp=6.0,
+                             shadow_std_db=20.0)
+        eng = m.Engine(cfg, m.TrafficModel(rate_bps=40000.0), "mpgps", 1500.0)
+        whole = []
+        real = allocation.frame_powers
+        monkeypatch.setattr(allocation, "frame_powers",
+                            lambda gains, budget: whole.append(len(gains)) or real(gains, budget))
+        res, powers = self.run_with_oracle_powers(eng)
+        assert 0 < sum(whole) < eng.frames_started
+        budget = m.link_budget(cfg)
+        inverse = budget.gamma * budget.noise_power / m.ChannelProcess(cfg).block(
+            0, eng.frames_started)
+        floored = [f.index for f in res.frames
+                   if (powers[f.index] != inverse[f.index])[np.array(f.g) > 0].any()]
+        assert floored
         self.check_plans(res, powers)
 
     @pytest.mark.parametrize("mode", ["mpgps", "ompgps"])

@@ -204,6 +204,64 @@ class TestBlockTransform:
                                       per_frame_reference(cfg, frames))
 
 
+def random_rows(rng, count, k):
+    """A random (frame, user) subset with at least one user a frame, as a
+    plan stack schedules them."""
+    mask = rng.random((count, k)) < 0.3
+    mask[np.arange(count), rng.integers(0, k, count)] = True
+    return mask.nonzero()
+
+
+class TestRowTransform:
+    """A channel-blind plan transforms only its scheduled rows: each must
+    equal its row of the per-frame transform bit for bit, and each frame's
+    gain bound must hold every gain of the frame."""
+
+    @pytest.mark.parametrize("rho", [0.0, 0.6])
+    def test_rows_equal_per_frame_transform(self, rho):
+        rng = np.random.default_rng(int(rho * 10))
+        for seed in range(12):
+            cfg = m.SystemConfig(K=1 + seed % 10, N=(8, 16, 64)[seed % 3], L=64,
+                                 seed=seed, taps=1 + seed % 6, time_corr=rho)
+            want = per_frame_reference(cfg, range(STREAM_CHUNK + 8))
+            proc = ChannelProcess(cfg)
+            # from frame 0, across a STREAM_CHUNK boundary, then a rewind
+            for lo, count in ((0, 20), (STREAM_CHUNK - 6, 14), (3, 9)):
+                taps = proc.taps(lo, count)
+                frames, users = random_rows(rng, count, cfg.K)
+                np.testing.assert_array_equal(proc.rows(taps, frames, users),
+                                              want[lo + frames, users])
+                # whole frames, as the whole-frame fade rule takes them
+                every = np.arange(count)[::2, None]
+                np.testing.assert_array_equal(proc.rows(taps, every, np.arange(cfg.K)),
+                                              want[lo + every[:, 0]])
+
+    def test_rows_across_the_one_word_boundary(self):
+        cfg = m.SystemConfig(K=4, N=16, L=64, seed=3)
+        frames_on_air = range(2 ** 32 - 3, 2 ** 32 + 3)
+        want = per_frame_reference(cfg, frames_on_air)
+        proc = ChannelProcess(cfg)
+        taps = proc.taps(frames_on_air[0], len(frames_on_air))
+        frames, users = random_rows(np.random.default_rng(1), len(frames_on_air), cfg.K)
+        np.testing.assert_array_equal(proc.rows(taps, frames, users), want[frames, users])
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), spread=st.booleans(),
+           rho=st.sampled_from([0.0, 0.6]), taps=st.integers(1, 12),
+           n=st.sampled_from([4, 16, 64]))
+    def test_bound_holds_every_gain_of_its_frame(self, seed, spread, rho, taps, n):
+        extreme = dict(pathloss_exp=6.0, shadow_std_db=20.0) if spread else {}
+        cfg = m.SystemConfig(K=6, N=n, L=64, seed=seed, taps=taps, time_corr=rho, **extreme)
+        proc = ChannelProcess(cfg)
+        bound = proc.gain_bound(proc.taps(0, 24))
+        gains = proc.block(0, 24)                # replays the same taps after a rewind
+        assert (gains.max(axis=(1, 2)) <= bound).all()
+        if taps <= n:
+            # no looser than Cauchy-Schwarz and Parseval allow:
+            # (sum_j |h_j|)^2 <= taps * sum_j |h_j|^2 <= taps * max_n |H(n)|^2
+            assert (bound <= 1.01 * taps * gains.max(axis=(1, 2))).all()
+
+
 class TestFrameStreams:
     """Each frame's stream must equal numpy's own seeding of the same key."""
 
