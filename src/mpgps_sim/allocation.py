@@ -21,11 +21,13 @@ The frame repeats one group of ``group`` symbols airtime/group times, so all
 arithmetic happens on the compressed K x N group matrix: column n stands for
 ``group`` identical slots on subcarrier n.
 
-``solve_frames`` plans a stack of frames with one validated
-``solve_transport`` call: every frame with one or two active rows goes
-through one stacked closed-form split, the frames with three or more through
-the lockstep exchange solver, and the call's objective is each frame's power
-per bit. ``allocate_frame`` is the one-frame form.
+``solve_frames`` plans a stack of frames from its (B, K) composition
+matrix with one validated ``solve_transport`` call: ``frame_layouts`` takes
+every frame's group size and quotas from the matrix in one pass, every
+frame with one or two active rows goes through one stacked closed-form
+split, the frames with three or more through the lockstep exchange solver,
+and the call's objective is each frame's power per bit. ``allocate_frame``
+is the one-frame form.
 
 A plan can be built in a reused workspace: each thread keeps, per (K, N),
 one fixed (``RANK_BLOCK``, K, N) stack each of powers, costs and slot
@@ -59,13 +61,12 @@ import functools
 import math
 import threading
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 
 from .channel import LinkBudget
-from .model import SystemConfig, frame_length, group_size, subcarrier_quota
+from .model import SystemConfig, frame_length, group_size
 
 # Gains this far below the instance median are clamped before inversion so a
 # single fade cannot blow up the cost matrix.
@@ -84,13 +85,6 @@ RANK_BLOCK = 256
 # Instances whose costs times counts solve_transport multiplies and sums in
 # one pass, so a stack of frame plans holds no product of its own size.
 SUM_BLOCK = 16
-
-# Frame layouts kept per (g, L, N, r), shared by every run in a process, in
-# least-recently-used order. An entry takes ~400 B at K=10. The power
-# benchmark's 80 drops (mpgps, M=4, K=10) form ~650 compositions; 256 entries
-# serve 89 % of their lookups, and 1,024 entries served 98 % but held ~0.3 MB
-# more peak memory.
-LAYOUT_CACHE = 256
 
 
 class ZeroGain(ValueError):
@@ -565,54 +559,46 @@ def row_powers(out: np.ndarray, frames: np.ndarray, users: np.ndarray, gains: np
     return np.flatnonzero(whole)
 
 
-class FrameLayout(NamedTuple):
-    """Frame arithmetic of one composition; it depends only on g and the config."""
+def frame_layouts(g: np.ndarray, cfg: SystemConfig
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Batch size, airtime, group size and quotas of every composition of a
+    (B, K) int64 matrix ``g``: int64 arrays (B,), (B,), (B,) and (B, K).
 
-    m_sel: int
-    airtime: int                 # symbols
-    group: int                   # symbols per group
-    quotas: tuple[int, ...]      # slots per group owed to each user
-
-
-def frame_layout(g, cfg: SystemConfig) -> FrameLayout:
-    """Airtime, group size and quotas of composition ``g``.
-
-    A layout depends on g, L, N and r alone, so it is computed once per
-    process for each (g, L, N, r) and shared by every run; a composition
-    whose frame or quotas are not integral raises each time it is asked for.
+    Row by row they equal ``model.frame_length``, ``group_size`` and
+    ``subcarrier_quota``: the group is m_sel / gcd(m_sel, N * gcd(g)),
+    which makes every quota g_k * group * N / m_sel whole. A stack with a
+    row those functions refuse is handed to them row by row, so the first
+    such row raises what they raise (``NonIntegralFrame``,
+    ``NonIntegralQuota`` or ``ValueError``).
     """
-    return _frame_layout(g if type(g) is tuple else tuple(g), cfg.L, cfg.N, cfg.r)
+    m_sel = g.sum(axis=1)
+    airtime, spare = np.divmod(cfg.L * m_sel, cfg.bits_per_symbol)
+    if m_sel.min() > 0 and g.min() >= 0 and not spare.any():
+        group = m_sel // np.gcd(m_sel, cfg.N * np.gcd.reduce(g, axis=1))
+        if not (airtime % group).any():
+            return m_sel, airtime, group, g * (group * cfg.N)[:, None] // m_sel[:, None]
+    for row in g.tolist():
+        group_size(frame_length(row, cfg), row, cfg.N)
+    raise AssertionError("a composition without a layout passed the scalar checks")
 
 
-@functools.lru_cache(maxsize=LAYOUT_CACHE)
-def _frame_layout(g: tuple, L: int, N: int, r: int) -> FrameLayout:
-    # equal keys hash alike whatever their integer type; the layout holds ints
-    g = tuple(map(int, g))
-    m_sel = sum(g)
-    # frame_length reads the packet size and the bits a symbol carries
-    airtime = frame_length(g, SimpleNamespace(L=L, bits_per_symbol=N * r))
-    grp = group_size(airtime, g, N)
-    return FrameLayout(m_sel, airtime, grp,
-                       tuple(subcarrier_quota(g_k, grp, N, m_sel) for g_k in g))
-
-
-def solve_frames(layouts, powers: np.ndarray, cfg: SystemConfig
+def solve_frames(g: np.ndarray, powers: np.ndarray, cfg: SystemConfig
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Optimal plans of a stack of frames: counts, per-bit power, energy, mean power.
 
-    ``layouts`` holds each frame's ``FrameLayout`` and ``powers`` their
-    (B, K, N) power matrices from ``frame_powers``, the ones the batch
-    selection ranked compositions with, or from ``row_powers``, whose
-    unscheduled rows are zero: a plan reads only its scheduled rows. Returns
-    the (B, K, N) slot counts per group and the (B,) power per bit (W per
-    delivered bit), energy over the whole frame at requested power (J) and
-    mean power over the airtime (W).
+    ``g`` is the stack's (B, K) int64 composition matrix, from which
+    ``frame_layouts`` takes every frame's group size and quotas in one
+    pass, and ``powers`` their (B, K, N) power matrices from
+    ``frame_powers``, the ones the batch selection ranked compositions
+    with, or from ``row_powers``, whose unscheduled rows are zero: a plan
+    reads only its scheduled rows. Returns the (B, K, N) slot counts per
+    group and the (B,) power per bit (W per delivered bit), energy over the
+    whole frame at requested power (J) and mean power over the airtime (W).
     Powers drawn into ``workspace_powers`` are planned in the workspace, and
     the counts returned stay valid only until its next plan; other powers
     get new arrays.
     """
-    table = np.array([(lay.group, lay.m_sel, *lay.quotas) for lay in layouts], dtype=np.int64)
-    grp, m_sel, quotas = table[:, 0], table[:, 1], table[:, 2:]
+    m_sel, _, grp, quotas = frame_layouts(g, cfg)
     held = _workspace_of(powers, "powers")
     alpha = np.divide(powers, (grp * (cfg.N * cfg.r))[:, None, None],
                       out=None if held is None else held.alpha[:len(powers)])
@@ -628,13 +614,14 @@ def solve_frames(layouts, powers: np.ndarray, cfg: SystemConfig
 def allocate_frame(g, powers: np.ndarray, cfg: SystemConfig) -> AllocationResult:
     """Solve one frame end to end: quotas, group assignment, energy.
 
-    ``powers`` is the frame's (K, N) power matrix from ``frame_powers``; the
-    plan is ``solve_frames`` on a stack of one.
+    ``g`` is the frame's composition and ``powers`` its (K, N) power matrix
+    from ``frame_powers``; the plan is ``solve_frames`` on the (1, K)
+    composition matrix of a stack of one.
     """
-    lay = frame_layout(g, cfg)
-    counts, per_bit_power, energy, mean_power = solve_frames([lay], powers[None], cfg)
+    gs = np.array([g], dtype=np.int64)
+    m_sel, airtime, grp = (int(x[0]) for x in frame_layouts(gs, cfg)[:3])
+    counts, per_bit_power, energy, mean_power = solve_frames(gs, powers[None], cfg)
     return AllocationResult(
-        g=tuple(int(x) for x in g), m_sel=lay.m_sel, airtime=lay.airtime,
-        group=lay.group, repeats=lay.airtime // lay.group, counts=counts[0],
-        per_bit_power=float(per_bit_power[0]), energy=float(energy[0]),
-        mean_power=float(mean_power[0]))
+        g=tuple(int(x) for x in g), m_sel=m_sel, airtime=airtime, group=grp,
+        repeats=airtime // grp, counts=counts[0], per_bit_power=float(per_bit_power[0]),
+        energy=float(energy[0]), mean_power=float(mean_power[0]))

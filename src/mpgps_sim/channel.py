@@ -9,6 +9,7 @@ constellation rate, inverted to obtain the SNR that meets a BER target.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -79,12 +80,19 @@ def link_budget(cfg: SystemConfig) -> LinkBudget:
     return LinkBudget(gamma=snr_target(cfg.target_ber, cfg.r), noise_power=cfg.noise_power)
 
 
-# Frames whose stream keys FrameStreams hashes in one numpy pass. numpy's
-# per-call overhead sets the cost: a call takes a near-flat ~0.1-0.23 ms
-# whether it hashes 16 frames or 256. So a run of up to 256 frames pays two
-# calls, one for its channel stream and one for its error stream, and the
-# frames of a chunk it never draws cost it next to nothing.
+# Indices per stream whose keys are hashed in one numpy pass, in chunks
+# aligned to multiples of it. numpy's per-call overhead sets the cost: a
+# call takes a near-flat ~0.1-0.23 ms whether it hashes 16 keys or 768. So
+# one call per chunk hashes the keys of all of STREAM_TAGS, and a run of up
+# to 256 frames and 256 flows pays one call for its arrivals, channel and
+# packet errors; the indices of a chunk it never draws cost it next to
+# nothing.
 STREAM_CHUNK = 256
+
+# The tags of a run's keyed streams, each keyed (seed, tag, index): arrivals
+# (23, indexed by flow), channel taps (37) and packet errors (53, both
+# indexed by frame).
+STREAM_TAGS = (23, 37, 53)
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and the PCG64
 # multiplier (numpy/random/src/pcg64/pcg64.h)
@@ -104,15 +112,16 @@ def _uint32_words(n: int) -> list[int]:
     return [(n >> s) & _MASK32 for s in range(0, max(n.bit_length(), 1), 32)]
 
 
-def _seed_sequence_states(prefix: list[int], frames: np.ndarray) -> np.ndarray:
-    """``SeedSequence(prefix + [f]).generate_state(4, np.uint64)`` for every
-    frame f of a uint32 column, shape (len(frames), 4).
+def _seed_sequence_states(entropy: list[np.ndarray]) -> np.ndarray:
+    """``SeedSequence(key).generate_state(4, np.uint64)`` for every key of a
+    stack, shape (keys, 4).
 
-    The same uint32 arithmetic as numpy's loop, run over the frame column;
-    the words of ``prefix`` are shape-(1,) arrays that broadcast against it.
-    The hash constants depend on no data, so they stay Python ints.
+    ``entropy`` holds each key's 32-bit words in order, one uint32 array per
+    word position; the arrays broadcast against each other, so a word that
+    every key shares is a shape-(1,) array. The same uint32 arithmetic as
+    numpy's loop, run over the key column. The hash constants depend on no
+    data, so they stay Python ints.
     """
-    entropy = [np.array([w], dtype=np.uint32) for w in prefix] + [frames]
     hash_const = _INIT_A
 
     def hashmix(value):
@@ -145,54 +154,78 @@ def _seed_sequence_states(prefix: list[int], frames: np.ndarray) -> np.ndarray:
     return np.stack(out, axis=1).view(np.uint64)
 
 
-class FrameStreams:
-    """One random stream per frame, keyed (seed, tag, frame).
+@functools.lru_cache(maxsize=4)
+def _stream_keys(seed: int, lo: int) -> np.ndarray:
+    """The hashed keys (seed, tag, i) of every tag of STREAM_TAGS and every
+    index i of the chunk from ``lo``, a multiple of STREAM_CHUNK in the
+    one-word range: a read-only uint64 array (len(STREAM_TAGS), count, 4).
 
-    ``at(frame)`` draws exactly what ``np.random.default_rng([seed, tag,
-    frame])`` draws, bit for bit, without hashing the key on each call: keys
-    are hashed STREAM_CHUNK frames at a time, and each frame's PCG64 state
-    is loaded into one reused Generator. That Generator is valid until the
-    next ``at``. ``uniforms(frame, n)`` returns that stream's first n
-    ``random()`` doubles as a list, without loading a Generator: from the
-    same hashed key it runs the PCG64 generator (O'Neill's PCG XSL-RR
-    128/64) in Python ints, one LCG step and one output permutation a draw,
-    and keeps the top 53 bits, as numpy's ``random`` does. Frames past the
-    one-word range fall back to ``default_rng`` in both.
+    One ``_seed_sequence_states`` call hashes them all. The keys depend on
+    the seed alone, so the runs of one sweep replication, which share it,
+    share the entries; four entries (~25 KB each) cover a run's arrival,
+    channel and error streams in neighbouring chunks, whichever order they
+    move in.
+    """
+    index = np.arange(lo, min(lo + STREAM_CHUNK, _MASK32 + 1), dtype=np.uint32)
+    tags = np.repeat(np.array(STREAM_TAGS, dtype=np.uint32), len(index))
+    words = [np.array([w], dtype=np.uint32) for w in _uint32_words(seed)]
+    keys = _seed_sequence_states(words + [tags, np.tile(index, len(STREAM_TAGS))])
+    keys = keys.reshape(len(STREAM_TAGS), len(index), 4)
+    keys.flags.writeable = False
+    return keys
+
+
+class FrameStreams:
+    """One random stream per index, keyed (seed, tag, index): a frame, or a
+    flow for the arrivals. The tag is one of STREAM_TAGS.
+
+    ``at(index)`` draws exactly what ``np.random.default_rng([seed, tag,
+    index])`` draws, bit for bit, without hashing the key on each call: it
+    reads the key from ``_stream_keys``, which hashes the keys of every tag
+    of STREAM_TAGS a chunk of STREAM_CHUNK indices at a time, and loads the
+    index's PCG64 state into this object's own Generator, which no other
+    object shares. That Generator is valid until the next ``at``.
+    ``uniforms(index, n)`` returns that stream's first n ``random()`` doubles
+    as a list, without loading a Generator: from the same hashed key it runs
+    the PCG64 generator (O'Neill's PCG XSL-RR 128/64) in Python ints, one
+    LCG step and one output permutation a draw, and keeps the top 53 bits,
+    as numpy's ``random`` does. Indices past the one-word range fall back to
+    ``default_rng`` in both.
     """
 
     def __init__(self, seed: int, tag: int):
         self.seed, self.tag = int(seed), int(tag)
-        self._prefix = _uint32_words(self.seed) + _uint32_words(self.tag)
+        self._row = STREAM_TAGS.index(self.tag)
         self._lo = 0
-        self._keys: list[list[int]] = []
+        self._keys = np.empty((0, 4), dtype=np.uint64)
         self._gen = np.random.Generator(np.random.PCG64(0))
 
-    def _seeded(self, frame: int) -> tuple[int, int]:
-        """The seeded PCG64 (state, inc) of a frame in the one-word range."""
-        i = frame - self._lo
+    def _seeded(self, index: int) -> tuple[int, int]:
+        """The seeded PCG64 (state, inc) of an index in the one-word range."""
+        i = index - self._lo
         if not 0 <= i < len(self._keys):
-            frames = np.arange(frame, min(frame + STREAM_CHUNK, _MASK32 + 1), dtype=np.uint32)
-            self._keys = _seed_sequence_states(self._prefix, frames).tolist()
-            self._lo, i = frame, 0
-        w0, w1, w2, w3 = self._keys[i]
+            self._lo = index - index % STREAM_CHUNK
+            self._keys = _stream_keys(self.seed, self._lo)[self._row]
+            i = index - self._lo
+        w0, w1, w2, w3 = self._keys[i].tolist()
         # pcg64_set_seed: inc = seq << 1 | 1, two LCG steps around adding the seed
         inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
         return (((w0 << 64 | w1) + inc) * _PCG_MULT + inc) & _MASK128, inc
 
-    def at(self, frame: int) -> np.random.Generator:
-        if not 0 <= frame <= _MASK32:
-            return np.random.default_rng([self.seed, self.tag, frame])
-        state, inc = self._seeded(frame)
+    def at(self, index: int) -> np.random.Generator:
+        if not 0 <= index <= _MASK32:
+            return np.random.default_rng([self.seed, self.tag, index])
+        state, inc = self._seeded(index)
         self._gen.bit_generator.state = {
             "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
             "has_uint32": 0, "uinteger": 0}
         return self._gen
 
-    def uniforms(self, frame: int, n: int) -> list[float]:
-        """``np.random.default_rng([seed, tag, frame]).random(n).tolist()``, bit for bit."""
-        if not 0 <= frame <= _MASK32:
-            return np.random.default_rng([self.seed, self.tag, frame]).random(n).tolist()
-        state, inc = self._seeded(frame)
+    def uniforms(self, index: int, n: int) -> list[float]:
+        """``np.random.default_rng([seed, tag, index]).random(n).tolist()``, bit for bit."""
+        if not 0 <= index <= _MASK32:
+            return np.random.default_rng([self.seed, self.tag, index]).random(n).tolist()
+        state, inc = self._seeded(index)
         out = []
         for _ in range(n):
             # pcg64_random_r: step the LCG, then xor-fold the new state's
@@ -242,10 +275,13 @@ class ChannelProcess:
         rho = self.cfg.time_corr
         fresh = math.sqrt(1.0 - rho * rho)
         taps = self._draw_taps(lo, count)
+        prev = self._last_taps
         for i in range(count):
-            if self._last_taps is not None:
-                taps[i] = rho * self._last_taps + fresh * taps[i]
-            self._last_taps = taps[i]
+            if prev is not None:
+                taps[i] = rho * prev + fresh * taps[i]
+            prev = taps[i]
+        # a copy: a view would keep the whole returned stack alive
+        self._last_taps = None if prev is None else prev.copy()
         self._last_frame = lo + count - 1
         return taps
 

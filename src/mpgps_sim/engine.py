@@ -60,7 +60,7 @@ BOUND_EPS = 1e-6
 # it runs (ampgps, ompgps, or a power budget) builds in one pass, ahead of
 # its decisions: the look-ahead block (ChannelProcess.block, then
 # allocation.frame_powers). Drawing stays per frame (channel.STREAM_CHUNK
-# sets how many frames' seeds are hashed at once); the FFT, the |H|^2
+# sets how many frames' keys are hashed at once); the FFT, the |H|^2
 # scaling and the inversion run once per block. A block holds no frame that
 # cannot start: none past a capped run's cap, and none that a Poisson run's
 # horizon leaves no room for at one-packet airtime. Blocks of 8 and 16 ran
@@ -233,8 +233,10 @@ class ArrivalTrace(NamedTuple):
     gps: GpsTrace | None
 
 
-def _poisson_times(seed: int, flow: int, rate_sym: float, horizon: float) -> np.ndarray:
-    """Flow's Poisson arrival times before the horizon, in symbols.
+def _poisson_times(streams: FrameStreams, flow: int, rate_sym: float,
+                   horizon: float) -> np.ndarray:
+    """Flow's Poisson arrival times before the horizon, in symbols, drawn
+    from its stream of ``streams`` (the run's arrival streams, tag 23).
 
     The first draw is sized from the expected count (see ARRIVAL_MARGIN).
     When it crosses the horizon, its times are the first chunk's prefix
@@ -244,13 +246,13 @@ def _poisson_times(seed: int, flow: int, rate_sym: float, horizon: float) -> np.
     """
     if rate_sym <= 0:
         return np.empty(0)
-    rng = np.random.default_rng([seed, 23, flow])
+    rng = streams.at(flow)
     lam = rate_sym * horizon
     size = min(lam + ARRIVAL_MARGIN * (math.sqrt(lam) + 4), FIRST_GAP_CAP)
     cum = np.cumsum(rng.exponential(1.0 / rate_sym, math.ceil(size)))
     if cum[-1] >= horizon:
         return cum[cum < horizon]
-    rng = np.random.default_rng([seed, 23, flow])
+    rng = streams.at(flow)
     out = []
     t = 0.0
     while t < horizon:
@@ -296,10 +298,11 @@ def arrival_trace(seed: int, rates: tuple[float, ...], bucket: tuple[float, floa
     the whole trace; with ``record`` on, the reference is then drained and
     its ``GpsTrace`` kept for the bound audit.
     """
+    streams = FrameStreams(seed, 23)      # this call's own: no Generator is shared
     # rates near the float range overflow gaps and release times to inf,
     # past any horizon as the true values are; later releases stay inf
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        per_flow = [_shape(_poisson_times(seed, k, rate_sym, horizon), bucket, bits)
+        per_flow = [_shape(_poisson_times(streams, k, rate_sym, horizon), bucket, bits)
                     for k, rate_sym in enumerate(np.asarray(rates, dtype=float))]
     times = np.concatenate(per_flow)
     flows = np.repeat(np.arange(len(rates), dtype=np.int64), [len(p) for p in per_flow])
@@ -532,7 +535,9 @@ class Engine:
 
     def _plan(self) -> None:
         """Solve the plans of the waiting pgps or mpgps frames, which are
-        consecutive, in one ``solve_frames`` call. A channel-blind run draws
+        consecutive, in one ``solve_frames`` call on their (B, K)
+        composition matrix, which also gives the scheduled rows and, in
+        ``allocation.frame_layouts``, every layout. A channel-blind run draws
         their taps here in one pass and transforms and inverts only the rows
         of their scheduled users, into the zero-filled plan workspace
         (``allocation.row_powers``); a frame whose scheduled gains come
@@ -544,11 +549,13 @@ class Engine:
             return
         cfg = self.cfg
         lo = recs[0].index
+        g = np.fromiter(itertools.chain.from_iterable(rec.g for rec in recs), dtype=np.int64,
+                        count=len(recs) * cfg.K).reshape(len(recs), cfg.K)
         if self.channel_blind:
             channel = self.channel
             powers = allocation.workspace_powers(len(recs), cfg.K, cfg.N)
             taps = channel.taps(lo, len(recs))
-            frames, users = (np.array([rec.g for rec in recs]) > 0).nonzero()
+            frames, users = (g > 0).nonzero()
             whole = allocation.row_powers(powers, frames, users,
                                           channel.rows(taps, frames, users),
                                           channel.gain_bound(taps), self.budget)
@@ -557,8 +564,7 @@ class Engine:
                     channel.rows(taps, whole[:, None], np.arange(cfg.K)), self.budget)
         else:
             powers = self.block_powers[lo - self.block_lo:][:len(recs)]
-        layouts = [allocation.frame_layout(rec.g, cfg) for rec in recs]
-        _, per_bit, energy, mean_power = allocation.solve_frames(layouts, powers, cfg)
+        _, per_bit, energy, mean_power = allocation.solve_frames(g, powers, cfg)
         for rec, p, e, w in zip(recs, per_bit.tolist(), energy.tolist(), mean_power.tolist()):
             rec.per_bit_power = p
             rec.energy = e

@@ -3,6 +3,7 @@
 import sys
 import threading
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -569,8 +570,8 @@ class TestStackedPlans:
             cfg, gs, gains = plan_stack(seed)
             assert {np.count_nonzero(g) for g in gs} == {1, 2, 3, 4}
             powers = m.frame_powers(gains, m.link_budget(cfg))
-            layouts = [allocation.frame_layout(g, cfg) for g in gs]
-            counts, per_bit, energy, mean_power = allocation.solve_frames(layouts, powers, cfg)
+            counts, per_bit, energy, mean_power = allocation.solve_frames(
+                np.array(gs, dtype=np.int64), powers, cfg)
             for b, g in enumerate(gs):
                 want = oracle_plan(g, powers[b], cfg)
                 assert counts[b].tolist() == want[0].tolist(), (seed, g)
@@ -584,7 +585,7 @@ class TestStackedPlans:
         powers = m.frame_powers(gains, budget)
         assert powers[2, 1, 7] < budget.gamma * budget.noise_power / gains[2, 1, 7]
         _, per_bit, energy, mean_power = allocation.solve_frames(
-            [allocation.frame_layout(g, cfg) for g in gs], powers, cfg)
+            np.array(gs, dtype=np.int64), powers, cfg)
         for b, g in enumerate(gs):
             assert (per_bit[b], energy[b], mean_power[b]) == oracle_plan(g, powers[b], cfg)[1:]
 
@@ -604,14 +605,14 @@ class TestStackedPlans:
                             lambda instance: calls.append(instance) or real(instance))
         cfg, gs, gains = plan_stack(1)
         powers = m.frame_powers(gains, m.link_budget(cfg))
-        layouts = [allocation.frame_layout(g, cfg) for g in gs]
-        allocation.solve_frames(layouts, powers, cfg)
+        g = np.array(gs, dtype=np.int64)
+        allocation.solve_frames(g, powers, cfg)
         assert [c.alpha.shape for c in calls] == [powers.shape]
         # a one-row frame's costs are checked too
         assert np.count_nonzero(gs[0]) == 1
         powers[0, :, 3] = np.inf
         with pytest.raises(ValueError, match="finite"):
-            allocation.solve_frames(layouts, powers, cfg)
+            allocation.solve_frames(g, powers, cfg)
 
     def test_stacked_sums_equal_per_frame_sums(self):
         # the stack sums each frame's K*N products in the same pairwise order
@@ -621,45 +622,27 @@ class TestStackedPlans:
         assert stack.sum(axis=(1, 2)).tolist() == [float(f.sum()) for f in stack]
 
 
-class TestFrameLayoutCache:
-    """Layouts are cached per (g, L, N, r) and shared across configs."""
+class TestFrameLayouts:
+    """The layouts of a composition matrix equal the ``model`` scalar
+    functions row by row, and a row they refuse raises what they raise."""
 
     @staticmethod
-    def fresh_layout(g, cfg):
+    def scalar_layout(g, cfg):
         m_sel = sum(g)
         airtime = m.frame_length(g, cfg)
         grp = m.group_size(airtime, g, cfg.N)
-        return allocation.FrameLayout(m_sel, airtime, grp, tuple(
-            m.subcarrier_quota(g_k, grp, cfg.N, m_sel) for g_k in g))
+        return m_sel, airtime, grp, [m.subcarrier_quota(g_k, grp, cfg.N, m_sel) for g_k in g]
 
     @pytest.mark.parametrize("shape", [dict(L=64, N=8, r=2), dict(L=1024, N=64, r=2)])
-    def test_cached_layouts_equal_a_fresh_computation(self, shape):
+    def test_layouts_equal_the_scalar_functions(self, shape):
         cfg = m.SystemConfig(K=4, M=6, **shape)
-        allocation._frame_layout.cache_clear()
         gs = [g for total in range(1, 7)
               for g in m.compositions(total, (total,) * cfg.K)]
         assert len(gs) == 209
-        for _ in range(2):                       # computed, then read from the cache
-            for g in gs:
-                got = allocation.frame_layout(np.array(g), cfg)
-                assert got == self.fresh_layout(g, cfg)
-                assert allocation.frame_layout(list(g), cfg) is got
-                assert all(type(x) is int for x in (*got[:3], *got.quotas))
-        assert allocation._frame_layout.cache_info().hits > 0
-
-    def test_configs_differing_in_L_N_or_r_get_their_own_entries(self):
-        allocation._frame_layout.cache_clear()
-        g = (2, 0, 2)
-        base = m.SystemConfig(K=3, N=8, L=64, r=2, M=4, seed=1)
-        lays = [allocation.frame_layout(g, replace(base, **kw))
-                for kw in ({}, {"L": 128}, {"N": 16}, {"r": 4})]
-        assert allocation._frame_layout.cache_info().currsize == 4
-        assert len(set(lays)) == 4
-        assert lays[0] == self.fresh_layout(g, base)
-        # the seed, weights and deadline play no part
-        other = replace(base, seed=9, weights=(1.0, 2.0, 0.5), deadline=0.01)
-        assert allocation.frame_layout(g, other) is lays[0]
-        assert allocation._frame_layout.cache_info().currsize == 4
+        m_sel, airtime, grp, quotas = allocation.frame_layouts(np.array(gs, dtype=np.int64), cfg)
+        assert all(a.dtype == np.int64 for a in (m_sel, airtime, grp, quotas))
+        got = list(zip(m_sel.tolist(), airtime.tolist(), grp.tolist(), quotas.tolist()))
+        assert got == [self.scalar_layout(g, cfg) for g in gs]
 
     def test_integral_airtime_gives_every_composition_a_layout(self):
         # L is a multiple of r, so a batch size whose airtime fills whole
@@ -670,22 +653,42 @@ class TestFrameLayoutCache:
             for r in (1, 2, 3):
                 for packet in (1, 2, 3, 4, 6, 8, 16):
                     cfg = m.SystemConfig(K=3, N=n, L=packet * r, r=r, M=6)
-                    for size in range(1, 7):
-                        if (cfg.L * size) % cfg.bits_per_symbol:
-                            continue
-                        for g in m.compositions(size, (size,) * 3):
-                            allocation.frame_layout(g, cfg)         # raises if not
-                            checked += 1
+                    gs = [g for size in range(1, 7) if (cfg.L * size) % cfg.bits_per_symbol == 0
+                          for g in m.compositions(size, (size,) * 3)]
+                    if not gs:
+                        continue
+                    layouts = allocation.frame_layouts(np.array(gs, dtype=np.int64), cfg)
+                    assert list(zip(*(a.tolist() for a in layouts))) == [
+                        self.scalar_layout(g, cfg) for g in gs]
+                    checked += len(gs)
         assert checked > 1000
 
-    def test_non_integral_composition_raises_and_is_not_cached(self):
-        allocation._frame_layout.cache_clear()
-        cfg = m.SystemConfig(K=3, N=64, L=64, r=2)      # a packet is half a symbol
-        for _ in range(2):
-            with pytest.raises(m.NonIntegralFrame):
-                allocation.frame_layout((1, 0, 0), cfg)
-        assert allocation._frame_layout.cache_info().currsize == 0
-        assert allocation.frame_layout((1, 1, 0), cfg).airtime == 1
+    @pytest.mark.parametrize("row, error", [
+        ((1, 0, 0), m.NonIntegralFrame),      # a packet is half a symbol
+        ((0, 0, 0), ValueError),              # an empty batch
+        ((3, -1, 0), ValueError),             # a negative count
+    ], ids=["half-symbol", "empty", "negative"])
+    def test_a_non_integral_row_raises_the_scalar_exception(self, row, error):
+        cfg = m.SystemConfig(K=3, N=64, L=64, r=2)
+        with pytest.raises(error) as scalar:
+            self.scalar_layout(row, cfg)
+        stack = np.array([(1, 1, 0), (0, 2, 2), row, (1, 0, 1)], dtype=np.int64)
+        with pytest.raises(error) as stacked:
+            allocation.frame_layouts(stack, cfg)
+        assert type(stacked.value) is type(scalar.value)
+        assert str(stacked.value) == str(scalar.value)
+        assert allocation.frame_layouts(stack[[0, 1, 3]], cfg)[1].tolist() == [1, 2, 1]
+
+    def test_a_row_without_integral_quotas_raises_non_integral_quota(self):
+        # no SystemConfig gets here, as L is a multiple of r; a bare shape of
+        # L=1, N=1 at 2 bits a symbol gives (1, 1) a whole symbol of airtime
+        # that no group of 2 divides
+        shape = SimpleNamespace(L=1, N=1, bits_per_symbol=2)
+        with pytest.raises(m.NonIntegralQuota) as scalar:
+            self.scalar_layout((1, 1), shape)
+        with pytest.raises(m.NonIntegralQuota) as stacked:
+            allocation.frame_layouts(np.array([(2, 0), (1, 1)], dtype=np.int64), shape)
+        assert str(stacked.value) == str(scalar.value)
 
 
 class TestDeferredPlans:
@@ -785,8 +788,8 @@ class TestDeferredPlans:
                             or real_taps(lo, count))
         stacks = []
         real_solve = allocation.solve_frames
-        monkeypatch.setattr(allocation, "solve_frames", lambda layouts, powers, cfg:
-                            stacks.append(len(layouts)) or real_solve(layouts, powers, cfg))
+        monkeypatch.setattr(allocation, "solve_frames", lambda g, powers, cfg:
+                            stacks.append(len(g)) or real_solve(g, powers, cfg))
         res, powers = self.run_with_oracle_powers(eng)
         drawn = [entry for entry in log if entry != "event"]
         assert log.index(drawn[0]) == log.count("event") > 0
@@ -802,8 +805,8 @@ class TestDeferredPlans:
         eng = m.Engine(cfg, m.TrafficModel(rate_bps=50000.0), "mpgps", 5000.0)
         stacks = []
         real_solve = allocation.solve_frames
-        monkeypatch.setattr(allocation, "solve_frames", lambda layouts, powers, cfg:
-                            stacks.append(len(layouts)) or real_solve(layouts, powers, cfg))
+        monkeypatch.setattr(allocation, "solve_frames", lambda g, powers, cfg:
+                            stacks.append(len(g)) or real_solve(g, powers, cfg))
         res, powers = self.run_with_oracle_powers(eng)
         assert stacks == [m.engine.PLAN_STACK, eng.frames_started - m.engine.PLAN_STACK]
         assert any(np.count_nonzero(f.g) >= 3 for f in res.frames[m.engine.PLAN_STACK:])
@@ -824,8 +827,8 @@ class TestDeferredPlans:
                             or real_taps(lo, count))
         stacks = []
         real_solve = allocation.solve_frames
-        monkeypatch.setattr(allocation, "solve_frames", lambda layouts, powers, cfg:
-                            stacks.append(len(layouts)) or real_solve(layouts, powers, cfg))
+        monkeypatch.setattr(allocation, "solve_frames", lambda g, powers, cfg:
+                            stacks.append(len(g)) or real_solve(g, powers, cfg))
         res, powers = self.run_with_oracle_powers(eng)
         full, rest = divmod(eng.frames_started, m.engine.PLAN_STACK)
         assert full >= 2 and rest > 0
@@ -914,23 +917,25 @@ class TestDeferredPlans:
         traffic = m.TrafficModel(rate_bps=80000.0)
         stacks = []
         real_solve = allocation.solve_frames
-        monkeypatch.setattr(allocation, "solve_frames", lambda layouts, powers, cfg:
-                            stacks.append(len(layouts)) or real_solve(layouts, powers, cfg))
-        allocation._frame_layout.cache_clear()
+        monkeypatch.setattr(allocation, "solve_frames", lambda g, powers, cfg:
+                            stacks.append(len(g)) or real_solve(g, powers, cfg))
+        layouts = []
+        real_layouts = allocation.frame_layouts
+        monkeypatch.setattr(allocation, "frame_layouts", lambda g, cfg:
+                            layouts.append(len(g)) or real_layouts(g, cfg))
         res = m.verify_bounds(cfg, traffic, mode, 3000.0)
-        info = allocation._frame_layout.cache_info()
         assert res.frames and res.bounds.passed
-        assert info.hits + info.misses == 0 and stacks == []
+        assert layouts == [] and stacks == []
         assert all(f.depart == f.start + m.frame_length((f.m_sel,), cfg) for f in res.frames)
         plain = m.Engine(cfg, traffic, mode, 3000.0)
         cap = float(np.median([f.mean_power for f in plain.run().frames]))
         budgeted = m.Engine(replace(cfg, power_budget=cap), traffic, mode, 3000.0)
         assert any(f.scale < 1.0 for f in budgeted.run().frames)
-        lookups = allocation._frame_layout.cache_info()
         if mode in ("ampgps", "ompgps"):
-            assert lookups.hits + lookups.misses == 0 and stacks == []
+            assert layouts == [] and stacks == []
         else:
-            assert lookups.misses > 0
+            # each stack's layouts are built once, in one pass
+            assert layouts == stacks
             assert plain.frames_started <= m.engine.PLAN_STACK
             assert stacks == [plain.frames_started] + [1] * budgeted.frames_started
 
@@ -986,11 +991,11 @@ class TestPlanWorkspace:
         self.frames(system, rate, horizon)
         powers = m.frame_powers(m.ChannelProcess(cfg).block(0, 4), m.link_budget(cfg))
         gs = [(1, 1, 1, 1) + (0,) * 6, (4,) + (0,) * 9, (2, 0, 2) + (0,) * 7, (0,) * 9 + (4,)]
-        layouts = [allocation.frame_layout(g, cfg) for g in gs]
-        instance = m.TransportInstance(alpha=powers, quotas=[lay.quotas for lay in layouts],
-                                       group=[lay.group for lay in layouts])
+        g = np.array(gs, dtype=np.int64)
+        _, _, grp, quotas = allocation.frame_layouts(g, cfg)
+        instance = m.TransportInstance(alpha=powers, quotas=quotas, group=grp)
         results = [m.allocate_frame(gs[0], powers[0], cfg).counts,
-                   *allocation.solve_frames(layouts, powers, cfg), *m.solve_transport(instance)]
+                   *allocation.solve_frames(g, powers, cfg), *m.solve_transport(instance)]
         kept = [r.tolist() for r in results]
         self.frames({**system, "seed": 2}, rate, horizon)
         assert [r.tolist() for r in results] == kept

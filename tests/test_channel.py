@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mpgps_sim as m
-from mpgps_sim.channel import (STREAM_CHUNK, ChannelProcess, FrameStreams,
+from mpgps_sim import channel
+from mpgps_sim.channel import (STREAM_CHUNK, STREAM_TAGS, ChannelProcess, FrameStreams,
                                UserGeometry, draw_geometry)
 
 # every user at the 1 m reference distance, unshadowed: a large-scale gain of 1
@@ -135,6 +136,17 @@ class TestChannelProcess:
             states = np.array([proc.state(f)[0] for f in range(200)])
             return float(np.mean(np.diff(states, axis=0) ** 2))
         assert step_var(0.95) < step_var(0.0) / 2
+
+    def test_ar1_state_holds_no_view_of_a_returned_stack(self):
+        # a blind run's last taps stack is its own: the AR(1) state kept
+        # between plans is a copy of one frame's (K, taps) row
+        cfg = m.SystemConfig(K=10, N=64, L=1024, r=2, M=4, seed=4, time_corr=0.9)
+        eng = m.Engine(cfg, m.TrafficModel(rate_bps=50000.0), "mpgps", 5000.0)
+        eng.run()
+        assert eng.frames_started > m.engine.PLAN_STACK
+        state = eng.channel._last_taps
+        assert state.base is None and state.shape == (cfg.K, cfg.taps)
+        assert state.tolist() == ChannelProcess(cfg).taps(0, eng.frames_started)[-1].tolist()
 
 
 def per_frame_reference(cfg, frames):
@@ -275,7 +287,7 @@ class TestFrameStreams:
         assert stream.normal() == ref.normal(), key
         assert stream.random() == ref.random(), key
 
-    @pytest.mark.parametrize("tag", [37, 53])
+    @pytest.mark.parametrize("tag", STREAM_TAGS)
     @pytest.mark.parametrize("seed", SEEDS)
     def test_equals_default_rng_key_by_key(self, seed, tag):
         rng = np.random.default_rng([seed, tag])
@@ -287,7 +299,7 @@ class TestFrameStreams:
         for f in frames:
             self.assert_same(streams.at(f), [seed, tag, f])
 
-    @pytest.mark.parametrize("tag", [37, 53])
+    @pytest.mark.parametrize("tag", STREAM_TAGS)
     @pytest.mark.parametrize("seed", [1, 2 ** 40 + 7])
     def test_uniforms_equal_default_rng(self, seed, tag):
         # both sides of the first STREAM_CHUNK boundary, the last one-word
@@ -298,3 +310,44 @@ class TestFrameStreams:
             for n in range(1, 9):
                 want = np.random.default_rng([seed, tag, f]).random(n).tolist()
                 assert streams.uniforms(f, n) == want, (f, n)
+
+    @pytest.mark.parametrize("tag", STREAM_TAGS)
+    def test_key_cache_moves_to_other_seeds_and_back(self, tag):
+        channel._stream_keys.cache_clear()
+        frames = [0, 3, STREAM_CHUNK + 1, 7]
+        streams = FrameStreams(5, tag)
+        for f in frames:
+            self.assert_same(streams.at(f), [5, tag, f])
+        # more seeds than the cache holds push seed 5's chunks out
+        others = [FrameStreams(seed, tag) for seed in range(6, 12)]
+        for other in others:
+            self.assert_same(other.at(STREAM_CHUNK + 2), [other.seed, tag, STREAM_CHUNK + 2])
+        held = channel._stream_keys.cache_info()
+        assert held.currsize == held.maxsize < len(others)
+        # back on seed 5: the same streams, through its held chunk and a re-hashed one
+        again = FrameStreams(5, tag)
+        for f in frames + [STREAM_CHUNK + 9]:
+            self.assert_same(streams.at(f), [5, tag, f])
+            self.assert_same(again.at(f), [5, tag, f])
+            assert streams.uniforms(f, 3) == np.random.default_rng([5, tag, f]).random(3).tolist()
+
+
+def test_a_short_run_hashes_its_stream_keys_once(monkeypatch):
+    # a power_mpgps-config run of at most STREAM_CHUNK frames and flows
+    # hashes the keys of its arrival, channel and error streams in one call
+    # and seeds no numpy generator per flow or per frame
+    cfg = m.SystemConfig(K=10, N=64, L=1024, r=2, M=4, seed=3)
+    eng = m.Engine(cfg, m.TrafficModel(rate_bps=50000.0), "mpgps", 2000.0)
+    channel._stream_keys.cache_clear()
+    m.engine.arrival_trace.cache_clear()
+    hashed, seeded = [], []
+    real_hash = channel._seed_sequence_states
+    monkeypatch.setattr(channel, "_seed_sequence_states",
+                        lambda *a: hashed.append(1) or real_hash(*a))
+    real_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda *a, **kw: seeded.append(a) or real_rng(*a, **kw))
+    res = eng.run()
+    assert 0 < eng.frames_started <= STREAM_CHUNK
+    assert res.metrics.arrivals > 0 and eng.error_streams is not None
+    assert len(hashed) == 1 and seeded == []

@@ -235,11 +235,16 @@ class TestArrivalTrace:
             monkeypatch.setattr(m.engine, "ARRIVAL_MARGIN", margin)
         eng = self.engine(self.EXPECTED)
         want = self.chunked(eng)
+        # each flow's stream is seeded where the trace draws it: one
+        # FrameStreams.at call per draw from the stream's start
         reseeds = []
-        real_rng = np.random.default_rng
-        monkeypatch.setattr(np.random, "default_rng",
-                            lambda seed: reseeds.append(seed[2]) or real_rng(seed))
+        real_at = m.engine.FrameStreams.at
+        monkeypatch.setattr(m.engine.FrameStreams, "at",
+                            lambda streams, flow: reseeds.append((streams.tag, flow))
+                            or real_at(streams, flow))
         times, flows = self.drawn(eng)
+        assert {tag for tag, _ in reseeds} == {23}
+        reseeds = [flow for _, flow in reseeds]
         assert (times.tolist(), flows.tolist()) == want
         fell_back = {k for k in reseeds if reseeds.count(k) == 2}
         beyond_cap = {k for k, n in enumerate(self.EXPECTED) if n > m.engine.FIRST_GAP_CAP}
