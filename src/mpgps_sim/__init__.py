@@ -15,8 +15,7 @@ from .channel import (ChannelProcess, DomainError, LinkBudget, UserGeometry,
 from .engine import (BoundCheck, BoundReport, Engine, FrameRecord, RunResult,
                      TrafficModel, run, verify_bounds)
 from .metrics import Metrics, fairness_metric, service_curves
-from .model import (NonIntegralFrame, NonIntegralQuota, Packet, SystemConfig,
-                    frame_length, group_size, subcarrier_quota)
+from .model import NonIntegralFrame, Packet, SystemConfig, frame_length
 from .scheduling import (AMPGPS, MODES, MPGPS, OMPGPS, PGPS, BoundViolation,
                          LagLedger, ScheduleDecision, ampgps_schedule,
                          compositions, ompgps_schedule, select_mpgps)
@@ -28,12 +27,12 @@ __all__ = [
     "AMPGPS", "AllocationResult", "BoundCheck", "BoundReport", "BoundViolation",
     "ChannelProcess", "DomainError", "Engine", "FrameRecord",
     "GpsReference", "GpsTrace", "LagLedger", "LinkBudget", "MODES", "MPGPS",
-    "Metrics", "NonIntegralFrame", "NonIntegralQuota", "OMPGPS", "PGPS",
+    "Metrics", "NonIntegralFrame", "OMPGPS", "PGPS",
     "Packet", "RunResult", "ScheduleDecision", "SystemConfig", "TrafficModel",
     "TransportInstance", "UnbalancedInstance", "UserGeometry", "ZeroGain",
     "allocate_frame", "ampgps_schedule", "ber", "composition_value",
     "compositions", "fairness_metric", "frame_length", "frame_powers",
-    "group_size", "link_budget", "ompgps_schedule", "packet_error_rate", "run",
+    "link_budget", "ompgps_schedule", "packet_error_rate", "run",
     "select_mpgps", "service_curves", "snr_target", "solve_transport",
-    "subcarrier_quota", "verify_bounds",
+    "verify_bounds",
 ]

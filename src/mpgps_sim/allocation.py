@@ -19,7 +19,8 @@ oracles live in ``tests/``, not in the package.
 
 The frame repeats one group of ``group`` symbols airtime/group times, so all
 arithmetic happens on the compressed K x N group matrix: column n stands for
-``group`` identical slots on subcarrier n.
+``group`` identical slots on subcarrier n. ``frame_layouts`` is the package's
+one rule for a composition's group size and per-flow quotas.
 
 ``solve_frames`` plans a stack of frames from its (B, K) composition
 matrix with one validated ``solve_transport`` call: ``frame_layouts`` takes
@@ -66,7 +67,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import LinkBudget
-from .model import SystemConfig, frame_length, group_size
+from .model import SystemConfig, frame_length
 
 # Gains this far below the instance median are clamped before inversion so a
 # single fade cannot blow up the cost matrix.
@@ -564,22 +565,24 @@ def frame_layouts(g: np.ndarray, cfg: SystemConfig
     """Batch size, airtime, group size and quotas of every composition of a
     (B, K) int64 matrix ``g``: int64 arrays (B,), (B,), (B,) and (B, K).
 
-    Row by row they equal ``model.frame_length``, ``group_size`` and
-    ``subcarrier_quota``: the group is m_sel / gcd(m_sel, N * gcd(g)),
-    which makes every quota g_k * group * N / m_sel whole. A stack with a
-    row those functions refuse is handed to them row by row, so the first
-    such row raises what they raise (``NonIntegralFrame``,
-    ``NonIntegralQuota`` or ``ValueError``).
+    The airtime is ``model.frame_length``'s. The group is the smallest one
+    giving every flow a whole quota g_k * group * N / m_sel, which is
+    m_sel / d with d = gcd(m_sel, N * gcd(g)); each quota is g_k * N / d.
+    It always divides the airtime: with P = L / r, whole as ``SystemConfig``
+    takes L as a multiple of r, a whole airtime P * m_sel / N means N
+    divides P * m_sel and P * N, so P * gcd(m_sel, N), so P * d, and
+    airtime / group = P * d / N is whole. A stack with a row that
+    ``frame_length`` refuses is handed to it row by row, so the first such
+    row raises what it raises (``NonIntegralFrame`` or ``ValueError``).
     """
     m_sel = g.sum(axis=1)
     airtime, spare = np.divmod(cfg.L * m_sel, cfg.bits_per_symbol)
     if m_sel.min() > 0 and g.min() >= 0 and not spare.any():
         group = m_sel // np.gcd(m_sel, cfg.N * np.gcd.reduce(g, axis=1))
-        if not (airtime % group).any():
-            return m_sel, airtime, group, g * (group * cfg.N)[:, None] // m_sel[:, None]
+        return m_sel, airtime, group, g * (group * cfg.N)[:, None] // m_sel[:, None]
     for row in g.tolist():
-        group_size(frame_length(row, cfg), row, cfg.N)
-    raise AssertionError("a composition without a layout passed the scalar checks")
+        frame_length(row, cfg)
+    raise AssertionError("a composition refused by the stacked checks passed frame_length")
 
 
 def solve_frames(g: np.ndarray, powers: np.ndarray, cfg: SystemConfig

@@ -90,9 +90,8 @@ ARRIVAL_CHUNK = 4096
 # cumulative sum of GAP_CHUNK-gap chunks, each continuing from the last time
 # of the one before. A run's first draw is sized from its expected count lam:
 # lam + ARRIVAL_MARGIN * (sqrt(lam) + 4) gaps, 8 standard deviations and 32
-# gaps past the mean, at most FIRST_GAP_CAP (<= GAP_CHUNK).
+# gaps past the mean, at most GAP_CHUNK, so it is a prefix of the first chunk.
 GAP_CHUNK = 4096
-FIRST_GAP_CAP = 2048
 ARRIVAL_MARGIN = 8
 
 # Largest expected arrival count of a Poisson run. The run pre-draws and
@@ -248,7 +247,7 @@ def _poisson_times(streams: FrameStreams, flow: int, rate_sym: float,
         return np.empty(0)
     rng = streams.at(flow)
     lam = rate_sym * horizon
-    size = min(lam + ARRIVAL_MARGIN * (math.sqrt(lam) + 4), FIRST_GAP_CAP)
+    size = min(lam + ARRIVAL_MARGIN * (math.sqrt(lam) + 4), GAP_CHUNK)
     cum = np.cumsum(rng.exponential(1.0 / rate_sym, math.ceil(size)))
     if cum[-1] >= horizon:
         return cum[cum < horizon]
@@ -370,9 +369,9 @@ class Engine:
             sizes = [self.m_eff]
         else:
             sizes = range(1, (cfg.M_max if mode == AMPGPS else self.m_eff) + 1)
-        # airtime in symbols of each batch size. Only a pgps or mpgps plan looks
-        # a layout up; with L a multiple of r, every composition of a size
-        # whose airtime is integral has one.
+        # airtime in symbols of each batch size. Only a pgps or mpgps plan takes
+        # a layout (allocation.frame_layouts); with L a multiple of r, every
+        # composition of a size whose airtime is integral has one.
         self.airtime = {size: frame_length((size,), cfg) for size in sizes}
         # a Poisson run's one-packet frame, its shortest
         self.shortest_frame = None if saturated else self.airtime[1]

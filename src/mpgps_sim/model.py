@@ -21,10 +21,6 @@ class NonIntegralFrame(ValueError):
     """A batch whose airtime does not come out as a whole number of symbols."""
 
 
-class NonIntegralQuota(ValueError):
-    """A per-user slot quota that does not divide evenly."""
-
-
 @dataclass
 class SystemConfig:
     """Static downlink parameters shared by every module.
@@ -144,28 +140,3 @@ def frame_length(g, cfg: SystemConfig) -> int:
             f"batch of {total} packets of {cfg.L} bits does not fill whole symbols "
             f"at {den} bits/symbol")
     return num // den
-
-
-def subcarrier_quota(g_k: int, group: int, n_subcarriers: int, m_sel: int) -> int:
-    """Subcarrier-symbol slots owed to one flow inside a group of ``group`` symbols."""
-    if m_sel < 1:
-        raise ValueError("m_sel must be positive")
-    num = g_k * group * n_subcarriers
-    if num % m_sel:
-        raise NonIntegralQuota(
-            f"quota {g_k}*{group}*{n_subcarriers}/{m_sel} is not an integer")
-    return num // m_sel
-
-
-def group_size(airtime: int, g, n_subcarriers: int) -> int:
-    """Smallest divisor of the frame airtime giving every flow an integral quota.
-
-    The frame repeats one group assignment airtime/group times; the group must
-    split the N*group slots into whole per-flow quotas: m_sel must divide
-    N*gcd(g)*group, so the group is q = m_sel / gcd(m_sel, N*gcd(g)) if q | airtime.
-    """
-    m_sel = sum(g)
-    q = m_sel // math.gcd(m_sel, n_subcarriers * math.gcd(*g))
-    if airtime % q:
-        raise NonIntegralQuota(f"no divisor of {airtime} yields integral quotas for {tuple(g)}")
-    return q

@@ -6,8 +6,11 @@ the reference for the exact solver's optimality (acceptance criterion 5).
 and ``GpsPerArrival`` is that reference stepped one arrival at a time, the
 frozen reference for the batch ``GpsReference.stamp``.
 ``busy_intervals`` sweeps a flow's (+1/-1) in-system events after the run,
-the reference for the engine's busy-interval tracker, and ``group_size_search``
-tries every divisor of the airtime, the reference for ``model.group_size``.
+the reference for the engine's busy-interval tracker. ``group_size_search``
+tries every divisor of the airtime, and ``layout_search`` gives one
+composition's batch size, airtime (``model.frame_length``), searched group
+size and quotas g_k * group * N // m_sel, the reference for
+``allocation.frame_layouts``.
 ``fairness_pairwise`` takes the fairness gauge one flow pair and one
 jointly-backlogged interval at a time, the reference for the grouped and
 stacked ``metrics.fairness_metric``. ``poisson_times_chunked`` draws an
@@ -29,7 +32,7 @@ import math
 
 import numpy as np
 
-from mpgps_sim import Engine, NonIntegralQuota, TransportInstance, allocation, scheduling
+from mpgps_sim import Engine, TransportInstance, allocation, frame_length, scheduling
 from mpgps_sim.allocation import PRICE_ROUNDS, RANK_BLOCK, _solve_stack
 from mpgps_sim.engine import GAP_CHUNK, SimEvent
 from mpgps_sim.metrics import _intersect, _window_extreme
@@ -230,7 +233,16 @@ def group_size_search(airtime: int, g, n_subcarriers: int) -> int:
             continue
         if all((g_k * cand * n_subcarriers) % m_sel == 0 for g_k in g):
             return cand
-    raise NonIntegralQuota(f"no divisor of {airtime} yields integral quotas for {tuple(g)}")
+    raise ValueError(f"no divisor of {airtime} yields integral quotas for {tuple(g)}")
+
+
+def layout_search(g, cfg) -> tuple[int, int, int, list[int]]:
+    """Batch size, airtime, group size and quotas of one composition, the
+    group found by ``group_size_search``."""
+    m_sel = sum(g)
+    airtime = frame_length(g, cfg)
+    group = group_size_search(airtime, g, cfg.N)
+    return m_sel, airtime, group, [g_k * group * cfg.N // m_sel for g_k in g]
 
 
 def fairness_pairwise(curves, weights, window: float, flow_busy) -> float:

@@ -3,7 +3,6 @@
 import sys
 import threading
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ import mpgps_sim as m
 from mpgps_sim import allocation, scheduling
 from mpgps_sim.allocation import _exchange, _price_start, _solve_stack
 from oracles import (InstanceTooLarge, brute_force_ilp, composition_values_stacked,
-                     one_composition_value, price_start_padded)
+                     layout_search, one_composition_value, price_start_padded)
 
 
 def price_one(costs, quotas, demand):
@@ -534,12 +533,10 @@ class TestFrameAllocation:
 
 def oracle_plan(g, powers, cfg):
     """One frame planned on its own: quotas, instance, exact solve, whole-matrix sums."""
-    m_sel = sum(g)
-    grp = m.group_size(m.frame_length(g, cfg), g, cfg.N)
-    quotas = np.array([m.subcarrier_quota(gk, grp, cfg.N, m_sel) for gk in g])
+    m_sel, _, grp, quotas = layout_search(g, cfg)
     alpha = powers / (grp * cfg.N * cfg.r)
     counts, objective = m.solve_transport(
-        m.TransportInstance(alpha=alpha, quotas=quotas, group=grp))
+        m.TransportInstance(alpha=alpha, quotas=np.array(quotas), group=grp))
     energy = objective * cfg.L * m_sel * cfg.T_sym
     mean_power = float((powers * counts).sum()) / grp
     return counts, objective, energy, mean_power
@@ -623,15 +620,8 @@ class TestStackedPlans:
 
 
 class TestFrameLayouts:
-    """The layouts of a composition matrix equal the ``model`` scalar
-    functions row by row, and a row they refuse raises what they raise."""
-
-    @staticmethod
-    def scalar_layout(g, cfg):
-        m_sel = sum(g)
-        airtime = m.frame_length(g, cfg)
-        grp = m.group_size(airtime, g, cfg.N)
-        return m_sel, airtime, grp, [m.subcarrier_quota(g_k, grp, cfg.N, m_sel) for g_k in g]
+    """The layouts of a composition matrix equal ``layout_search``'s row by
+    row, and a row ``model.frame_length`` refuses raises what it raises."""
 
     @pytest.mark.parametrize("shape", [dict(L=64, N=8, r=2), dict(L=1024, N=64, r=2)])
     def test_layouts_equal_the_scalar_functions(self, shape):
@@ -642,26 +632,7 @@ class TestFrameLayouts:
         m_sel, airtime, grp, quotas = allocation.frame_layouts(np.array(gs, dtype=np.int64), cfg)
         assert all(a.dtype == np.int64 for a in (m_sel, airtime, grp, quotas))
         got = list(zip(m_sel.tolist(), airtime.tolist(), grp.tolist(), quotas.tolist()))
-        assert got == [self.scalar_layout(g, cfg) for g in gs]
-
-    def test_integral_airtime_gives_every_composition_a_layout(self):
-        # L is a multiple of r, so a batch size whose airtime fills whole
-        # symbols gives every composition of it whole quotas: the airtimes an
-        # Engine checks when it is built cover every layout its frames need
-        checked = 0
-        for n in (3, 4, 6, 8, 12, 64):
-            for r in (1, 2, 3):
-                for packet in (1, 2, 3, 4, 6, 8, 16):
-                    cfg = m.SystemConfig(K=3, N=n, L=packet * r, r=r, M=6)
-                    gs = [g for size in range(1, 7) if (cfg.L * size) % cfg.bits_per_symbol == 0
-                          for g in m.compositions(size, (size,) * 3)]
-                    if not gs:
-                        continue
-                    layouts = allocation.frame_layouts(np.array(gs, dtype=np.int64), cfg)
-                    assert list(zip(*(a.tolist() for a in layouts))) == [
-                        self.scalar_layout(g, cfg) for g in gs]
-                    checked += len(gs)
-        assert checked > 1000
+        assert got == [layout_search(g, cfg) for g in gs]
 
     @pytest.mark.parametrize("row, error", [
         ((1, 0, 0), m.NonIntegralFrame),      # a packet is half a symbol
@@ -671,24 +642,13 @@ class TestFrameLayouts:
     def test_a_non_integral_row_raises_the_scalar_exception(self, row, error):
         cfg = m.SystemConfig(K=3, N=64, L=64, r=2)
         with pytest.raises(error) as scalar:
-            self.scalar_layout(row, cfg)
+            m.frame_length(row, cfg)
         stack = np.array([(1, 1, 0), (0, 2, 2), row, (1, 0, 1)], dtype=np.int64)
         with pytest.raises(error) as stacked:
             allocation.frame_layouts(stack, cfg)
         assert type(stacked.value) is type(scalar.value)
         assert str(stacked.value) == str(scalar.value)
         assert allocation.frame_layouts(stack[[0, 1, 3]], cfg)[1].tolist() == [1, 2, 1]
-
-    def test_a_row_without_integral_quotas_raises_non_integral_quota(self):
-        # no SystemConfig gets here, as L is a multiple of r; a bare shape of
-        # L=1, N=1 at 2 bits a symbol gives (1, 1) a whole symbol of airtime
-        # that no group of 2 divides
-        shape = SimpleNamespace(L=1, N=1, bits_per_symbol=2)
-        with pytest.raises(m.NonIntegralQuota) as scalar:
-            self.scalar_layout((1, 1), shape)
-        with pytest.raises(m.NonIntegralQuota) as stacked:
-            allocation.frame_layouts(np.array([(2, 0), (1, 1)], dtype=np.int64), shape)
-        assert str(stacked.value) == str(scalar.value)
 
 
 class TestDeferredPlans:

@@ -2,12 +2,14 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mpgps_sim as m
-from oracles import group_size_search
+from mpgps_sim import allocation
+from oracles import layout_search
 
 
 def cfg64(**kw):
@@ -39,74 +41,57 @@ class TestFrameLength:
             m.frame_length((2, -1, 0, 0), cfg64())
 
 
+def layout(g, cfg):
+    """``frame_layouts`` of one composition, in ``layout_search``'s form."""
+    m_sel, airtime, grp, quotas = allocation.frame_layouts(np.array([g], dtype=np.int64), cfg)
+    return int(m_sel[0]), int(airtime[0]), int(grp[0]), quotas[0].tolist()
+
+
 class TestQuotaAndGroup:
     def test_quota_example(self):
-        assert m.subcarrier_quota(2, 2, 64, 4) == 64
+        # four packets over 64 subcarriers: 16 slots a packet in a group of one
+        assert layout((2, 1, 1), cfg64(K=3)) == (4, 32, 1, [32, 16, 16])
 
     def test_quota_not_divisible(self):
-        with pytest.raises(m.NonIntegralQuota):
-            m.subcarrier_quota(1, 1, 64, 3)
+        # 64 slots do not split 2:1, so the group takes three symbols' 192
+        assert layout((2, 1), cfg64(K=2)) == (3, 24, 3, [128, 64])
 
     def test_group_of_one_when_m_divides(self):
         # four packets, every quota g_k*64 divisible by 4
-        assert m.group_size(32, (1, 1, 1, 1), 64) == 1
+        assert layout((1, 1, 1, 1), cfg64())[2] == 1
 
     def test_group_grows_for_three_packets(self):
         # m_sel = 3 does not divide 64, nor 128; the group must reach 3
-        assert m.group_size(24, (1, 1, 1), 64) == 3
+        assert layout((1, 1, 1), cfg64(K=3))[1:3] == (24, 3)
 
     def test_group_balances_quotas(self):
-        g = (3, 1)
-        airtime = m.frame_length(g, cfg64(K=2))
-        grp = m.group_size(airtime, g, 64)
-        quotas = [m.subcarrier_quota(gk, grp, 64, sum(g)) for gk in g]
+        _, _, grp, quotas = layout((3, 1), cfg64(K=2))
         assert sum(quotas) == grp * 64
 
-    @settings(max_examples=200, deadline=None)
-    @given(
-        g=st.lists(st.integers(0, 3), min_size=1, max_size=4).filter(
-            lambda v: sum(v) >= 1),
-        n=st.sampled_from([4, 8, 16, 64]),
-        r=st.sampled_from([1, 2, 4]),
-        l_bits=st.sampled_from([16, 64, 128, 256, 1024]),
-    )
-    def test_group_size_is_minimal_feasible_divisor(self, g, n, r, l_bits):
-        assume(l_bits % r == 0)
-        cfg = m.SystemConfig(K=len(g), N=n, L=l_bits, r=r)
-        try:
-            airtime = m.frame_length(g, cfg)
-        except m.NonIntegralFrame:
-            assume(False)
-        grp = m.group_size(airtime, g, n)
-        m_sel = sum(g)
-        assert airtime % grp == 0
-        quotas = [m.subcarrier_quota(gk, grp, n, m_sel) for gk in g]
-        assert sum(quotas) == grp * n
-        # nothing smaller works
-        for d in range(1, grp):
-            if airtime % d:
-                continue
-            assert any((gk * d * n) % m_sel for gk in g)
-
-    def test_group_size_matches_the_divisor_search(self):
-        # the closed form against the search, raises included
-        cases = raised = 0
-        for k in range(1, 4):
-            for g in itertools.product(range(5), repeat=k):
-                if not sum(g):
-                    continue
-                for n, airtime in itertools.product((1, 2, 3, 4, 6, 8, 12, 16, 64),
-                                                    range(1, 41)):
-                    try:
-                        want = group_size_search(airtime, g, n)
-                    except m.NonIntegralQuota:
-                        with pytest.raises(m.NonIntegralQuota):
-                            m.group_size(airtime, g, n)
-                        raised += 1
-                    else:
-                        assert m.group_size(airtime, g, n) == want, (airtime, g, n)
-                    cases += 1
-        assert raised and cases - raised
+    # the shapes of the sweeps this property replaced: N of 1, 3, 6 and 12,
+    # r of 3, one-bit-per-subcarrier packets and the 64-subcarrier working point
+    @example(n=64, r=2, k=4, m0=1, t=8)
+    @example(n=1, r=1, k=3, m0=1, t=1)
+    @example(n=3, r=3, k=3, m0=3, t=1)
+    @example(n=6, r=3, k=3, m0=6, t=1)
+    @example(n=12, r=2, k=3, m0=4, t=1)
+    @example(n=16, r=4, k=4, m0=2, t=1)
+    @example(n=8, r=1, k=2, m0=1, t=2)
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 64), r=st.integers(1, 4), k=st.integers(1, 4),
+           m0=st.integers(1, 6), t=st.integers(1, 16))
+    def test_group_size_matches_the_divisor_search(self, n, r, k, m0, t):
+        # a packet of L/r = t * N / gcd(N, m0) subcarrier-symbols gives a
+        # batch of m0 a whole airtime. Every composition of up to six packets
+        # whose airtime is whole gets the searched group and whole, balanced
+        # quotas
+        cfg = m.SystemConfig(K=k, N=n, L=n // math.gcd(n, m0) * t * r, r=r)
+        gs = [g for total in range(1, 7) if (cfg.L * total) % cfg.bits_per_symbol == 0
+              for g in itertools.product(range(total + 1), repeat=k) if sum(g) == total]
+        m_sel, airtime, grp, quotas = allocation.frame_layouts(np.array(gs, dtype=np.int64), cfg)
+        got = list(zip(m_sel.tolist(), airtime.tolist(), grp.tolist(), quotas.tolist()))
+        assert got == [layout_search(g, cfg) for g in gs]
+        assert (quotas.sum(axis=1) == grp * n).all()
 
 
 class TestSystemConfig:

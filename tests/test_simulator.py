@@ -205,8 +205,8 @@ class TestArrivalTrace:
     """The sized first draw gives the trace of whole GAP_CHUNK chunks bit for bit."""
 
     HORIZON = 5000.0
-    # expected arrivals per flow, from ~0 to past the first draw's cap and
-    # past one chunk
+    # expected arrivals per flow, from ~0 to past the first draw's cap, one
+    # chunk
     EXPECTED = (0.0, 1e-3, 0.4, 3.0, 20.0, 150.0, 1000.0, 1700.0, 2100.0, 9000.0)
 
     def engine(self, expected, bucket=None):
@@ -247,7 +247,7 @@ class TestArrivalTrace:
         reseeds = [flow for _, flow in reseeds]
         assert (times.tolist(), flows.tolist()) == want
         fell_back = {k for k in reseeds if reseeds.count(k) == 2}
-        beyond_cap = {k for k, n in enumerate(self.EXPECTED) if n > m.engine.FIRST_GAP_CAP}
+        beyond_cap = {k for k, n in enumerate(self.EXPECTED) if n > m.engine.GAP_CHUNK}
         if margin is None:
             assert fell_back == beyond_cap
         else:
