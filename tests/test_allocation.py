@@ -634,6 +634,25 @@ class TestFrameLayouts:
         got = list(zip(m_sel.tolist(), airtime.tolist(), grp.tolist(), quotas.tolist()))
         assert got == [layout_search(g, cfg) for g in gs]
 
+    def test_integral_airtime_gives_every_composition_a_layout(self):
+        # L is a multiple of r, so a batch size whose airtime fills whole
+        # symbols gives every composition of it whole quotas: the airtimes an
+        # Engine checks when it is built cover every layout its frames need
+        checked = 0
+        for n in (3, 4, 6, 8, 12, 64):
+            for r in (1, 2, 3):
+                for packet in (1, 2, 3, 4, 6, 8, 16):
+                    cfg = m.SystemConfig(K=3, N=n, L=packet * r, r=r, M=6)
+                    gs = [g for size in range(1, 7) if (cfg.L * size) % cfg.bits_per_symbol == 0
+                          for g in m.compositions(size, (size,) * 3)]
+                    if not gs:
+                        continue
+                    layouts = allocation.frame_layouts(np.array(gs, dtype=np.int64), cfg)
+                    assert list(zip(*(a.tolist() for a in layouts))) == [
+                        layout_search(g, cfg) for g in gs]
+                    checked += len(gs)
+        assert checked > 1000
+
     @pytest.mark.parametrize("row, error", [
         ((1, 0, 0), m.NonIntegralFrame),      # a packet is half a symbol
         ((0, 0, 0), ValueError),              # an empty batch

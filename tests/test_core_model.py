@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import mpgps_sim as m
@@ -67,6 +67,32 @@ class TestQuotaAndGroup:
     def test_group_balances_quotas(self):
         _, _, grp, quotas = layout((3, 1), cfg64(K=2))
         assert sum(quotas) == grp * 64
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        g=st.lists(st.integers(0, 3), min_size=1, max_size=4).filter(
+            lambda v: sum(v) >= 1),
+        n=st.sampled_from([4, 8, 16, 64]),
+        r=st.sampled_from([1, 2, 4]),
+        l_bits=st.sampled_from([16, 64, 128, 256, 1024]),
+    )
+    def test_group_size_is_minimal_feasible_divisor(self, g, n, r, l_bits):
+        assume(l_bits % r == 0)
+        cfg = m.SystemConfig(K=len(g), N=n, L=l_bits, r=r)
+        try:
+            m.frame_length(g, cfg)
+        except m.NonIntegralFrame:
+            assume(False)
+        m_sel, airtime, grp, quotas = layout(g, cfg)
+        assert m_sel == sum(g)
+        assert airtime % grp == 0
+        assert quotas == [gk * grp * n // m_sel for gk in g]
+        assert sum(quotas) == grp * n
+        # nothing smaller works
+        for d in range(1, grp):
+            if airtime % d:
+                continue
+            assert any((gk * d * n) % m_sel for gk in g)
 
     # the shapes of the sweeps this property replaced: N of 1, 3, 6 and 12,
     # r of 3, one-bit-per-subcarrier packets and the 64-subcarrier working point
